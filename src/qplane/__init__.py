@@ -19,7 +19,8 @@ from .jordan import (JordanSpec, QClass, block_jordan, check_partition,
 from .chains import (ChainDecomposition, associated_sequence, chain_decompose,
                      partition_count, restricted_partition_count)
 from .commutant import (HomExtReport, MatrixPair, hom_ext, predicted_commutant_dim,
-                        q_layered, q_layered_block, qcommutant_basis)
+                        q_layered, q_layered_block, qcommutant_basis,
+                        sylvester_operator)
 from .components import (ComponentIndex, count_ML, dim_component,
                          dim_component_via_CBS, enumerate_ML,
                          parametrization_jacobian_rank, sample_point,

@@ -10,13 +10,20 @@ multiplicity vector of the class and are also computed in closed form by
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import LengthMismatch, ZeroElement
 from .scalars import INFINITE, QScalar, canonical_key, q_equivalent
 
 
-@lru_cache(maxsize=None)
+def _partition_table(s: int, t: int) -> list:
+    """[p_s(0), ..., p_s(t)], filled one allowed part size at a time."""
+    table = [1] + [0] * t
+    for part in range(1, min(s, t) + 1):
+        for total in range(part, t + 1):
+            table[total] += table[total - part]
+    return table
+
+
 def restricted_partition_count(s: int, t: int) -> int:
     """Number of partitions of t with every part at most s.
 
@@ -24,13 +31,7 @@ def restricted_partition_count(s: int, t: int) -> int:
     """
     if s < 0 or t < 0:
         raise ValueError("partition counts need nonnegative arguments")
-    if t == 0:
-        return 1
-    if s == 0:
-        return 0
-    if s > t:
-        s = t
-    return restricted_partition_count(s - 1, t) + restricted_partition_count(s, t - s)
+    return _partition_table(s, t)[t]
 
 
 def partition_count(t: int) -> int:

@@ -124,29 +124,33 @@ def q_layered_block(s: int, t: int, blocks, ctx=None) -> QMatrix:
     return QMatrix(ctx, rows)
 
 
-def _qcommutant_operator(A: QMatrix, q: QScalar) -> QMatrix:
-    """Matrix of X -> AX - qXA on n x n matrices, flattened row-major.
+def sylvester_operator(L: QMatrix, R: QMatrix, c: QScalar) -> QMatrix:
+    """Matrix of X -> L X - c X R on m x n matrices X, flattened row-major.
 
-    Column r*n + s is the image of the unit matrix E_rs; that image is
-    A[:, r] placed in column s minus q times A[s, :] placed in row r, so the
-    operator is assembled entry by entry without matrix products.
+    L is m x m and R is n x n.  Entry ((i, j), (r, s)) is
+    L[i][r] [j = s] - c R[s][j] [i = r], written entry by entry without
+    matrix products.
     """
-    ctx = A.ctx
-    n = A.nrows
-    zero = ctx.zero()
-    grid = [[zero] * (n * n) for _ in range(n * n)]
-    for r in range(n):
-        for s in range(n):
-            col = r * n + s
-            for i in range(n):
-                a = A.rows[i][r]
-                if not a.is_zero():
-                    grid[i * n + s][col] = grid[i * n + s][col] + a
-            for j in range(n):
-                a = A.rows[s][j]
-                if not a.is_zero():
-                    grid[r * n + j][col] = grid[r * n + j][col] - q * a
-    return QMatrix(ctx, grid)
+    if not (L.is_square() and R.is_square()):
+        raise NotSquare("X -> L X - c X R needs square L and R")
+    m, n = L.nrows, R.nrows
+    zero = L.ctx.zero()
+    grid = [[zero] * (m * n) for _ in range(m * n)]
+    for i in range(m):
+        for r in range(m):
+            a = L.rows[i][r]
+            if not a.is_zero():
+                for j in range(n):
+                    grid[i * n + j][r * n + j] = a
+    for s in range(n):
+        for j in range(n):
+            b = R.rows[s][j]
+            if not b.is_zero():
+                b = c * b
+                for i in range(m):
+                    row = grid[i * n + j]
+                    row[i * n + s] = row[i * n + s] - b
+    return QMatrix(L.ctx, grid)
 
 
 def _unflatten(ctx, vec, nrows, ncols) -> QMatrix:
@@ -158,8 +162,8 @@ def qcommutant_basis(A: QMatrix, ctx=None):
     """Basis of {B : AB = qBA} as a list of n x n matrices.
 
     Computed as the exact kernel of the n^2 x n^2 operator X -> AX - qXA,
-    matrices flattened row-major; the basis order follows the deterministic
-    kernel ordering of the eliminator.
+    matrices flattened row-major; the basis order is that of the reduced
+    row echelon form, one element per free column.
     """
     if ctx is None:
         ctx = A.ctx
@@ -170,7 +174,7 @@ def qcommutant_basis(A: QMatrix, ctx=None):
     n = A.nrows
     if n == 0:
         return []
-    op = _qcommutant_operator(A, ctx.q())
+    op = sylvester_operator(A, A, ctx.q())
     return [_unflatten(ctx, vec, n, n) for vec in kernel_basis(op)]
 
 
@@ -204,20 +208,6 @@ class HomExtReport:
     hom_basis: tuple
 
 
-def _flatten(M: QMatrix):
-    for row in M.rows:
-        yield from row
-
-
-def _stack_columns(ctx, columns, nrows) -> QMatrix:
-    zero = ctx.zero()
-    grid = [[zero] * len(columns) for _ in range(nrows)]
-    for c, col in enumerate(columns):
-        for r, val in enumerate(col):
-            grid[r][c] = val
-    return QMatrix(ctx, grid)
-
-
 def hom_ext(M1: MatrixPair, M2: MatrixPair) -> HomExtReport:
     """Hom and Ext dimensions between module pairs M1 and M2.
 
@@ -240,31 +230,15 @@ def hom_ext(M1: MatrixPair, M2: MatrixPair) -> HomExtReport:
     if dim == 0:
         return HomExtReport(0, 0, 0, ())
 
-    units = []
-    zero = ctx.zero()
+    # d0 is built as (A2 F - F A1, B2 F - F B1), the negative of each block,
+    # and the G block of d1 as B2 G - q^-1 G B1, the one above times -1/q:
+    # neither changes the kernel of d0 or the rank of d1
     one = ctx.one()
-    for r in range(n2):
-        for s in range(n1):
-            rows = [[zero] * n1 for _ in range(n2)]
-            rows[r][s] = one
-            units.append(QMatrix(ctx, rows))
-
-    d0_cols = []
-    for E in units:
-        top = E * A1 - A2 * E
-        bot = E * B1 - B2 * E
-        d0_cols.append(list(_flatten(top)) + list(_flatten(bot)))
-    d0 = _stack_columns(ctx, d0_cols, 2 * dim)
-
-    d1_cols = []
-    for E in units:  # G slots first, then H slots
-        img = E * B1 - (B2 * E) * q
-        d1_cols.append(list(_flatten(img)))
-    for E in units:
-        img = A2 * E - (E * A1) * q
-        d1_cols.append(list(_flatten(img)))
-    d1 = _stack_columns(ctx, d1_cols, dim)
-
+    d0 = QMatrix(ctx, sylvester_operator(A2, A1, one).rows
+                 + sylvester_operator(B2, B1, one).rows)
+    G = sylvester_operator(B2, B1, q.inverse())
+    H = sylvester_operator(A2, A1, q)
+    d1 = QMatrix(ctx, [g + h for g, h in zip(G.rows, H.rows)])
     hom_vectors = kernel_basis(d0)
     rank_d0 = dim - len(hom_vectors)
     rank_d1 = rank(d1)

@@ -11,12 +11,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .commutant import MatrixPair, q_layered
+from .commutant import MatrixPair, q_layered, sylvester_operator
 from .errors import BadIndex, DegeneratePoint
 from .jordan import jordan_block
 from .matrices import QMatrix, conjugate, direct_sum, inverse, rank
 from .scalars import FieldContext, INFINITE, q_equivalent, substitute_q_inverse
-from .chains import restricted_partition_count, partition_count
+from .chains import _partition_table
 
 
 def _norm(counts) -> int:
@@ -136,15 +136,11 @@ def count_ML(ell, n: int) -> int:
     """Closed-form component count: sum of p_{ell-1}(i) * p_ell(j), i+j = n."""
     if n < 0:
         raise BadIndex("n must be nonnegative")
-    total = 0
-    for i in range(n + 1):
-        j = n - i
-        if ell is INFINITE:
-            total += partition_count(i) * partition_count(j)
-        else:
-            total += (restricted_partition_count(ell - 1, i)
-                      * restricted_partition_count(ell, j))
-    return total
+    if ell is INFINITE:
+        left = right = _partition_table(n, n)
+    else:
+        left, right = _partition_table(ell - 1, n), _partition_table(ell, n)
+    return sum(left[i] * right[n - i] for i in range(n + 1))
 
 
 def dim_component(idx: ComponentIndex) -> int:
@@ -343,16 +339,13 @@ def _jacobian_rank_once(kind, size, ctx, rng) -> int:
     Abar = g * A * ginv
     Bbar = g * B * ginv
 
-    rows = []
     zero = ctx.zero()
     one = ctx.one()
-    # conjugation directions: d/dt of exp(tY) X exp(-tY) = [Y, X]
-    for s in range(size):
-        for t in range(size):
-            grid = [[zero] * size for _ in range(size)]
-            grid[s][t] = one
-            Y = QMatrix(ctx, grid)
-            rows.append(_flatten_pair(Y * Abar - Abar * Y, Y * Bbar - Bbar * Y))
+    # conjugation directions: d/dt of exp(tY) X exp(-tY) = [Y, X]; row Y is
+    # -(Abar Y - Y Abar, Bbar Y - Y Bbar), the negated column Y of the stacked
+    # operators, and the sign does not change the rank
+    rows = list(QMatrix(ctx, sylvester_operator(Abar, Abar, one).rows
+                        + sylvester_operator(Bbar, Bbar, one).rows).transpose().rows)
     Z = QMatrix.zero(ctx, size, size)
     if kind == "D":
         # the A-scale direction: A = a * diag(1, 1/q, ...), so dA/da = A / a

@@ -9,12 +9,14 @@ exponents 0, ..., ell-1 (descending powers of q from a chosen base).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EigenvaluesNotFound, NotSquare
 from .matrices import QMatrix, char_poly, direct_sum, rank
-from .scalars import FieldContext, QScalar, canonical_key, q_equivalent
+from .scalars import (FieldContext, QScalar, _pdivmod, _pmul, canonical_key,
+                      q_equivalent)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -220,9 +222,7 @@ def rational_roots(coeffs):
     if len(coeffs) <= 1:
         return roots
     # clear denominators
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom_lcm) for c in coeffs]
     for p in _divisors(ints[0]):
         for s in _divisors(ints[-1]):
@@ -235,12 +235,6 @@ def rational_roots(coeffs):
                 if acc == 0:
                     roots.add(cand)
     return roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +262,13 @@ def _root_candidates_generic(sf, ctx):
         return set()
     # clear denominators: S_j in Q[q]
     den_prod = (Fraction(1),)
-    from .scalars import _pmul, _ptrim  # dense rational polynomial helpers
     for c in sf:
         den_prod = _pmul(den_prod, c.den)
     cleared = []
     for c in sf:
         num = c.num
-        rest = _qp_poly_quotient(den_prod, c.den)
+        rest, rem = _pdivmod(den_prod, c.den)
+        assert not rem
         cleared.append(_pmul(num, rest))
     bound = 1
     for j in range(d):  # the leading coefficient is excluded from the bound
@@ -306,14 +300,6 @@ def _root_candidates_generic(sf, ctx):
                         candidates.add(ctx.rational(c0) * ctx.q_power(k))
                 break
     return candidates
-
-
-def _qp_poly_quotient(num, den):
-    """Exact quotient of dense rational polynomials (num divisible by den)."""
-    from .scalars import _pdivmod
-    q, r = _pdivmod(num, den)
-    assert not r
-    return q
 
 
 def _discover_roots(sf, ctx, hints):

@@ -1,10 +1,9 @@
 """Exact dense linear algebra over QScalar.
 
 Matrices are immutable values; every operation returns a fresh matrix.
-Elimination is fraction-free in Bareiss form: each update step is
-(p * a_ij - a_ic * a_rj) / p_prev with the division exact in the field,
-which keeps intermediate entries equal to minors of the input and stops
-coefficient blowup.
+Rank, kernel and inverse all come from one Gauss-Jordan elimination to the
+reduced row echelon form.  That form is unique, so kernel bases and their
+order do not depend on how the elimination is carried out.
 """
 
 from __future__ import annotations
@@ -220,76 +219,47 @@ def direct_sum(*matrices: QMatrix) -> QMatrix:
 # elimination: rank, kernel, inverse
 # ---------------------------------------------------------------------------
 
-def _bareiss_forward(grid):
-    """In-place fraction-free forward elimination; returns pivot columns.
+def _rref(A: QMatrix):
+    """Reduced row echelon form by Gauss-Jordan: returns (rows, pivot columns).
 
-    grid is a list of lists of QScalar.  After the call, rows 0..rank-1 are
-    in echelon form and everything below them is zero.
+    Pivot columns are taken left to right.  Each pivot row is normalized once
+    and then cleared out of every other row, touching only its nonzero
+    entries and skipping rows that are already zero in the pivot column.
     """
-    m = len(grid)
-    n = len(grid[0]) if m else 0
+    grid = [list(row) for row in A.rows]
+    m, n = A.nrows, A.ncols
+    zero, one = A.ctx.zero(), A.ctx.one()
     piv_cols = []
-    r = 0
-    prev_inv = None
     for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if not grid[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            grid[r], grid[piv] = grid[piv], grid[r]
-        pivot = grid[r][c]
-        row_r = grid[r]
-        for i in range(r + 1, m):
-            row_i = grid[i]
-            lead = row_i[c]
-            if lead.is_zero():
-                # Bareiss still rescales skipped rows by pivot/prev_pivot
-                for j in range(c + 1, n):
-                    x = row_i[j]
-                    if not x.is_zero():
-                        y = pivot * x
-                        row_i[j] = y * prev_inv if prev_inv is not None else y
-            else:
-                zero = lead.ctx.zero()
-                for j in range(c + 1, n):
-                    y = pivot * row_i[j] - lead * row_r[j]
-                    row_i[j] = y * prev_inv if prev_inv is not None else y
-                row_i[c] = zero
-        prev_inv = pivot.inverse()
-        piv_cols.append(c)
-        r += 1
+        r = len(piv_cols)
         if r == m:
             break
-    return piv_cols
+        piv = next((i for i in range(r, m) if not grid[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        grid[r], grid[piv] = grid[piv], grid[r]
+        row_r = grid[r]
+        inv = row_r[c].inverse()
+        nonzero = [(j, row_r[j] * inv) for j in range(c + 1, n)
+                   if not row_r[j].is_zero()]
+        row_r[c] = one
+        for j, x in nonzero:
+            row_r[j] = x
+        for i in range(m):
+            row_i = grid[i]
+            f = row_i[c]
+            if i == r or f.is_zero():
+                continue
+            for j, x in nonzero:
+                row_i[j] = row_i[j] - f * x
+            row_i[c] = zero
+        piv_cols.append(c)
+    return grid, piv_cols
 
 
 def rank(A: QMatrix) -> int:
-    """Exact rank via fraction-free elimination."""
-    grid = [list(row) for row in A.rows]
-    return len(_bareiss_forward(grid))
-
-
-def _rref(A: QMatrix):
-    """Reduced row echelon form: returns (rows, pivot column list)."""
-    grid = [list(row) for row in A.rows]
-    piv_cols = _bareiss_forward(grid)
-    # back-substitution: normalize pivots to 1 and clear above
-    for i in range(len(piv_cols) - 1, -1, -1):
-        p = piv_cols[i]
-        inv = grid[i][p].inverse()
-        row_i = [x * inv for x in grid[i]]
-        grid[i] = row_i
-        for k in range(i):
-            f = grid[k][p]
-            if not f.is_zero():
-                row_k = grid[k]
-                for j in range(p, A.ncols):
-                    row_k[j] = row_k[j] - f * row_i[j]
-    return grid, piv_cols
+    """Exact rank: the number of pivots of the reduced row echelon form."""
+    return len(_rref(A)[1])
 
 
 def kernel_basis(A: QMatrix):

@@ -117,14 +117,6 @@ def _pext_inverse(a, mod):
     return _pscale(u0, 1 / r0[0])
 
 
-def _peval(c, x):
-    """Evaluate at a value supporting + and * (Horner)."""
-    acc = None
-    for coef in reversed(c):
-        acc = coef if acc is None else acc * x + coef
-    return acc if acc is not None else F0
-
-
 def _pstr(c):
     """Render a polynomial in q using the scalar grammar (ascending powers)."""
     if not c:

@@ -123,6 +123,13 @@ def test_partition_counts_against_enumeration():
             assert restricted_partition_count(s, t) == expected
 
 
+def test_restricted_partition_count_far_past_the_recursion_limit():
+    # closed forms: p_2(i) = i // 2 + 1, p_3(j) = round((j + 3)^2 / 12)
+    for t in (0, 1, 7, 3000, 5000):
+        assert restricted_partition_count(2, t) == t // 2 + 1
+        assert restricted_partition_count(3, t) == ((t + 3) ** 2 + 6) // 12
+
+
 def test_partition_count_rejects_negative():
     with pytest.raises(ValueError):
         restricted_partition_count(-1, 2)

@@ -38,6 +38,14 @@ def test_count_command(capsys):
     assert json.loads(out) == {"count": 4}
 
 
+def test_count_command_at_large_n(capsys):
+    code, out = run(capsys, "count", "--ell", "3", "--n", "5000")
+    assert code == 0
+    expected = sum((i // 2 + 1) * (((5000 - i + 3) ** 2 + 6) // 12)
+                   for i in range(5001))
+    assert json.loads(out) == {"count": expected}
+
+
 def test_chains_command(capsys):
     code, out = run(capsys, "chains", "--ell", "4", "--counts", "3,2,3,1")
     assert code == 0

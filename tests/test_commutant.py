@@ -7,7 +7,7 @@ from qplane import (FieldContext, JordanSpec, LengthMismatch, MatrixPair,
                     MixedContext, NotSquare, QMatrix, RelationViolated,
                     block_jordan, conjugate, direct_sum, hom_ext, jordan_block,
                     predicted_commutant_dim, q_layered, q_layered_block,
-                    qcommutant_basis, rank, realize)
+                    qcommutant_basis, rank, realize, sylvester_operator)
 
 GEN = FieldContext.generic()
 C2 = FieldContext.root_of_unity(2)
@@ -211,6 +211,32 @@ def test_commutant_respects_block_support():
                     assert B[i, j].is_zero()
 
 
+def test_sylvester_operator_matches_matrix_products():
+    # X -> L X - c X R on m x n matrices with m != n, both regimes
+    rng = random.Random(6)
+    for ctx in (GEN, C3):
+        q = ctx.q()
+
+        def rnd(r, c):
+            return QMatrix(ctx, [[ctx.rational(rng.randint(-3, 3)) * q ** rng.randint(0, 2)
+                                  for _ in range(c)] for _ in range(r)])
+
+        for m, n in ((2, 3), (3, 1), (1, 2)):
+            L, R, X = rnd(m, m), rnd(n, n), rnd(m, n)
+            for c in (ctx.one(), q, ctx.rational(Fraction(-2, 3)) * q * q):
+                S = sylvester_operator(L, R, c)
+                assert (S.nrows, S.ncols) == (m * n, m * n)
+                image = S * QMatrix(ctx, [[x] for row in X.rows for x in row])
+                expected = L * X - (X * R).scale(c)
+                assert ([row[0] for row in image.rows]
+                        == [x for row in expected.rows for x in row])
+
+
+def test_sylvester_operator_needs_square_sides():
+    with pytest.raises(NotSquare):
+        sylvester_operator(QMatrix.zero(GEN, 2, 3), QMatrix.identity(GEN, 2), GEN.one())
+
+
 # ---------------------------------------------------------------------------
 # hom and ext
 # ---------------------------------------------------------------------------
@@ -261,6 +287,29 @@ def test_hom_basis_elements_intertwine():
     for F in report.hom_basis:
         assert F * M1.A == M2.A * F
         assert F * M1.B == M2.B * F
+
+
+def test_hom_basis_intertwines_pairs_of_different_sizes():
+    # D = D(a), P = (a/q, 0): Hom((a, 0), D) = Hom(D, P) = Hom(P + D, D) = 1
+    # and Hom(D, D + P) = 2; each basis element is an n2 x n1 matrix F with
+    # F A1 = A2 F and F B1 = B2 F, and a 2 x 3 or 3 x 2 F also pins the
+    # row-major flattening
+    for ctx in (GEN, C3):
+        D = d_type_pair(ctx, 2)
+        P = MatrixPair(QMatrix.diagonal(ctx, [ctx.rational(2) / ctx.q()]),
+                       QMatrix.zero(ctx, 1, 1))
+        DP = MatrixPair(direct_sum(D.A, P.A), direct_sum(D.B, P.B))
+        PD = MatrixPair(direct_sum(P.A, D.A), direct_sum(P.B, D.B))
+        for M1, M2, expected in ((one_dim_pair(ctx, 2), D, 1), (D, P, 1),
+                                 (D, DP, 2), (PD, D, 1)):
+            report = hom_ext(M1, M2)
+            assert report.hom_dim == len(report.hom_basis) == expected
+            assert report.hom_dim - report.ext1_dim + report.ext2_dim == 0
+            for F in report.hom_basis:
+                assert (F.nrows, F.ncols) == (M2.size, M1.size)
+                assert not F.is_zero()
+                assert F * M1.A == M2.A * F
+                assert F * M1.B == M2.B * F
 
 
 def test_euler_characteristic_vanishes():

@@ -58,6 +58,13 @@ def test_enumerate_width_two_size_two():
     assert total == 4
 
 
+def test_count_far_past_the_recursion_limit():
+    # closed forms: p_2(i) = i // 2 + 1, p_3(j) = round((j + 3)^2 / 12)
+    expected = sum((i // 2 + 1) * (((3000 - i + 3) ** 2 + 6) // 12)
+                   for i in range(3001))
+    assert count_ML(3, 3000) == expected
+
+
 def test_enumerate_degenerate_width_one():
     for n in range(6):
         out = enumerate_ML(1, n)

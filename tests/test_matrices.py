@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qplane import (DimensionMismatch, FieldContext, NotSquare, QMatrix,
                     SingularConjugator, char_poly, conjugate, direct_sum,
@@ -122,6 +124,66 @@ def test_kernel_vectors_annihilate():
             for v in basis:
                 col = QMatrix(ctx, [[x] for x in v])
                 assert (A * col).is_zero()
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def field_scalars(draw, ctx):
+    """Small elements of ctx: a + b q over Q(zeta_3), a + b q^k over Q(q)."""
+    a, b = ctx.rational(draw(SMALL)), ctx.rational(draw(SMALL))
+    k = draw(st.integers(-1, 2)) if ctx.is_generic else 1
+    return a + b * ctx.q() ** k
+
+
+@st.composite
+def elimination_inputs(draw, contexts=(C3, GEN), rational=False):
+    """Sparse or dense matrices up to 6 x 7, some rows combinations of others."""
+    ctx = draw(st.sampled_from(contexts))
+    entry = st.builds(ctx.rational, SMALL) if rational else field_scalars(ctx)
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    density = draw(st.sampled_from([25, 60, 100]))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.integers(0, 2)) == 0:
+            row = [ctx.zero()] * ncols
+            for _ in range(draw(st.integers(1, 2))):
+                f, other = draw(entry), draw(st.sampled_from(rows))
+                row = [x + f * y for x, y in zip(row, other)]
+        else:
+            row = [draw(entry) if draw(st.integers(0, 99)) < density else ctx.zero()
+                   for _ in range(ncols)]
+        rows.append(row)
+    return QMatrix(ctx, rows)
+
+
+@given(elimination_inputs())
+@settings(max_examples=60, deadline=None)
+def test_kernel_basis_is_the_reduced_echelon_basis(A):
+    ctx, n = A.ctx, A.ncols
+    # free columns: those where the rank of the column prefix does not grow
+    prefix = [rank(A.submatrix(range(A.nrows), range(j))) if j else 0
+              for j in range(n + 1)]
+    free = [j for j in range(n) if prefix[j + 1] == prefix[j]]
+    basis = kernel_basis(A)
+    assert len(basis) == len(free)
+    for v, own in zip(basis, free):
+        assert (A * QMatrix(ctx, [[x] for x in v])).is_zero()
+        for j in free:
+            assert v[j] == (ctx.one() if j == own else ctx.zero())
+
+
+@given(elimination_inputs(contexts=(C3,), rational=True))
+@settings(max_examples=60, deadline=None)
+def test_kernel_basis_matches_sympy_nullspace(A):
+    sympy = pytest.importorskip("sympy")
+    rows = [[sympy.Rational(x.as_rational().numerator, x.as_rational().denominator)
+             for x in row] for row in A.rows]
+    expected = [[Fraction(int(x.p), int(x.q)) for x in v]
+                for v in sympy.Matrix(rows).nullspace()]
+    got = [[x.as_rational() for x in v] for v in kernel_basis(A)]
+    assert got == expected
 
 
 def test_kernel_of_injective_map_is_empty():
