@@ -245,9 +245,9 @@ def rational_roots(coeffs):
 def _root_candidates_cyclotomic(sf, ctx):
     """Rational candidates from the coordinate projections of the squarefree
     polynomial (a rational root must kill every coordinate simultaneously)."""
-    deg = len(sf[0].coeffs) if sf else 0
+    deg = len(sf[0].ints) if sf else 0
     for t in range(deg):
-        coord = [c.coeffs[t] for c in sf]
+        coord = [Fraction(c.ints[t], c.d) for c in sf]
         if any(coord):
             return {ctx.rational(r) for r in rational_roots(coord)}
     return set()
@@ -304,9 +304,12 @@ def _root_candidates_generic(sf, ctx):
 
 def _discover_roots(sf, ctx, hints):
     """All roots of the squarefree polynomial findable by the strategy:
-    rational-coordinate roots, q-orbits of found roots, hints, and the
-    diagonal shortcut handled by the caller."""
+    zero, the hints, rational-coordinate roots and the q-orbits of found
+    roots, then (root-of-unity regime) rational r with r*q^k a root.  A
+    squarefree polynomial has at most deg(sf) roots, so the search stops
+    as soon as that many are found."""
     roots = set()
+    degree = len(sf) - 1
 
     def try_add(x):
         if any(x == r for r in roots):
@@ -319,6 +322,8 @@ def _discover_roots(sf, ctx, hints):
     try_add(ctx.zero())
     for h in hints:
         try_add(h)
+    if len(roots) == degree:
+        return roots
     if ctx.is_generic:
         for cand in _root_candidates_generic(sf, ctx):
             try_add(cand)
@@ -328,7 +333,7 @@ def _discover_roots(sf, ctx, hints):
     # close under the q-orbit
     q = ctx.q()
     frontier = [r for r in roots if not r.is_zero()]
-    while frontier:
+    while frontier and len(roots) < degree:
         base = frontier.pop()
         if ctx.is_generic:
             for step in (q, q.inverse()):
@@ -342,6 +347,17 @@ def _discover_roots(sf, ctx, hints):
                 power = power * q
                 if try_add(power):
                     frontier.append(power)
+    if not ctx.is_generic:
+        # roots r*q^k (r rational) whose q-orbit holds no root found above:
+        # r is a rational root of sf(q^k y)
+        twist = ctx.one()
+        for _ in range(1, ctx.ell):
+            if len(roots) == degree:
+                break
+            twist = twist * q
+            scaled = [c * twist ** j for j, c in enumerate(sf)]
+            for r in _root_candidates_cyclotomic(scaled, ctx):
+                try_add(r * twist)
     return roots
 
 

@@ -3,15 +3,17 @@
 A scalar lives in one of two fields, fixed by a FieldContext:
 
 * root-of-unity regime: the cyclotomic field Q(zeta_ell), represented as
-  Q[x] modulo the cyclotomic polynomial Phi_ell, with q = zeta_ell.  The
-  coefficient vector has length deg(Phi_ell) and is always reduced, so
-  equality is coefficient-wise.
+  Q[x] modulo the cyclotomic polynomial Phi_ell, with q = zeta_ell.  An
+  element is an integer coefficient vector of length deg(Phi_ell) over one
+  positive integer denominator, in lowest terms; the vector is always
+  reduced modulo the monic integer polynomial Phi_ell, so equality is
+  coefficient-wise.
 * generic regime: the rational function field Q(q), represented as a
   reduced ratio of polynomials with monic denominator.  Here q is an
-  indeterminate and the order of q is treated as infinite.
+  indeterminate and the order of q is treated as infinite.  Coefficients
+  are fractions.Fraction.
 
-All coefficients are exact big-integer rationals (fractions.Fraction);
-nothing in this module rounds.
+All arithmetic is exact (Python big integers); nothing in this module rounds.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ def _padd(a, b):
 
 def _pneg(a):
     return tuple(-x for x in a)
-
-
-def _psub(a, b):
-    return _padd(a, _pneg(b))
 
 
 def _pmul(a, b):
@@ -100,21 +98,6 @@ def _pgcd(a, b):
     if a:
         a = _pscale(a, 1 / a[-1])
     return a
-
-
-def _pext_inverse(a, mod):
-    """Inverse of a modulo mod (mod irreducible, a nonzero mod mod)."""
-    # extended Euclid, keeping only the cofactor of a
-    r0, r1 = _ptrim(mod), _ptrim(a)
-    u0, u1 = (), (F1,)
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _psub(u0, _pmul(q, u1))
-    # r0 = gcd = u0*a (mod `mod`); must be a nonzero constant
-    if len(r0) != 1:
-        raise DivisionByZero("element is not invertible modulo the minimal polynomial")
-    return _pscale(u0, 1 / r0[0])
 
 
 def _pstr(c):
@@ -168,33 +151,34 @@ class FieldContext:
     integer in the root-of-unity regime, math.inf in the generic regime.
     """
 
-    __slots__ = ("regime", "_ell", "_deg", "_phi", "_red")
+    __slots__ = ("regime", "is_generic", "_ell", "_deg",
+                 "_powers", "_reduction", "_conjugators")
 
     def __init__(self, regime, ell=None):
         self.regime = regime
+        self.is_generic = regime == "generic_q"
         self._ell = ell
+        self._deg = 0
+        self._powers = self._reduction = self._conjugators = ()
         if regime == "cyclotomic":
-            phi = cyclotomic_polynomial(ell)
-            deg = len(phi) - 1
-            self._phi = phi
+            # Phi_ell is monic with integer coefficients: x^deg = -low
+            low = [int(c) for c in cyclotomic_polynomial(ell)[:-1]]
+            deg = len(low)
             self._deg = deg
-            # reduction rows: x^(deg+k) mod Phi for k = 0 .. deg-2
-            red = []
-            head = _ptrim(phi[:-1])  # x^deg = -head (Phi is monic)
-            row = _pneg(head)
-            for _ in range(max(deg - 1, 0)):
-                red.append(tuple(row) + (F0,) * (deg - len(row)))
-                # multiply by x and reduce once more
-                row = (F0,) + tuple(row)
-                if len(row) > deg:
-                    top = row[-1]
-                    row = _padd(row[:-1], _pscale(_pneg(head), top))
-                row = _ptrim(row)
-            self._red = tuple(red)
-        else:
-            self._phi = None
-            self._deg = 0
-            self._red = ()
+            # x^m mod Phi_ell for m < ell, as sparse (index, coefficient) rows
+            powers = [((m, 1),) for m in range(deg)]
+            row = [-c for c in low]
+            for _ in range(deg, ell):
+                powers.append(tuple((t, v) for t, v in enumerate(row) if v))
+                top = row.pop()
+                row.insert(0, 0)
+                if top:
+                    row = [v - top * c for v, c in zip(row, low)]
+            self._powers = tuple(powers)
+            # x^(deg+k) mod Phi_ell for k = 0 .. deg-2, since x^ell = 1
+            self._reduction = tuple(powers[(deg + k) % ell] for k in range(deg - 1))
+            # the nontrivial Galois automorphisms q -> q^k, k a unit mod ell
+            self._conjugators = tuple(k for k in range(2, ell) if math.gcd(k, ell) == 1)
 
     # -- construction -------------------------------------------------------
 
@@ -223,10 +207,6 @@ class FieldContext:
     def ell(self):
         return self._ell if self.regime == "cyclotomic" else INFINITE
 
-    @property
-    def is_generic(self) -> bool:
-        return self.regime == "generic_q"
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldContext)
@@ -242,6 +222,37 @@ class FieldContext:
             return "FieldContext(generic_q)"
         return f"FieldContext(cyclotomic, ell={self._ell})"
 
+    # -- integer arithmetic on Q(zeta_ell) numerators -----------------------
+
+    def _mul(self, a, b):
+        """The product of two integer coefficient vectors, reduced mod Phi_ell."""
+        deg = self._deg
+        if deg == 1:
+            return [a[0] * b[0]]
+        acc = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        acc[i + j] += x * y
+        for k, row in enumerate(self._reduction, deg):
+            top = acc[k]
+            if top:
+                for t, v in row:
+                    acc[t] += top * v
+        del acc[deg:]
+        return acc
+
+    def _conjugate(self, a, k):
+        """The Galois conjugate sigma_k(a) = a(q^k) of an integer vector."""
+        out = [0] * self._deg
+        ell, powers = self._ell, self._powers
+        for i, c in enumerate(a):
+            if c:
+                for t, v in powers[i * k % ell]:
+                    out[t] += c * v
+        return out
+
     # -- scalar factories ---------------------------------------------------
 
     def zero(self) -> "QScalar":
@@ -254,9 +265,7 @@ class FieldContext:
         c = Fraction(value)
         if self.is_generic:
             return QScalar(self, num=(c,) if c else (), den=(F1,))
-        coeffs = [F0] * self._deg
-        coeffs[0] = c
-        return QScalar(self, coeffs=tuple(coeffs))
+        return QScalar(self, (c.numerator,) + (0,) * (self._deg - 1), c.denominator)
 
     def q(self) -> "QScalar":
         return self.q_power(1)
@@ -267,19 +276,10 @@ class FieldContext:
             if m >= 0:
                 return QScalar(self, num=(F0,) * m + (F1,), den=(F1,))
             return QScalar(self, num=(F1,), den=(F0,) * (-m) + (F1,))
-        m %= self._ell
-        if m < self._deg:
-            coeffs = [F0] * self._deg
-            coeffs[m] = F1
-            return QScalar(self, coeffs=tuple(coeffs))
-        if self._deg == 1:
-            # ell in {1, 2}: q is the rational root of the linear Phi_ell
-            return self.rational((-self._phi[0]) ** m)
-        out = self.one()
-        step = QScalar(self, coeffs=tuple([F0, F1] + [F0] * (self._deg - 2)))
-        for _ in range(m):
-            out = out * step
-        return out
+        ints = [0] * self._deg
+        for t, v in self._powers[m % self._ell]:
+            ints[t] = v
+        return QScalar(self, ints)
 
     # -- serialization ------------------------------------------------------
 
@@ -315,18 +315,20 @@ def _check_ctx(a, b):
 class QScalar:
     """An exact element of the coefficient field of a FieldContext.
 
-    Root-of-unity regime: ``coeffs`` is the reduced coefficient vector of
-    length deg(Phi_ell).  Generic regime: ``num``/``den`` is a reduced
-    fraction of polynomials with monic denominator.  Values are immutable;
-    all arithmetic returns fresh scalars.
+    Root-of-unity regime: the value is sum(ints[i] q^i) / d, where ``ints``
+    is the reduced integer coefficient vector of length deg(Phi_ell) and
+    ``d > 0`` with gcd(d, *ints) = 1, so the pair is canonical; ``coeffs``
+    is the same vector as Fractions.  Generic regime: ``num``/``den`` is a
+    reduced fraction of polynomials with monic denominator.  Values are
+    immutable; all arithmetic returns fresh scalars.
     """
 
-    __slots__ = ("ctx", "coeffs", "num", "den")
+    __slots__ = ("ctx", "ints", "d", "num", "den")
 
-    def __init__(self, ctx, coeffs=None, num=None, den=None):
+    def __init__(self, ctx, ints=None, d=1, num=None, den=None):
         self.ctx = ctx
         if ctx.is_generic:
-            self.coeffs = None
+            self.ints = self.d = None
             num, den = _ptrim(num), _ptrim(den)
             if not den:
                 raise DivisionByZero("zero denominator")
@@ -344,15 +346,31 @@ class QScalar:
                     den = _pscale(den, inv)
             self.num, self.den = num, den
         else:
-            assert len(coeffs) == ctx._deg
-            self.coeffs = tuple(coeffs)
+            assert len(ints) == ctx._deg
+            if d != 1:
+                g = math.gcd(d, *ints)
+                if d < 0:
+                    g = -g
+                if g != 1:
+                    ints = [x // g for x in ints]
+                    d //= g
+            self.ints, self.d = tuple(ints), d
             self.num = self.den = None
+
+    @property
+    def coeffs(self):
+        """Root-of-unity regime: the coefficient vector as Fractions."""
+        if self.ctx.is_generic:
+            return None
+        d = self.d
+        return tuple(Fraction(x, d) for x in self.ints)
 
     # -- coercion -----------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, QScalar):
-            _check_ctx(self, other)
+            if other.ctx is not self.ctx:
+                _check_ctx(self, other)
             return other
         if isinstance(other, (int, Fraction)):
             return self.ctx.rational(other)
@@ -363,7 +381,7 @@ class QScalar:
     def is_zero(self) -> bool:
         if self.ctx.is_generic:
             return not self.num
-        return not any(self.coeffs)
+        return not any(self.ints)
 
     def __bool__(self):
         return not self.is_zero()
@@ -374,9 +392,9 @@ class QScalar:
             if self.den == (F1,) and len(self.num) <= 1:
                 return self.num[0] if self.num else F0
             return None
-        if any(self.coeffs[1:]):
+        if any(self.ints[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.ints[0], self.d)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -387,14 +405,19 @@ class QScalar:
         if self.ctx.is_generic:
             num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
             return QScalar(self.ctx, num=num, den=_pmul(self.den, o.den))
-        return QScalar(self.ctx, coeffs=tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
+        d, e = self.d, o.d
+        if d == e:
+            return QScalar(self.ctx, [x + y for x, y in zip(self.ints, o.ints)], d)
+        g = math.gcd(d, e)
+        d, e = d // g, e // g
+        return QScalar(self.ctx, [x * e + y * d for x, y in zip(self.ints, o.ints)], d * e * g)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.ctx.is_generic:
             return QScalar(self.ctx, num=_pneg(self.num), den=self.den)
-        return QScalar(self.ctx, coeffs=tuple(-x for x in self.coeffs))
+        return QScalar(self.ctx, [-x for x in self.ints], self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -414,38 +437,24 @@ class QScalar:
             return NotImplemented
         if self.ctx.is_generic:
             return QScalar(self.ctx, num=_pmul(self.num, o.num), den=_pmul(self.den, o.den))
-        return QScalar(self.ctx, coeffs=self._cyc_mul(self.coeffs, o.coeffs))
+        return QScalar(self.ctx, self.ctx._mul(self.ints, o.ints), self.d * o.d)
 
     __rmul__ = __mul__
-
-    def _cyc_mul(self, a, b):
-        deg = self.ctx._deg
-        if deg == 1:
-            return (a[0] * b[0],)
-        acc = [F0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        acc[i + j] += x * y
-        red = self.ctx._red
-        for k in range(2 * deg - 2, deg - 1, -1):
-            top = acc[k]
-            if top:
-                row = red[k - deg]
-                for t, rt in enumerate(row):
-                    if rt:
-                        acc[t] += top * rt
-        return tuple(acc[:deg])
 
     def inverse(self) -> "QScalar":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        if self.ctx.is_generic:
-            return QScalar(self.ctx, num=self.den, den=self.num)
-        inv = _pext_inverse(_ptrim(self.coeffs), self.ctx._phi)
-        inv = tuple(inv) + (F0,) * (self.ctx._deg - len(inv))
-        return QScalar(self.ctx, coeffs=inv)
+        ctx = self.ctx
+        if ctx.is_generic:
+            return QScalar(ctx, num=self.den, den=self.num)
+        # a^-1 = prod_{sigma != 1} sigma(a) / N(a), with a = ints / d
+        a = self.ints
+        others = [1] + [0] * (ctx._deg - 1)
+        for k in ctx._conjugators:
+            others = ctx._mul(others, ctx._conjugate(a, k))
+        norm = ctx._mul(a, others)
+        assert norm[0] and not any(norm[1:]), "the norm must be a nonzero rational"
+        return QScalar(ctx, [x * self.d for x in others], norm[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -485,7 +494,7 @@ class QScalar:
             return False
         if self.ctx.is_generic:
             return self.num == other.num and self.den == other.den
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.d == other.d
 
     def __hash__(self):
         r = self.as_rational()
@@ -529,12 +538,7 @@ def substitute_q_inverse(a: QScalar) -> QScalar:
         num = tuple(reversed(tuple(a.num) + (F0,) * (top - len(a.num))))
         den = tuple(reversed(tuple(a.den) + (F0,) * (top - len(a.den))))
         return QScalar(ctx, num=num, den=den)
-    out = ctx.zero()
-    ell = ctx._ell
-    for i, c in enumerate(a.coeffs):
-        if c:
-            out = out + ctx.rational(c) * ctx.q_power((ell - i) % ell)
-    return out
+    return QScalar(ctx, ctx._conjugate(a.ints, ctx._ell - 1), a.d)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,17 @@ def test_classify_conjugation_invariance():
         assert classify(moved) == base
 
 
+def test_classify_dense_conjugate_with_q_twisted_spectrum():
+    # 2q and 2q^2 have no rational member in their q-orbit
+    q = C3.q()
+    lams = [C3.rational(2) * q, C3.rational(2) * q * q]
+    g = QMatrix.from_rational_rows(C3, [[1, 1], [1, 2]])
+    A = conjugate(g, QMatrix.diagonal(C3, lams))
+    B = conjugate(g, QMatrix(C3, [[C3.zero(), C3.zero()], [C3.one(), C3.zero()]]))
+    expected = classify(JordanSpec(C3, [(lam, [1]) for lam in lams]))
+    assert classify(MatrixPair(A, B)) == expected
+
+
 def test_classify_depends_only_on_A():
     rng = random.Random(3)
     q = C2.q()

@@ -1,6 +1,7 @@
 import json
 
-from qplane import FieldContext, MatrixPair, QMatrix, jordan_block, q_layered
+from qplane import (FieldContext, JordanSpec, MatrixPair, QMatrix, conjugate,
+                    jordan_block, q_layered)
 from qplane.cli import main
 from qplane.serialize import (index_to_obj, matrix_to_obj, pair_from_obj,
                               pair_to_obj)
@@ -127,6 +128,19 @@ def test_homext_command(capsys, tmp_path):
     assert code == 0
     body = json.loads(out)
     assert body == {"hom": 1, "ext1": 1, "ext2": 0}
+
+
+def test_classify_command_with_q_twisted_spectrum(capsys, tmp_path):
+    q = C3.q()
+    lams = [C3.rational(2) * q, C3.rational(2) * q * q]
+    g = QMatrix.from_rational_rows(C3, [[1, 1], [1, 2]])
+    A = conjugate(g, QMatrix.diagonal(C3, lams))
+    B = conjugate(g, QMatrix(C3, [[C3.zero(), C3.zero()], [C3.one(), C3.zero()]]))
+    path = write_pair(tmp_path, "pair.json", MatrixPair(A, B))
+    code, out = run(capsys, "classify", "--input", path)
+    assert code == 0
+    idx = classify(JordanSpec(C3, [(lam, [1]) for lam in lams]))
+    assert json.loads(out) == dict(index_to_obj(idx), n=idx.n)
 
 
 def test_output_is_deterministic(capsys, tmp_path):

@@ -7,6 +7,7 @@ from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, QMatrix,
                     block_jordan, check_partition, conjugate, jordan_block,
                     jordan_data, q_classes, q_equivalent, rank, realize,
                     transpose_partition)
+from qplane import jordan
 
 C3 = FieldContext.root_of_unity(3)
 GEN = FieldContext.generic()
@@ -126,6 +127,28 @@ def test_jordan_data_mixed_q_orbit():
     rng = random.Random(2)
     g = random_invertible(GEN, 5, rng)
     assert jordan_data(conjugate(g, M)) == spec
+
+
+def test_jordan_data_stops_once_the_hints_cover_the_spectrum(monkeypatch):
+    # the diagonal hints give both roots: no divisor search on 10^12
+    def no_search(coeffs):
+        raise AssertionError("rational_roots should not run")
+
+    monkeypatch.setattr(jordan, "rational_roots", no_search)
+    big = [C3.rational(10 ** 12), C3.rational(10 ** 12 + 1)]
+    spec = jordan_data(QMatrix.diagonal(C3, big))
+    assert spec == JordanSpec(C3, [(lam, [1]) for lam in big])
+
+
+def test_jordan_data_finds_q_twisted_roots():
+    # 2q and 2q^2 have no rational member in their q-orbit
+    q = C3.q()
+    lams = [C3.rational(2) * q, C3.rational(2) * q * q]
+    g = QMatrix.from_rational_rows(C3, [[1, 1], [1, 2]])
+    A = conjugate(g, QMatrix.diagonal(C3, lams))
+    assert any(not A.rows[i][j].is_zero() for i in range(2) for j in range(2) if i != j)
+    spec = JordanSpec(C3, [(lam, [1]) for lam in lams])
+    assert jordan_data(A) == spec
 
 
 def test_round_trip_random_specs():

@@ -249,3 +249,131 @@ def test_substitute_q_inverse_is_field_map():
 def test_canonical_key_orders_positive_before_negative():
     assert canonical_key(C3.one()) < canonical_key(C3.rational(-1))
     assert canonical_key(C3.zero()) < canonical_key(C3.one())
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_ell) with large coefficients
+# ---------------------------------------------------------------------------
+
+CYCLOTOMIC_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12)
+BIG = 10 ** 30
+big_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)))
+
+
+@st.composite
+def cyclotomic_vectors(draw, count):
+    """An order ell and `count` coefficient vectors of length deg(Phi_ell)."""
+    ell = draw(st.sampled_from(CYCLOTOMIC_ORDERS))
+    deg = len(cyclotomic_polynomial(ell)) - 1
+    vectors = [draw(st.lists(big_rationals, min_size=deg, max_size=deg))
+               for _ in range(count)]
+    return ell, vectors
+
+
+def element(ctx, vec):
+    """sum(vec[k] * q^k) over k < deg(Phi_ell), so vec is already reduced."""
+    out = ctx.zero()
+    for k, c in enumerate(vec):
+        out = out + ctx.rational(c) * ctx.q_power(k)
+    return out
+
+
+def sympy_vector(sympy, expr, ell):
+    """Coefficients of expr mod Phi_ell(x), little-endian, as Fractions."""
+    x = sympy.Symbol("x")
+    deg = len(cyclotomic_polynomial(ell)) - 1
+    reduced = sympy.rem(sympy.expand(expr), sympy.cyclotomic_poly(ell, x), x)
+    coeffs = sympy.Poly(reduced, x).all_coeffs()[::-1]
+    out = [Fraction(int(c.p), int(c.q)) for c in coeffs]
+    return tuple(out + [Fraction(0)] * (deg - len(out)))
+
+
+def sympy_poly(sympy, vec):
+    x = sympy.Symbol("x")
+    return sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+               for k, c in enumerate(vec))
+
+
+def expected_hash(vec):
+    vec = tuple(vec)
+    return hash(vec[0]) if not any(vec[1:]) else hash(vec)
+
+
+@given(cyclotomic_vectors(3))
+@settings(max_examples=60, deadline=None)
+def test_cyclotomic_field_laws_with_large_coefficients(case):
+    ell, (u, v, w) = case
+    ctx = FieldContext.root_of_unity(ell)
+    x, y, z = element(ctx, u), element(ctx, v), element(ctx, w)
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + ctx.zero() == x and x * ctx.one() == x
+    assert (x - x).is_zero() and x - y == -(y - x)
+    if not x.is_zero():
+        assert x * x.inverse() == ctx.one()
+        assert (x * y) / x == y
+        assert x.inverse().inverse() == x
+
+
+@given(cyclotomic_vectors(2))
+@settings(max_examples=40, deadline=None)
+def test_cyclotomic_arithmetic_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    ell, (u, v) = case
+    ctx = FieldContext.root_of_unity(ell)
+    a, b = element(ctx, u), element(ctx, v)
+    A, B = sympy_poly(sympy, u), sympy_poly(sympy, v)
+    product = sympy_vector(sympy, A * B, ell)
+    total = sympy_vector(sympy, A + B, ell)
+    assert (a * b).coeffs == product
+    assert (a + b).coeffs == total
+    assert hash(a * b) == expected_hash(product)
+    assert hash(a + b) == expected_hash(total)
+
+
+@given(cyclotomic_vectors(1))
+@settings(max_examples=40, deadline=None)
+def test_substitute_q_inverse_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    ell, (u,) = case
+    ctx = FieldContext.root_of_unity(ell)
+    x = sympy.Symbol("x")
+    # x^ell = 1 modulo Phi_ell, so multiplying by it clears the negative powers
+    image = sympy_poly(sympy, u).subs(x, 1 / x) * x ** ell
+    assert substitute_q_inverse(element(ctx, u)).coeffs == sympy_vector(sympy, image, ell)
+
+
+def reference_format(vec):
+    """The scalar grammar written out term by term from the coefficients."""
+    parts = []
+    for k, c in enumerate(vec):
+        if not c:
+            continue
+        mag = abs(c)
+        power = "" if k == 0 else ("q" if k == 1 else f"q^{k}")
+        body = str(mag) if not power else (power if mag == 1 else f"{mag}*{power}")
+        if parts:
+            parts.append((" + " if c > 0 else " - ") + body)
+        else:
+            parts.append(body if c > 0 else "-" + body)
+    return "".join(parts) or "0"
+
+
+@given(cyclotomic_vectors(1))
+@settings(max_examples=80, deadline=None)
+def test_cyclotomic_representation_pins(case):
+    ell, (u,) = case
+    ctx = FieldContext.root_of_unity(ell)
+    a = element(ctx, u)
+    assert a.coeffs == tuple(u)
+    assert hash(a) == expected_hash(u)
+    assert format_scalar(a) == reference_format(u)
+    assert canonical_key(a) == tuple((abs(c), 0 if c >= 0 else 1) for c in u)
+    assert parse_scalar(format_scalar(a), ctx) == a
+    if not any(u[1:]):
+        assert a.as_rational() == u[0] and a == u[0]
