@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every subcommand reads JSON files and/or flags and writes one JSON document
-to standard output.  Exit codes: 0 success, 2 invalid input or flags, 3 the
-input pair violates AB = qBA, 4 a spectrum could not be resolved in the
+to standard output.  Exit codes: 0 success, 2 invalid input or flags
+(including input too large for the recursion or index limits), 3 the input
+pair violates AB = qBA, 4 a spectrum could not be resolved in the
 coefficient field.  The default seed is 0, overridden by the QPLANE_SEED
 environment variable, overridden in turn by --seed.
 """
@@ -212,6 +213,9 @@ def main(argv=None) -> int:
         return 4
     except (QPlaneError, ValueError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (RecursionError, OverflowError) as err:
+        print(f"error: input too large: {err}", file=sys.stderr)
         return 2
 
 

@@ -15,19 +15,13 @@ from .commutant import MatrixPair, q_layered, sylvester_operator
 from .errors import BadIndex, DegeneratePoint
 from .jordan import jordan_block
 from .matrices import QMatrix, conjugate, direct_sum, inverse, rank
+from .poly import trim
 from .scalars import FieldContext, INFINITE, q_equivalent, substitute_q_inverse
 from .chains import _partition_table
 
 
 def _norm(counts) -> int:
     return sum((i + 1) * c for i, c in enumerate(counts))
-
-
-def _trim(counts) -> tuple:
-    counts = list(counts)
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -52,7 +46,7 @@ class ComponentIndex:
         if not isinstance(ell, int) and ell == INFINITE:
             ell = INFINITE
         if ell is INFINITE:
-            m, r = _trim(m), _trim(r)
+            m, r = trim(m), trim(r)
         else:
             if not isinstance(ell, int) or ell < 1:
                 raise BadIndex("the order must be a positive integer or INFINITE")

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import poly
 from .errors import EigenvaluesNotFound, NotSquare
 from .matrices import QMatrix, char_poly, direct_sum, rank
-from .scalars import (FieldContext, QScalar, _pdivmod, _pmul, canonical_key,
-                      q_equivalent)
+from .scalars import FieldContext, QScalar, canonical_key, q_equivalent
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -126,68 +126,6 @@ def realize(spec: JordanSpec) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over QScalar (used for root discovery)
-# ---------------------------------------------------------------------------
-
-
-def _qp_trim(c):
-    c = list(c)
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
-
-def _qp_divmod(a, b):
-    a = _qp_trim(a)
-    b = _qp_trim(b)
-    inv = b[-1].inverse()
-    quot = [None] * max(len(a) - len(b) + 1, 0)
-    zero = b[-1].ctx.zero()
-    for i in range(len(quot)):
-        quot[i] = zero
-    for k in range(len(a) - len(b), -1, -1):
-        f = a[k + len(b) - 1] * inv
-        if not f.is_zero():
-            quot[k] = f
-            for j in range(len(b)):
-                a[k + j] = a[k + j] - f * b[j]
-    return _qp_trim(quot), _qp_trim(a)
-
-
-def _qp_gcd(a, b):
-    a, b = _qp_trim(a), _qp_trim(b)
-    while b:
-        a, b = b, _qp_divmod(a, b)[1]
-    if a:
-        inv = a[-1].inverse()
-        a = [x * inv for x in a]
-    return a
-
-
-def _qp_derivative(a):
-    return [a[k] * k for k in range(1, len(a))]
-
-
-def _qp_eval(a, x: QScalar) -> QScalar:
-    acc = x.ctx.zero()
-    for coeff in reversed(a):
-        acc = acc * x + coeff
-    return acc
-
-
-def _squarefree_part(p):
-    """p / gcd(p, p'): same roots, multiplicity one, monic."""
-    d = _qp_derivative(p)
-    g = _qp_gcd(p, d)
-    if len(g) <= 1:
-        s = _qp_trim(p)
-    else:
-        s = _qp_divmod(p, g)[0]
-    inv = s[-1].inverse()
-    return [x * inv for x in s]
-
-
-# ---------------------------------------------------------------------------
 # rational root extraction (exact, used on coordinate projections)
 # ---------------------------------------------------------------------------
 
@@ -207,15 +145,11 @@ def _divisors(n: int):
 
 def rational_roots(coeffs):
     """All rational roots of a nonzero polynomial with Fraction coefficients."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = poly.trim(tuple(coeffs))
     if not coeffs:
         raise ValueError("rational_roots needs a nonzero polynomial")
     roots = set()
-    low = 0
-    while coeffs[low] == 0:
-        low += 1
+    low = next(i for i, c in enumerate(coeffs) if c)
     if low:
         roots.add(Fraction(0))
         coeffs = coeffs[low:]
@@ -227,12 +161,7 @@ def rational_roots(coeffs):
     for p in _divisors(ints[0]):
         for s in _divisors(ints[-1]):
             for cand in (Fraction(p, s), Fraction(-p, s)):
-                if cand in roots:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
+                if cand not in roots and not poly.evaluate(ints, cand):
                     roots.add(cand)
     return roots
 
@@ -263,20 +192,19 @@ def _root_candidates_generic(sf, ctx):
     # clear denominators: S_j in Q[q]
     den_prod = (Fraction(1),)
     for c in sf:
-        den_prod = _pmul(den_prod, c.den)
+        den_prod = poly.mul(den_prod, c.den)
     cleared = []
     for c in sf:
-        num = c.num
-        rest, rem = _pdivmod(den_prod, c.den)
+        rest, rem = poly.div(den_prod, c.den)
         assert not rem
-        cleared.append(_pmul(num, rest))
+        cleared.append(poly.mul(c.num, rest))
     bound = 1
     for j in range(d):  # the leading coefficient is excluded from the bound
-        poly = cleared[j]
-        if not poly:
+        s_j = cleared[j]
+        if not s_j:
             continue
-        top = len(poly) - 1
-        low = next(i for i, x in enumerate(poly) if x)
+        top = len(s_j) - 1
+        low = next(i for i, x in enumerate(s_j) if x)
         ref_top = len(cleared[d]) - 1
         ref_low = next(i for i, x in enumerate(cleared[d]) if x)
         bound = max(bound, abs(top - ref_top), abs(low - ref_low))
@@ -285,8 +213,8 @@ def _root_candidates_generic(sf, ctx):
     for k in range(-bound, bound + 1):
         # coefficient of q^e in sum_j S_j(q) c^j q^(k j), shifted nonnegative
         table = {}
-        for j, poly in enumerate(cleared):
-            for e, coeff in enumerate(poly):
+        for j, s_j in enumerate(cleared):
+            for e, coeff in enumerate(s_j):
                 if coeff:
                     slot = table.setdefault(e + k * j + shift, {})
                     slot[j] = slot.get(j, Fraction(0)) + coeff
@@ -314,7 +242,7 @@ def _discover_roots(sf, ctx, hints):
     def try_add(x):
         if any(x == r for r in roots):
             return False
-        if _qp_eval(sf, x).is_zero():
+        if not poly.evaluate(sf, x):
             roots.add(x)
             return True
         return False
@@ -375,8 +303,7 @@ def jordan_data(A: QMatrix, hint_eigenvalues=()) -> JordanSpec:
     ctx = A.ctx
     if n == 0:
         return JordanSpec(ctx, ())
-    poly = char_poly(A)
-    sf = _squarefree_part(poly)
+    sf = poly.squarefree_part(char_poly(A))
     hints = list(hint_eigenvalues)
     hints.extend(A.rows[i][i] for i in range(n))  # cheap extra candidates
     roots = _discover_roots(sf, ctx, hints)

@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from . import poly
 from .errors import DivisionByZero, MixedContext, ParseError, ZeroArgument
 
 F0 = Fraction(0)
@@ -29,76 +30,12 @@ F1 = Fraction(1)
 
 INFINITE = math.inf  # the "order of q" in the generic regime
 
+MAX_GENERIC_EXPONENT = 10_000  # the largest k parse_scalar accepts in q^k over Q(q)
+
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (little-endian Fraction tuples)
+# polynomial rendering and the cyclotomic polynomials
 # ---------------------------------------------------------------------------
-
-def _ptrim(c):
-    """Drop trailing zero coefficients; the zero polynomial is ()."""
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = [F0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] += x
-    return _ptrim(out)
-
-
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [F0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _pscale(a, c):
-    if not c:
-        return ()
-    return tuple(x * c for x in a)
-
-
-def _pdivmod(a, b):
-    """Exact division with remainder over Q; b must be nonzero."""
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    a = list(a)
-    q = [F0] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        f = a[k + len(b) - 1] * inv
-        if f:
-            q[k] = f
-            for j, y in enumerate(b):
-                a[k + j] -= f * y
-    return _ptrim(q), _ptrim(a)
-
-
-def _pgcd(a, b):
-    """Monic gcd over Q."""
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        a = _pscale(a, 1 / a[-1])
-    return a
-
 
 def _pstr(c):
     """Render a polynomial in q using the scalar grammar (ascending powers)."""
@@ -130,13 +67,12 @@ def cyclotomic_polynomial(ell: int):
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
-    poly = tuple([F1 * (-1)] + [F0] * (ell - 1) + [F1])  # x^ell - 1
+    phi = (-F1,) + (F0,) * (ell - 1) + (F1,)  # x^ell - 1
     for d in range(1, ell):
         if ell % d == 0:
-            q, r = _pdivmod(poly, cyclotomic_polynomial(d))
+            phi, r = poly.div(phi, cyclotomic_polynomial(d))
             assert not r
-            poly = q
-    return poly
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +265,21 @@ class QScalar:
         self.ctx = ctx
         if ctx.is_generic:
             self.ints = self.d = None
-            num, den = _ptrim(num), _ptrim(den)
+            num, den = poly.trim(num), poly.trim(den)
             if not den:
                 raise DivisionByZero("zero denominator")
             if not num:
                 num, den = (), (F1,)
             else:
-                g = _pgcd(num, den)
+                g = poly.gcd(num, den)
                 if len(g) > 1:
-                    num = _pdivmod(num, g)[0]
-                    den = _pdivmod(den, g)[0]
+                    num = poly.div(num, g)[0]
+                    den = poly.div(den, g)[0]
                 lc = den[-1]
                 if lc != 1:
                     inv = 1 / lc
-                    num = _pscale(num, inv)
-                    den = _pscale(den, inv)
+                    num = poly.scale(num, inv)
+                    den = poly.scale(den, inv)
             self.num, self.den = num, den
         else:
             assert len(ints) == ctx._deg
@@ -403,8 +339,8 @@ class QScalar:
         if o is None:
             return NotImplemented
         if self.ctx.is_generic:
-            num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-            return QScalar(self.ctx, num=num, den=_pmul(self.den, o.den))
+            num = poly.add(poly.mul(self.num, o.den), poly.mul(o.num, self.den))
+            return QScalar(self.ctx, num=num, den=poly.mul(self.den, o.den))
         d, e = self.d, o.d
         if d == e:
             return QScalar(self.ctx, [x + y for x, y in zip(self.ints, o.ints)], d)
@@ -416,7 +352,7 @@ class QScalar:
 
     def __neg__(self):
         if self.ctx.is_generic:
-            return QScalar(self.ctx, num=_pneg(self.num), den=self.den)
+            return QScalar(self.ctx, num=poly.neg(self.num), den=self.den)
         return QScalar(self.ctx, [-x for x in self.ints], self.d)
 
     def __sub__(self, other):
@@ -436,7 +372,7 @@ class QScalar:
         if o is None:
             return NotImplemented
         if self.ctx.is_generic:
-            return QScalar(self.ctx, num=_pmul(self.num, o.num), den=_pmul(self.den, o.den))
+            return QScalar(self.ctx, num=poly.mul(self.num, o.num), den=poly.mul(self.den, o.den))
         return QScalar(self.ctx, self.ctx._mul(self.ints, o.ints), self.d * o.d)
 
     __rmul__ = __mul__
@@ -463,6 +399,8 @@ class QScalar:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
+        if other == 1:  # 1 / x: the inverse, without a product by one
+            return self.inverse()
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -586,7 +524,7 @@ def format_scalar(a: QScalar) -> str:
         if a.den == (F1,):
             return _pstr(a.num)
         return f"({_pstr(a.num)})/({_pstr(a.den)})"
-    return _pstr(_ptrim(a.coeffs))
+    return _pstr(poly.trim(a.coeffs))
 
 
 class _Scanner:
@@ -608,6 +546,21 @@ class _Scanner:
         if self.pos == start:
             raise ParseError("expected a digit", start)
         return int(self.text[start:self.pos])
+
+
+def _parse_exponent(scan: _Scanner, ctx: FieldContext) -> int:
+    """The k of an optional '^k' after q (1 when absent).
+
+    In Q(q) the scalar q^k holds k + 1 coefficients, so k is capped there.
+    """
+    if scan.peek() != "^":
+        return 1
+    scan.pos += 1
+    start = scan.pos
+    k = scan.integer()
+    if ctx.is_generic and k > MAX_GENERIC_EXPONENT:
+        raise ParseError(f"exponent of q above {MAX_GENERIC_EXPONENT}", start)
+    return k
 
 
 def _parse_poly_sum(scan: _Scanner, ctx: FieldContext, stop_char="") -> QScalar:
@@ -651,19 +604,13 @@ def _parse_poly_sum(scan: _Scanner, ctx: FieldContext, stop_char="") -> QScalar:
                 if scan.peek() != "q":
                     raise ParseError("expected 'q' after '*'", scan.pos)
                 scan.pos += 1
-                exponent = 1
-                if scan.peek() == "^":
-                    scan.pos += 1
-                    exponent = scan.integer()
+                exponent = _parse_exponent(scan, ctx)
             else:
                 scan.pos = save
         elif ch == "q":
             scan.pos += 1
             coeff = F1
-            exponent = 1
-            if scan.peek() == "^":
-                scan.pos += 1
-                exponent = scan.integer()
+            exponent = _parse_exponent(scan, ctx)
         else:
             raise ParseError(f"unexpected character {ch!r}", scan.pos)
         term = ctx.q_power(exponent) * coeff if exponent else ctx.rational(coeff)

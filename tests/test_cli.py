@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qplane import (FieldContext, JordanSpec, MatrixPair, QMatrix, conjugate,
                     jordan_block, q_layered)
@@ -218,3 +222,42 @@ def test_chains_rejects_bad_counts(capsys):
     capsys.readouterr()
     assert main(["chains", "--ell", "4", "--counts", "3,2,1"]) == 2
     capsys.readouterr()
+
+
+def assert_clean_exit_two(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_enumerate_past_the_recursion_limit_exits_two(capsys):
+    assert_clean_exit_two(capsys, ["enumerate", "--ell", "inf", "--n", "5000"])
+
+
+def test_count_of_an_unindexable_n_exits_two(capsys):
+    assert_clean_exit_two(capsys, ["count", "--ell", "3", "--n", str(10 ** 20)])
+
+
+def test_generic_exponent_above_the_parser_cap_exits_two(capsys, tmp_path):
+    obj = matrix_to_obj(QMatrix.identity(GEN, 1), with_field=True)
+    obj["entries"] = [["q^" + str(10 ** 20)]]
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps(obj))
+    assert_clean_exit_two(capsys, ["commutant", "--input", str(path)])
+
+
+def test_import_loads_only_the_standard_library():
+    # the library stays stdlib-only: importing it pulls in no third-party module
+    probe = ("import sys; before = set(sys.modules); import qplane, qplane.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "qplane.cli" in out
+    foreign = [name for name in out if name.split(".")[0] != "qplane"
+               and name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []

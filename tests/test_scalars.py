@@ -9,6 +9,7 @@ from qplane import (DivisionByZero, FieldContext, INFINITE, MixedContext,
                     ParseError, QScalar, ZeroArgument, canonical_key,
                     cyclotomic_polynomial, format_scalar, parse_scalar,
                     q_equivalent, substitute_q_inverse)
+from qplane.scalars import MAX_GENERIC_EXPONENT
 
 C3 = FieldContext.root_of_unity(3)
 C4 = FieldContext.root_of_unity(4)
@@ -208,6 +209,18 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_scalar("1 + * 2", C3)
     assert err.value.position is not None
+
+
+def test_generic_exponent_cap():
+    cap = MAX_GENERIC_EXPONENT
+    assert parse_scalar(f"q^{cap}", GEN) == GEN.q_power(cap)
+    assert parse_scalar(f"2*q^{cap}", GEN) == GEN.q_power(cap) * 2
+    for text in (f"q^{cap + 1}", f"1 + 3*q^{cap + 1}", "q^" + str(10 ** 20)):
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text, GEN)
+        assert err.value.position == text.index("^") + 1
+    # at a root of unity q^k reduces mod ell, so large exponents stay cheap
+    assert parse_scalar(f"q^{cap + 1}", C3) == C3.q_power(cap + 1)
 
 
 def test_parse_format_round_trip_bulk():
