@@ -2,10 +2,10 @@
 
 Every subcommand reads JSON files and/or flags and writes one JSON document
 to standard output.  Exit codes: 0 success, 2 invalid input or flags
-(including input too large for the recursion or index limits), 3 the input
-pair violates AB = qBA, 4 a spectrum could not be resolved in the
-coefficient field.  The default seed is 0, overridden by the QPLANE_SEED
-environment variable, overridden in turn by --seed.
+(including input too large for the recursion, index or listing limits),
+3 the input pair violates AB = qBA, 4 a spectrum could not be resolved in
+the coefficient field.  The default seed is 0, overridden by the
+QPLANE_SEED environment variable, overridden in turn by --seed.
 """
 
 import argparse
@@ -25,6 +25,7 @@ from .serialize import (ell_from_obj, ell_to_obj, fingerprint_to_obj,
                         matrix_to_obj, pair_from_obj, pair_to_obj)
 
 DEFAULT_SEED = 0
+MAX_LISTED = 100_000  # n = 24 at ell = inf lists 94235 indices (1.4 s, 44 MB)
 
 
 def _parse_ell(text: str):
@@ -67,6 +68,10 @@ def _seed_from(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     ell = _parse_ell(args.ell)
+    # count_ML never falls as n grows, and at every ell >= 2 it is past
+    # MAX_LISTED by n = 1000, so counting at min(n, 1000) is enough
+    if not args.git and count_ML(ell, min(args.n, 1000)) > MAX_LISTED:
+        raise OverflowError(f"more than {MAX_LISTED} component indices at n = {args.n}")
     if args.git:
         types = enumerate_TPL(ell, args.n)
         body = [

@@ -171,30 +171,30 @@ def rational_roots(coeffs):
 # ---------------------------------------------------------------------------
 
 
-def _root_candidates_cyclotomic(sf, ctx):
-    """Rational candidates from the coordinate projections of the squarefree
-    polynomial (a rational root must kill every coordinate simultaneously)."""
-    deg = len(sf[0].ints) if sf else 0
+def _root_candidates_cyclotomic(cofactor, ctx):
+    """Rational candidates from the coordinate projections of the cofactor
+    (a rational root must kill every coordinate simultaneously)."""
+    deg = len(cofactor[0].ints) if cofactor else 0
     for t in range(deg):
-        coord = [Fraction(c.ints[t], c.d) for c in sf]
+        coord = [Fraction(c.ints[t], c.d) for c in cofactor]
         if any(coord):
             return {ctx.rational(r) for r in rational_roots(coord)}
     return set()
 
 
-def _root_candidates_generic(sf, ctx):
-    """Monomial candidates c*q^k (c rational) for a monic squarefree
-    polynomial over Q(q).  The exponent window is bounded by the top/bottom
-    q-degrees of the coefficients."""
-    d = len(sf) - 1
+def _root_candidates_generic(cofactor, ctx):
+    """Monomial candidates c*q^k (c rational) for a monic cofactor over
+    Q(q).  The exponent window is bounded by the top/bottom q-degrees of the
+    coefficients."""
+    d = len(cofactor) - 1
     if d <= 0:
         return set()
     # clear denominators: S_j in Q[q]
     den_prod = (Fraction(1),)
-    for c in sf:
+    for c in cofactor:
         den_prod = poly.mul(den_prod, c.den)
     cleared = []
-    for c in sf:
+    for c in cofactor:
         rest, rem = poly.div(den_prod, c.den)
         assert not rem
         cleared.append(poly.mul(c.num, rest))
@@ -230,38 +230,42 @@ def _root_candidates_generic(sf, ctx):
     return candidates
 
 
-def _discover_roots(sf, ctx, hints):
-    """All roots of the squarefree polynomial findable by the strategy:
-    zero, the hints, rational-coordinate roots and the q-orbits of found
-    roots, then (root-of-unity regime) rational r with r*q^k a root.  A
-    squarefree polynomial has at most deg(sf) roots, so the search stops
-    as soon as that many are found."""
-    roots = set()
-    degree = len(sf) - 1
+def _discover_roots(p, ctx, hints):
+    """{root: multiplicity} for the monic p: each candidate is divided out of
+    the cofactor (what is left of p) as often as it divides.  Candidates:
+    zero, the hints, rational-coordinate roots (c*q^k over Q(q)), q-orbits
+    of found roots, then (root-of-unity regime) rational r with r*q^k a
+    root, all drawn from the cofactor.  The search stops when the cofactor
+    has degree 0: then every root is found with its multiplicity."""
+    roots = {}
+    cofactor = p
 
     def try_add(x):
-        if any(x == r for r in roots):
+        nonlocal cofactor
+        if x in roots:
             return False
-        if not poly.evaluate(sf, x):
-            roots.add(x)
-            return True
-        return False
+        count = 0
+        while len(cofactor) > 1:
+            quot, rem = poly.div_linear(cofactor, x)
+            if rem:
+                break
+            cofactor, count = quot, count + 1
+        if count:
+            roots[x] = count
+        return count > 0
 
     try_add(ctx.zero())
     for h in hints:
         try_add(h)
-    if len(roots) == degree:
+    if len(cofactor) == 1:
         return roots
-    if ctx.is_generic:
-        for cand in _root_candidates_generic(sf, ctx):
-            try_add(cand)
-    else:
-        for cand in _root_candidates_cyclotomic(sf, ctx):
-            try_add(cand)
+    search = _root_candidates_generic if ctx.is_generic else _root_candidates_cyclotomic
+    for cand in search(cofactor, ctx):
+        try_add(cand)
     # close under the q-orbit
     q = ctx.q()
     frontier = [r for r in roots if not r.is_zero()]
-    while frontier and len(roots) < degree:
+    while frontier and len(cofactor) > 1:
         base = frontier.pop()
         if ctx.is_generic:
             for step in (q, q.inverse()):
@@ -277,13 +281,13 @@ def _discover_roots(sf, ctx, hints):
                     frontier.append(power)
     if not ctx.is_generic:
         # roots r*q^k (r rational) whose q-orbit holds no root found above:
-        # r is a rational root of sf(q^k y)
+        # r is a rational root of cofactor(q^k y)
         twist = ctx.one()
         for _ in range(1, ctx.ell):
-            if len(roots) == degree:
+            if len(cofactor) == 1:
                 break
             twist = twist * q
-            scaled = [c * twist ** j for j, c in enumerate(sf)]
+            scaled = [c * twist ** j for j, c in enumerate(cofactor)]
             for r in _root_candidates_cyclotomic(scaled, ctx):
                 try_add(r * twist)
     return roots
@@ -293,9 +297,11 @@ def jordan_data(A: QMatrix, hint_eigenvalues=()) -> JordanSpec:
     """Recover the Jordan specification of A from exact rank sequences.
 
     The number of blocks of size >= k at eigenvalue lam equals
-    rank((A - lam I)^(k-1)) - rank((A - lam I)^k).  Eigenvalues are found by
-    the discoverable-root strategy; if the characteristic polynomial does
-    not split over the field this raises EigenvaluesNotFound.
+    rank((A - lam I)^(k-1)) - rank((A - lam I)^k).  Deflating the char
+    poly gives each eigenvalue with its multiplicity: a simple one is one
+    block of size 1, and the ranks of any other stop once the nullity of
+    (A - lam I)^k reaches the multiplicity.  If the char poly does not split
+    into discoverable roots this raises EigenvaluesNotFound.
     """
     if not A.is_square():
         raise NotSquare("jordan_data needs a square matrix")
@@ -303,34 +309,26 @@ def jordan_data(A: QMatrix, hint_eigenvalues=()) -> JordanSpec:
     ctx = A.ctx
     if n == 0:
         return JordanSpec(ctx, ())
-    sf = poly.squarefree_part(char_poly(A))
-    hints = list(hint_eigenvalues)
-    hints.extend(A.rows[i][i] for i in range(n))  # cheap extra candidates
-    roots = _discover_roots(sf, ctx, hints)
-    blocks = []
-    covered = 0
-    for lam in sorted(roots, key=canonical_key):
-        shifted = A - QMatrix.identity(ctx, n).scale(lam)
-        ranks = [n]
-        power = QMatrix.identity(ctx, n)
-        while True:
-            power = power * shifted
-            ranks.append(rank(power))
-            if ranks[-1] == ranks[-2]:
-                break
-        sizes = []
-        counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-        counts.append(0)
-        for k in range(len(counts) - 1, 0, -1):
-            sizes.extend([k] * (counts[k - 1] - counts[k]))
-        sizes.sort(reverse=True)
-        if sizes:
-            blocks.append((lam, tuple(sizes)))
-            covered += sum(sizes)
+    hints = [*hint_eigenvalues, *(A.rows[i][i] for i in range(n))]  # cheap extras
+    roots = _discover_roots(char_poly(A), ctx, hints)
+    covered = sum(roots.values())
     if covered != n:
         raise EigenvaluesNotFound(
             f"only {covered} of {n} dimensions of the spectrum were resolved "
             "in the field; pass hint_eigenvalues for the rest")
+    blocks = []
+    for lam in sorted(roots, key=canonical_key):
+        if roots[lam] == 1:
+            blocks.append((lam, (1,)))
+            continue
+        shifted = A - QMatrix.identity(ctx, n).scale(lam)
+        power, ranks = shifted, [n, rank(shifted)]
+        while n - ranks[-1] < roots[lam]:
+            power = power * shifted
+            ranks.append(rank(power))
+        # the k-th nullity step counts the blocks of size >= k
+        steps = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+        blocks.append((lam, transpose_partition(steps)))
     return JordanSpec(ctx, blocks)
 
 

@@ -51,11 +51,6 @@ def scale(a, c):
     return tuple(x * c for x in a)
 
 
-def monic(a):
-    """a divided by its leading coefficient; a must be nonzero."""
-    return scale(a, 1 / a[-1])
-
-
 def div(a, b):
     """(quotient, remainder) of a by b; b must be nonzero.
 
@@ -81,11 +76,18 @@ def gcd(a, b):
     """The monic greatest common divisor (() when both are zero)."""
     while b:
         a, b = b, div(a, b)[1]
-    return monic(a) if a else a
+    return scale(a, 1 / a[-1]) if a else a
 
 
-def derivative(a):
-    return tuple(a[k] * k for k in range(1, len(a)))
+def div_linear(a, x):
+    """(quotient, remainder) of a by y - x, by synthetic division; the
+    remainder is the scalar a(x).  a must be nonconstant."""
+    quot = [None] * (len(a) - 1)
+    acc = a[-1]
+    for k in range(len(a) - 2, -1, -1):
+        quot[k] = acc
+        acc = a[k] + acc * x
+    return tuple(quot), acc
 
 
 def evaluate(a, x):
@@ -97,11 +99,3 @@ def evaluate(a, x):
         acc = acc * x + a[k]
     return acc
 
-
-def squarefree_part(p):
-    """p / gcd(p, p'), monic: the roots of p, each with multiplicity one
-    (Yun, "On square-free decomposition algorithms", SYMSAC 1976)."""
-    g = gcd(p, derivative(p))
-    if len(g) > 1:
-        p = div(p, g)[0]
-    return monic(p)

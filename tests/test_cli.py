@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,13 @@ from qplane import ComponentIndex, classify
 
 GEN = FieldContext.generic()
 C3 = FieldContext.root_of_unity(3)
+
+
+def src_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -236,6 +244,31 @@ def test_enumerate_past_the_recursion_limit_exits_two(capsys):
     assert_clean_exit_two(capsys, ["enumerate", "--ell", "inf", "--n", "5000"])
 
 
+def run_cli_bounded(*argv):
+    """The CLI in a fresh interpreter, held to 60 s and 1 GiB of address
+    space, so an input that would run away fails the test instead."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    return subprocess.run([sys.executable, "-m", "qplane.cli", *argv],
+                          env=src_env(), capture_output=True, text=True,
+                          timeout=60, preexec_fn=limit_memory)
+
+
+def test_enumerate_bounds_its_output_before_building_it():
+    # at ell = inf the index count grows about 4x per +4 in n: n = 100
+    # would list more than memory holds
+    for ell, n in (("inf", 100), ("2", 10 ** 12)):
+        done = run_cli_bounded("enumerate", "--ell", ell, "--n", str(n))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: input too large: ")
+    done = run_cli_bounded("enumerate", "--ell", "inf", "--n", "16")
+    assert done.returncode == 0
+    assert len(json.loads(done.stdout)["components"]) == 5822
+
+
 def test_count_of_an_unindexable_n_exits_two(capsys):
     assert_clean_exit_two(capsys, ["count", "--ell", "3", "--n", str(10 ** 20)])
 
@@ -252,10 +285,7 @@ def test_import_loads_only_the_standard_library():
     # the library stays stdlib-only: importing it pulls in no third-party module
     probe = ("import sys; before = set(sys.modules); import qplane, qplane.cli; "
              "print(*sorted(set(sys.modules) - before))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=src_env(), check=True,
                          capture_output=True, text=True).stdout.split()
     assert "qplane.cli" in out
     foreign = [name for name in out if name.split(".")[0] != "qplane"

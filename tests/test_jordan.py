@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, QMatrix,
-                    block_jordan, check_partition, conjugate, jordan_block,
-                    jordan_data, q_classes, q_equivalent, rank, realize,
-                    transpose_partition)
-from qplane import jordan
+                    QScalar, block_jordan, check_partition, conjugate,
+                    jordan_block, jordan_data, q_classes, q_equivalent, rank,
+                    realize, transpose_partition)
+from qplane import jordan, poly
 
 C3 = FieldContext.root_of_unity(3)
 GEN = FieldContext.generic()
@@ -19,6 +19,18 @@ def random_invertible(ctx, n, rng):
             ctx, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         if rank(g) == n:
             return g
+
+
+def unimodular(ctx, n, rng):
+    """A dense conjugator L*U: unit triangular factors, entries in {-1, 1, 2}."""
+    def pick():
+        return ctx.rational(rng.choice((-1, 1, 2)))
+    zero, one = ctx.zero(), ctx.one()
+    L = QMatrix(ctx, [[one if i == j else (pick() if i > j else zero)
+                       for j in range(n)] for i in range(n)])
+    U = QMatrix(ctx, [[one if i == j else (pick() if i < j else zero)
+                       for j in range(n)] for i in range(n)])
+    return L * U
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +161,52 @@ def test_jordan_data_finds_q_twisted_roots():
     assert any(not A.rows[i][j].is_zero() for i in range(2) for j in range(2) if i != j)
     spec = JordanSpec(C3, [(lam, [1]) for lam in lams])
     assert jordan_data(A) == spec
+
+
+def test_jordan_data_runs_no_gcd_over_the_field(monkeypatch):
+    # the n = 5 Q(q) spectrum whose squarefree part once took seconds of
+    # Euclid over Q(q): deflating the char poly needs no gcd of polynomials
+    # with QScalar coefficients (the Fraction gcds inside Q(q) scalars stay)
+    fraction_gcd = poly.gcd
+
+    def no_scalar_gcd(a, b):
+        if any(isinstance(c, QScalar) for c in (*a, *b)):
+            raise AssertionError("gcd over QScalar coefficients")
+        return fraction_gcd(a, b)
+
+    monkeypatch.setattr(poly, "gcd", no_scalar_gcd)
+    eight_sevenths = GEN.rational(Fraction(8, 7))
+    lams = [GEN.rational(Fraction(3, 2)), GEN.rational(Fraction(5, 2)), GEN.one(),
+            eight_sevenths, eight_sevenths / GEN.q()]
+    spec = JordanSpec(GEN, [(lam, [1]) for lam in lams])
+    A = QMatrix.diagonal(GEN, lams)
+    assert jordan_data(A) == spec
+    assert jordan_data(conjugate(unimodular(GEN, 5, random.Random(5)), A)) == spec
+
+
+@pytest.mark.parametrize("ctx", [C3, FieldContext.root_of_unity(5), GEN],
+                         ids=["ell3", "ell5", "generic"])
+def test_round_trip_dense_conjugates_with_repeated_eigenvalues(ctx):
+    # every eigenvalue repeats or sits next to another in its q-orbit, and
+    # no diagonal entry of the conjugate is an eigenvalue, so the roots and
+    # their multiplicities come from deflation alone
+    rng = random.Random(6)
+    q = ctx.q()
+    zero = ctx.zero()
+    for partition, extra in (((3, 1), [(1, (1,))]),
+                             ((2, 2), [(None, (1,))]),
+                             ((2, 1, 1), [(-1, (1,)), (None, (1,))])):
+        base = ctx.rational(rng.choice((2, 3, Fraction(-3, 2))))
+        blocks = [(base, partition)]
+        for k, part in extra:  # k: q-orbit neighbour base*q^k, or None: zero
+            blocks.append((zero if k is None else base * q ** k, part))
+        spec = JordanSpec(ctx, blocks)
+        eigenvalues = [lam for lam, _ in spec.blocks]
+        while True:
+            A = conjugate(unimodular(ctx, spec.size, rng), realize(spec))
+            if not any(A[i, i] == lam for i in range(A.nrows) for lam in eigenvalues):
+                break
+        assert jordan_data(A) == spec
 
 
 def test_round_trip_random_specs():

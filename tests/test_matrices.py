@@ -279,3 +279,48 @@ def test_cayley_hamilton():
 def test_char_poly_requires_square():
     with pytest.raises(NotSquare):
         char_poly(QMatrix.zero(C3, 2, 3))
+
+
+@st.composite
+def char_poly_inputs(draw):
+    """Square matrices up to 4 x 4 over Q(zeta_3), Q(zeta_5) or Q(q), with
+    entries a + b q^k (k in -1..2) and some zeros."""
+    ctx = draw(st.sampled_from((C3, FieldContext.root_of_unity(5), GEN)))
+    n = draw(st.integers(1, 4))
+
+    def entry():
+        if draw(st.integers(0, 3)) == 0:
+            return ctx.zero()
+        k = draw(st.integers(-1, 2))
+        return ctx.rational(draw(SMALL)) + ctx.rational(draw(SMALL)) * ctx.q() ** k
+
+    return QMatrix(ctx, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+def scalar_to_sympy(sympy, a, x):
+    """a as a sympy expression in x = q: a polynomial over Q(zeta_ell), a
+    quotient of polynomials over Q(q)."""
+    def from_coeffs(coeffs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                   for i, c in enumerate(coeffs))
+    if a.ctx.is_generic:
+        return from_coeffs(a.num) / from_coeffs(a.den)
+    return from_coeffs(a.coeffs)
+
+
+@given(char_poly_inputs())
+@settings(max_examples=40, deadline=None)
+def test_char_poly_matches_sympy(A):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    M = sympy.Matrix([[scalar_to_sympy(sympy, e, x) for e in row] for row in A.rows])
+    expected = M.charpoly(y).all_coeffs()[::-1]
+    got = [scalar_to_sympy(sympy, c, x) for c in char_poly(A)]
+    assert len(got) == len(expected)
+    for ours, theirs in zip(got, expected):
+        if A.ctx.is_generic:
+            assert sympy.cancel(ours - theirs) == 0
+        else:
+            reduced = sympy.rem(sympy.expand(theirs),
+                                sympy.cyclotomic_poly(A.ctx.ell, x), x)
+            assert sympy.expand(ours - reduced) == 0

@@ -8,7 +8,7 @@ Q(q) scalar arithmetic built on them is checked against sympy.cancel.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qplane import (DivisionByZero, FieldContext, QScalar, format_scalar,
@@ -55,14 +55,6 @@ def test_gcd_matches_sympy(a, b, common):
 
 
 @settings(max_examples=150, deadline=None)
-@given(nonzero_fraction_polys, fraction_polys)
-def test_squarefree_part_matches_sympy(a, b):
-    sympy = pytest.importorskip("sympy")
-    p = poly.mul(poly.mul(a, a), b) or a  # repeated factors, never zero
-    assert poly.squarefree_part(p) == from_sympy(to_sympy(sympy, p).sqf_part())
-
-
-@settings(max_examples=150, deadline=None)
 @given(fraction_polys, fraction_polys, small)
 def test_ring_operations_match_sympy(a, b, x):
     sympy = pytest.importorskip("sympy")
@@ -71,7 +63,6 @@ def test_ring_operations_match_sympy(a, b, x):
     assert poly.add(a, poly.neg(b)) == from_sympy(A - B)
     assert poly.mul(a, b) == from_sympy(A * B)
     assert poly.scale(a, x) == from_sympy(A * sympy.Rational(x.numerator, x.denominator))
-    assert poly.derivative(a) == from_sympy(A.diff())
     assert poly.evaluate(a, x) == A.eval(sympy.Rational(x.numerator, x.denominator))
 
 
@@ -113,7 +104,7 @@ def field_and_polys(draw, max_size):
     """A field and two polynomials over it, the second nonzero.
 
     The sizes stay small because Euclid over Q(q) swells coefficients:
-    a squarefree part of degree 6 can take 20 s.
+    one gcd of a degree-6 polynomial with its derivative took 17 s.
     """
     ctx = draw(st.sampled_from(CONTEXTS))
     a = draw(scalar_polys(ctx, max_size))
@@ -143,15 +134,14 @@ def test_gcd_over_scalars_is_monic_and_divides_both(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(field_and_polys(max_size=2))
-def test_squarefree_part_over_scalars(case):
+@given(field_and_polys(max_size=5))
+def test_synthetic_division_matches_long_division(case):
     ctx, a, b = case
-    p = poly.mul(poly.mul(b, b), a) or b
-    s = poly.squarefree_part(p)
-    assert s[-1] == ctx.one()
-    assert not poly.div(p, s)[1]
-    # s has simple roots only: it is coprime to its derivative
-    assert len(poly.gcd(s, poly.derivative(s))) == 1
+    assume(len(a) >= 2)
+    x = b[-1]
+    quot, rem = poly.div_linear(a, x)
+    assert (quot, poly.trim((rem,))) == poly.div(a, (-x, ctx.one()))
+    assert rem == poly.evaluate(a, x)
 
 
 # ---------------------------------------------------------------------------
