@@ -10,7 +10,7 @@ from .errors import (BadIndex, DegeneratePoint, DimensionMismatch,
                      ZeroArgument, ZeroElement)
 from .scalars import (FieldContext, INFINITE, QScalar, canonical_key,
                       cyclotomic_polynomial, format_scalar, parse_scalar,
-                      q_equivalent, substitute_q_inverse)
+                      q_equivalent, q_orbit, substitute_q_inverse)
 from .matrices import (QMatrix, char_poly, conjugate, direct_sum,
                        eval_poly_at_matrix, inverse, kernel_basis, rank)
 from .jordan import (JordanSpec, QClass, block_jordan, check_partition,
@@ -26,8 +26,8 @@ from .components import (ComponentIndex, count_ML, dim_component,
                          parametrization_jacobian_rank, sample_point,
                          theta_index, theta_point)
 from .classify import classify, classify_nilpotent_block, classify_q_class
-from .git_quotient import (GitIndex, TraceFingerprint, dim_git, enumerate_TPL,
-                           git_index_of_stratum, semisimplify,
+from .git_quotient import (GitIndex, TraceFingerprint, count_TPL, dim_git,
+                           enumerate_TPL, git_index_of_stratum, semisimplify,
                            trace_fingerprint)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

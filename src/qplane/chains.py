@@ -11,8 +11,8 @@ multiplicity vector of the class and are also computed in closed form by
 
 from dataclasses import dataclass
 
-from .errors import LengthMismatch, ZeroElement
-from .scalars import INFINITE, QScalar, canonical_key, q_equivalent
+from .errors import LengthMismatch, MixedContext, ZeroElement
+from .scalars import INFINITE, QScalar, canonical_key, q_orbit
 
 
 def _partition_table(s: int, t: int) -> list:
@@ -113,24 +113,10 @@ class ChainDecomposition:
         return sum(length for _, length in self.chains)
 
 
-def _class_groups(elements):
-    """Group scalars by q-equivalence; yields (reference, [(offset, x), ...])."""
-    groups = []
-    for x in elements:
-        for ref, members in groups:
-            m = q_equivalent(x, ref)
-            if m is not None:
-                members.append((m, x))
-                break
-        else:
-            groups.append((x, [(0, x)]))
-    return groups
-
-
 def _extract_chains(offsets, ell):
     """Greedy longest-run-first extraction from an offset multiset.
 
-    Offsets are exponents relative to the class reference (residues mod ell
+    Offsets are exponents relative to the class anchor (residues mod ell
     in the cyclic case).  A chain topped at offset t occupies t, t-1, ...;
     returns (top offset, length) pairs in extraction order.
     """
@@ -160,7 +146,7 @@ def _extract_chains(offsets, ell):
     return out
 
 
-def chain_decompose(elements, ctx=None) -> ChainDecomposition:
+def chain_decompose(elements) -> ChainDecomposition:
     """Decompose a multiset of nonzero scalars into maximal q-chains.
 
     Greedy longest-chain-first per q-equivalence class; among equal-length
@@ -173,22 +159,23 @@ def chain_decompose(elements, ctx=None) -> ChainDecomposition:
             raise TypeError("chain_decompose expects QScalar elements")
         if x.is_zero():
             raise ZeroElement("q-chains are made of nonzero scalars")
-    if ctx is None and elements:
-        ctx = elements[0].ctx
-    if ctx is None:
+    if not elements:
         return ChainDecomposition(chains=(), length_counts=())
+    ctx = elements[0].ctx
     ell = ctx.ell
 
-    # Re-anchor each class at its canonically smallest member so the output
+    classes = {}  # q-orbit key -> [(exponent over the keyed member, x), ...]
+    for x in elements:
+        if x.ctx is not ctx:
+            raise MixedContext(f"cannot combine {ctx!r} with {x.ctx!r}")
+        key, k = q_orbit(x)
+        classes.setdefault(key, []).append((k, x))
+    # Anchor each class at its canonically smallest member so the output
     # does not depend on the input order.
     groups = []
-    for ref, members in _class_groups(elements):
-        anchor = min((x for _, x in members), key=canonical_key)
-        shift = q_equivalent(ref, anchor)
-        offsets = [
-            (m + shift) % ell if ell is not INFINITE else m + shift
-            for m, _ in members
-        ]
+    for members in classes.values():
+        k0, anchor = min(members, key=lambda member: canonical_key(member[1]))
+        offsets = [k - k0 if ell is INFINITE else (k - k0) % ell for k, _ in members]
         groups.append((anchor, offsets))
     groups.sort(key=lambda g: canonical_key(g[0]))
 

@@ -19,7 +19,7 @@ from .components import dim_component, enumerate_ML, count_ML, sample_point
 from .chains import associated_sequence
 from .errors import (EigenvaluesNotFound, ParseError, QPlaneError,
                      RelationViolated)
-from .git_quotient import dim_git, enumerate_TPL, trace_fingerprint
+from .git_quotient import count_TPL, dim_git, enumerate_TPL, trace_fingerprint
 from .serialize import (ell_from_obj, ell_to_obj, fingerprint_to_obj,
                         index_from_obj, index_to_obj, matrix_from_obj,
                         matrix_to_obj, pair_from_obj, pair_to_obj)
@@ -68,17 +68,19 @@ def _seed_from(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     ell = _parse_ell(args.ell)
-    # count_ML never falls as n grows, and at every ell >= 2 it is past
-    # MAX_LISTED by n = 1000, so counting at min(n, 1000) is enough
-    if not args.git and count_ML(ell, min(args.n, 1000)) > MAX_LISTED:
-        raise OverflowError(f"more than {MAX_LISTED} component indices at n = {args.n}")
     if args.git:
+        if count_TPL(ell, args.n) > MAX_LISTED:
+            raise OverflowError(f"more than {MAX_LISTED} closed-orbit types at n = {args.n}")
         types = enumerate_TPL(ell, args.n)
         body = [
             {"p": t.p, "m": t.m, "r": t.r, "dim": dim_git(t, ell, args.n)}
             for t in types
         ]
         return _emit({"ell": ell_to_obj(ell), "n": args.n, "types": body})
+    # count_ML never falls as n grows, and at every ell >= 2 it is past
+    # MAX_LISTED by n = 1000, so counting at min(n, 1000) is enough
+    if count_ML(ell, min(args.n, 1000)) > MAX_LISTED:
+        raise OverflowError(f"more than {MAX_LISTED} component indices at n = {args.n}")
     indices = sorted(enumerate_ML(ell, args.n), key=lambda i: (i.m, i.r))
     body = []
     for idx in indices:

@@ -158,37 +158,29 @@ def _unflatten(ctx, vec, nrows, ncols) -> QMatrix:
     return QMatrix(ctx, rows)
 
 
-def qcommutant_basis(A: QMatrix, ctx=None):
+def qcommutant_basis(A: QMatrix):
     """Basis of {B : AB = qBA} as a list of n x n matrices.
 
     Computed as the exact kernel of the n^2 x n^2 operator X -> AX - qXA,
     matrices flattened row-major; the basis order is that of the reduced
     row echelon form, one element per free column.
     """
-    if ctx is None:
-        ctx = A.ctx
-    if A.ctx is not ctx:
-        raise MixedContext("matrix does not belong to the given context")
     if A.nrows != A.ncols:
         raise NotSquare("the q-commutant is defined for square matrices")
     n = A.nrows
     if n == 0:
         return []
-    op = sylvester_operator(A, A, ctx.q())
-    return [_unflatten(ctx, vec, n, n) for vec in kernel_basis(op)]
+    op = sylvester_operator(A, A, A.ctx.q())
+    return [_unflatten(A.ctx, vec, n, n) for vec in kernel_basis(op)]
 
 
-def predicted_commutant_dim(spec, ctx=None) -> int:
+def predicted_commutant_dim(spec) -> int:
     """Commutant dimension read off a Jordan spec without elimination.
 
     Sums min(m_i, m_j) over ordered Jordan block pairs whose eigenvalues
     satisfy a_i = q * a_j; equals len(qcommutant_basis(realize(spec))).
     """
-    if ctx is None:
-        ctx = spec.ctx
-    if spec.ctx is not ctx:
-        raise MixedContext("spec does not belong to the given context")
-    q = ctx.q()
+    q = spec.ctx.q()
     blocks = list(spec.single_blocks())
     total = 0
     for a_i, m_i in blocks:

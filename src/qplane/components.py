@@ -16,7 +16,7 @@ from .errors import BadIndex, DegeneratePoint
 from .jordan import jordan_block
 from .matrices import QMatrix, conjugate, direct_sum, inverse, rank
 from .poly import trim
-from .scalars import FieldContext, INFINITE, q_equivalent, substitute_q_inverse
+from .scalars import FieldContext, INFINITE, q_orbit, substitute_q_inverse
 from .chains import _partition_table
 
 
@@ -112,6 +112,8 @@ def enumerate_ML(ell, n: int):
     """All component indices (m, r) with ||m|| + ||r|| = n, duplicate-free."""
     if n < 0:
         raise BadIndex("n must be nonnegative")
+    if ell == 1:  # r is empty, so m = (n,) is the only index
+        return [ComponentIndex(1, (n,), ())]
     out = []
     if ell is INFINITE:
         for j in range(n, -1, -1):
@@ -130,6 +132,8 @@ def count_ML(ell, n: int) -> int:
     """Closed-form component count: sum of p_{ell-1}(i) * p_ell(j), i+j = n."""
     if n < 0:
         raise BadIndex("n must be nonnegative")
+    if ell == 1:
+        return 1
     if ell is INFINITE:
         left = right = _partition_table(n, n)
     else:
@@ -172,14 +176,12 @@ def dim_component_via_CBS(idx: ComponentIndex) -> int:
     return sum(dims) + cross
 
 
-def theta_index(idx: ComponentIndex, ell=None) -> ComponentIndex:
+def theta_index(idx: ComponentIndex) -> ComponentIndex:
     """The switch (m, r) -> ((r_1..r_{ell-1}, m_ell), (m_1..m_{ell-1})).
 
     In the infinite regime there is no full-cycle slot and the two vectors
     simply trade places.  Involutive.
     """
-    if ell is not None and ell != idx.ell:
-        raise BadIndex("index does not belong to the given order")
     if idx.ell is INFINITE:
         return ComponentIndex(INFINITE, idx.r, idx.m)
     ell = idx.ell
@@ -208,14 +210,13 @@ class _RationalPool:
     """Seeded source of positive rationals, pairwise non-q-equivalent.
 
     Base values (eigenvalue seeds of the summands) are drawn with rejection
-    so that no two are related by an integer power of q; filler values are
-    merely nonzero.
+    so that no two share a q-orbit; filler values are merely nonzero.
     """
 
     def __init__(self, ctx, seed):
         self.ctx = ctx
         self.rng = random.Random(seed)
-        self.bases = []
+        self.orbits = set()  # the q-orbit keys of the bases drawn so far
 
     def filler(self):
         num = self.rng.randint(1, 9)
@@ -225,8 +226,9 @@ class _RationalPool:
     def base(self):
         while True:
             cand = self.filler()
-            if all(q_equivalent(cand, b) is None for b in self.bases):
-                self.bases.append(cand)
+            key = q_orbit(cand)[0]
+            if key not in self.orbits:
+                self.orbits.add(key)
                 return cand
 
 

@@ -60,6 +60,21 @@ def enumerate_TPL(ell, n: int):
     return out
 
 
+def count_TPL(ell, n: int) -> int:
+    """len(enumerate_TPL(ell, n)) in closed form: with P = n // ell, the
+    types number sum over p <= P of (n - ell p + 1)."""
+    if n < 0:
+        raise BadIndex("n must be nonnegative")
+    if ell is INFINITE:
+        return n + 1
+    if not isinstance(ell, int) or ell < 1:
+        raise BadIndex("the order must be a positive integer or INFINITE")
+    if ell == 1:
+        return 1
+    top = n // ell
+    return (top + 1) * (n + 1) - ell * top * (top + 1) // 2
+
+
 def dim_git(idx: GitIndex, ell, n: int) -> int:
     """Dimension of the closed-orbit family of type idx inside size n."""
     if idx.size(ell) != n:

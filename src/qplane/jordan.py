@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import poly
 from .errors import EigenvaluesNotFound, NotSquare
 from .matrices import QMatrix, char_poly, direct_sum, rank
-from .scalars import FieldContext, QScalar, canonical_key, q_equivalent
+from .scalars import FieldContext, QScalar, canonical_key, q_orbit
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -183,50 +183,37 @@ def _root_candidates_cyclotomic(cofactor, ctx):
 
 
 def _root_candidates_generic(cofactor, ctx):
-    """Monomial candidates c*q^k (c rational) for a monic cofactor over
-    Q(q).  The exponent window is bounded by the top/bottom q-degrees of the
-    coefficients."""
-    d = len(cofactor) - 1
-    if d <= 0:
-        return set()
-    # clear denominators: S_j in Q[q]
-    den_prod = (Fraction(1),)
-    for c in cofactor:
-        den_prod = poly.mul(den_prod, c.den)
-    cleared = []
-    for c in cofactor:
-        rest, rem = poly.div(den_prod, c.den)
-        assert not rem
-        cleared.append(poly.mul(c.num, rest))
-    bound = 1
-    for j in range(d):  # the leading coefficient is excluded from the bound
-        s_j = cleared[j]
-        if not s_j:
-            continue
-        top = len(s_j) - 1
-        low = next(i for i, x in enumerate(s_j) if x)
-        ref_top = len(cleared[d]) - 1
-        ref_low = next(i for i, x in enumerate(cleared[d]) if x)
-        bound = max(bound, abs(top - ref_top), abs(low - ref_low))
-    candidates = set()
-    shift = bound * d + max(len(p) for p in cleared)
-    for k in range(-bound, bound + 1):
-        # coefficient of q^e in sum_j S_j(q) c^j q^(k j), shifted nonnegative
-        table = {}
-        for j, s_j in enumerate(cleared):
-            for e, coeff in enumerate(s_j):
-                if coeff:
-                    slot = table.setdefault(e + k * j + shift, {})
-                    slot[j] = slot.get(j, Fraction(0)) + coeff
-        for key in sorted(table):
-            poly_in_c = [Fraction(0)] * (max(table[key]) + 1)
-            for j, coeff in table[key].items():
-                poly_in_c[j] = coeff
-            if any(poly_in_c):
-                for c0 in rational_roots(poly_in_c):
-                    if c0 != 0:
-                        candidates.add(ctx.rational(c0) * ctx.q_power(k))
+    """Monomial candidates c*q^k (c rational) for the cofactor over Q(q),
+    read off its Newton polygon, the lower convex hull of the points
+    (j, val a_j) for the q-adic valuations of its coefficients a_j.  The
+    least valuation among the terms a_j (c q^k)^j must be reached twice,
+    so -k is the slope of a hull edge, and c is then a root of the residual
+    polynomial: the lowest Laurent coefficients of the a_j on that edge."""
+    points = []  # (j, val a_j, lowest Laurent coefficient of a_j)
+    for j, a in enumerate(cofactor):
+        if a:
+            (num, den), v = q_orbit(a)
+            points.append((j, v, num[0] / den[0]))
+    hull = []
+    for p in points:
+        # drop the last vertex while it lies on or above the chord to p
+        while len(hull) > 1:
+            (x0, y0, _), (x1, y1, _) = hull[-2:]
+            if (x1 - x0) * (p[1] - y0) > (y1 - y0) * (p[0] - x0):
                 break
+            hull.pop()
+        hull.append(p)
+    candidates = set()
+    for (i, v_i, _), (j, v_j, _) in zip(hull, hull[1:]):
+        k, rem = divmod(v_i - v_j, j - i)
+        if rem:
+            continue
+        residual = [Fraction(0)] * (j - i + 1)
+        for t, v, low in points:
+            if i <= t <= j and v + k * t == v_i + k * i:
+                residual[t - i] = low
+        for c in rational_roots(residual):
+            candidates.add(ctx.rational(c) * ctx.q_power(k))
     return candidates
 
 
@@ -360,26 +347,15 @@ def q_classes(spec: JordanSpec, ctx: FieldContext):
     """Group the eigenvalues of `spec` into q-classes, aligned as in the
     column construction (base at exponent 0, then descending powers)."""
     nilpotent = None
-    nonzero = []
+    groups = {}  # q-orbit key -> [(exponent over the keyed member, eigenvalue, partition)]
     for eigenvalue, partition in spec.blocks:
         if eigenvalue.is_zero():
             nilpotent = partition
         else:
-            nonzero.append((eigenvalue, partition))
-    groups = []  # list of lists of (offset relative to group ref, eigenvalue, partition)
-    for eigenvalue, partition in nonzero:
-        for group in groups:
-            ref = group[0][1]
-            m = q_equivalent(eigenvalue, ref)
-            if m is not None:
-                group.append((m, eigenvalue, partition))
-                break
-        else:
-            groups.append([(0, eigenvalue, partition)])
-    classes = []
-    for group in groups:
-        classes.append(_align_group(group, ctx))
-    classes.sort(key=lambda cls: canonical_key(cls.base))
+            key, k = q_orbit(eigenvalue)
+            groups.setdefault(key, []).append((k, eigenvalue, partition))
+    classes = sorted((_align_group(group, ctx) for group in groups.values()),
+                     key=lambda cls: canonical_key(cls.base))
     if nilpotent is not None:
         classes.append(QClass(base=None, partitions=(nilpotent,)))
     return classes
@@ -395,7 +371,8 @@ def _align_group(group, ctx):
     """
     ell = ctx.ell
     if ctx.is_generic:
-        # member = ref * q^m; base = member with the largest exponent
+        # member = b * q^m, b the member that the orbit key names; base =
+        # the member with the largest exponent
         top = max(m for m, _, _ in group)
         span = top - min(m for m, _, _ in group) + 1
         slots = [()] * span

@@ -179,13 +179,14 @@ class FieldContext:
         del acc[deg:]
         return acc
 
-    def _conjugate(self, a, k):
-        """The Galois conjugate sigma_k(a) = a(q^k) of an integer vector."""
+    def _conjugate(self, a, k, shift=0):
+        """sigma_k(a) * q^shift, for sigma_k(a) = a(q^k) the Galois conjugate
+        of an integer vector."""
         out = [0] * self._deg
         ell, powers = self._ell, self._powers
         for i, c in enumerate(a):
             if c:
-                for t, v in powers[i * k % ell]:
+                for t, v in powers[(i * k + shift) % ell]:
                     out[t] += c * v
         return out
 
@@ -483,35 +484,40 @@ def substitute_q_inverse(a: QScalar) -> QScalar:
 # q-equivalence
 # ---------------------------------------------------------------------------
 
-def q_equivalent(a: QScalar, b: QScalar, ctx: FieldContext | None = None):
-    """The exponent m with a = b * q^m, or None if no such integer exists.
+def q_orbit(a: QScalar):
+    """(key, k) with a = b * q^k, where b is the member of the q-orbit of a
+    that the hashable key names.  Two nonzero scalars of one context are
+    q-equivalent exactly when their keys are equal.
 
-    Root-of-unity regime: the least nonnegative such m (searched over
-    0 <= m < ell).  Generic regime: the quotient a/b must be exactly the
-    monomial q^m; the exponent is then unique but may be negative, and the
-    signed value is returned so that the relation stays symmetric.
+    Generic regime: b is a with its q-adic valuation k stripped from num
+    and den, and the key is (num, den) of b.  Root-of-unity regime: b is
+    the member a * q^(-k), 0 <= k < ell, with the least (ints, d); q acts on
+    the integer vector unimodularly, so every member keeps the denominator d
+    in lowest terms.
     """
-    _check_ctx(a, b)
-    if ctx is not None and a.ctx is not ctx:
-        raise MixedContext("scalars do not belong to the given context")
-    if a.is_zero() or b.is_zero():
-        raise ZeroArgument("q_equivalent requires nonzero scalars")
-    ratio = a / b
+    if a.is_zero():
+        raise ZeroArgument("q-orbits are defined for nonzero scalars")
     ctx = a.ctx
     if ctx.is_generic:
-        if ratio.den == (F1,) and ratio.num[-1] == 1 and not any(ratio.num[:-1]):
-            return len(ratio.num) - 1
-        if ratio.num == (F1,) and not any(ratio.den[:-1]):
-            # den is monic q^k by canonical form
-            return -(len(ratio.den) - 1)
+        low_num = next(i for i, c in enumerate(a.num) if c)
+        low_den = next(i for i, c in enumerate(a.den) if c)
+        return (a.num[low_num:], a.den[low_den:]), low_num - low_den
+    ints, j = min((tuple(ctx._conjugate(a.ints, 1, j)), j) for j in range(ctx._ell))
+    return (ints, a.d), -j % ctx._ell
+
+
+def q_equivalent(a: QScalar, b: QScalar):
+    """The exponent m with a = b * q^m, or None if no such integer exists.
+
+    Root-of-unity regime: the least nonnegative such m.  Generic regime: the
+    exponent is unique but may be negative, and the signed value is returned
+    so that the relation stays symmetric.
+    """
+    _check_ctx(a, b)
+    (key_a, k_a), (key_b, k_b) = q_orbit(a), q_orbit(b)
+    if key_a != key_b:
         return None
-    power = ctx.one()
-    q = ctx.q()
-    for m in range(ctx.ell):
-        if ratio == power:
-            return m
-        power = power * q
-    return None
+    return k_a - k_b if a.ctx.is_generic else (k_a - k_b) % a.ctx.ell
 
 
 # ---------------------------------------------------------------------------

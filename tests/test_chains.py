@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qplane import (FieldContext, ZeroElement, associated_sequence,
-                    chain_decompose, partition_count,
+from qplane import (ChainDecomposition, FieldContext, MixedContext, ZeroElement,
+                    associated_sequence, chain_decompose, partition_count,
                     restricted_partition_count)
 
 C4 = FieldContext.root_of_unity(4)
@@ -241,6 +241,12 @@ def test_one_class_with_multiplicities():
 def test_zero_element_rejected():
     with pytest.raises(ZeroElement):
         chain_decompose([C4.one(), C4.zero()])
+
+
+def test_empty_and_mixed_input():
+    assert chain_decompose([]) == ChainDecomposition(chains=(), length_counts=())
+    with pytest.raises(MixedContext):
+        chain_decompose([C4.one(), GEN.one()])
 
 
 def test_decomposition_covers_input():

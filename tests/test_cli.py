@@ -244,15 +244,15 @@ def test_enumerate_past_the_recursion_limit_exits_two(capsys):
     assert_clean_exit_two(capsys, ["enumerate", "--ell", "inf", "--n", "5000"])
 
 
-def run_cli_bounded(*argv):
-    """The CLI in a fresh interpreter, held to 60 s and 1 GiB of address
-    space, so an input that would run away fails the test instead."""
+def run_cli_bounded(*argv, timeout=60):
+    """The CLI in a fresh interpreter, held to `timeout` seconds and 1 GiB of
+    address space, so an input that would run away fails the test instead."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
 
     return subprocess.run([sys.executable, "-m", "qplane.cli", *argv],
                           env=src_env(), capture_output=True, text=True,
-                          timeout=60, preexec_fn=limit_memory)
+                          timeout=timeout, preexec_fn=limit_memory)
 
 
 def test_enumerate_bounds_its_output_before_building_it():
@@ -267,6 +267,27 @@ def test_enumerate_bounds_its_output_before_building_it():
     done = run_cli_bounded("enumerate", "--ell", "inf", "--n", "16")
     assert done.returncode == 0
     assert len(json.loads(done.stdout)["components"]) == 5822
+
+
+def test_enumerate_git_bounds_its_output_before_building_it():
+    # about 10^8 closed-orbit types at ell = 2, n = 20000
+    done = run_cli_bounded("enumerate", "--git", "--ell", "2", "--n", "20000", timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: input too large: ")
+
+
+def test_width_one_answers_without_walking_to_n():
+    # at ell = 1 the only index is m = (n,), r = ()
+    n = 10 ** 9
+    done = run_cli_bounded("enumerate", "--ell", "1", "--n", str(n), timeout=10)
+    assert done.returncode == 0
+    listed = json.loads(done.stdout)["components"]
+    assert [(entry["m"], entry["r"]) for entry in listed] == [([n], [])]
+    done = run_cli_bounded("count", "--ell", "1", "--n", str(n), timeout=10)
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"count": 1}
 
 
 def test_count_of_an_unindexable_n_exits_two(capsys):

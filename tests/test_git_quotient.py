@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qplane import (BadIndex, ComponentIndex, FieldContext, GitIndex, INFINITE,
-                    MatrixPair, QMatrix, UnsupportedShape, conjugate,
+                    MatrixPair, QMatrix, UnsupportedShape, conjugate, count_TPL,
                     dim_git, enumerate_ML, enumerate_TPL, git_index_of_stratum,
                     jordan_block, q_layered, rank, sample_point, semisimplify,
                     trace_fingerprint)
@@ -30,6 +30,12 @@ def test_enumerate_width_two():
     assert set(out) == {GitIndex(1, 0, 0), GitIndex(0, 2, 0),
                         GitIndex(0, 1, 1), GitIndex(0, 0, 2)}
     assert all(dim_git(idx, 2, 2) == 2 for idx in out)
+
+
+def test_count_matches_the_enumeration():
+    for ell in (1, 2, 3, 4, 5, 6, INFINITE):
+        for n in range(31):
+            assert count_TPL(ell, n) == len(enumerate_TPL(ell, n))
 
 
 def test_enumerate_counts_match_closed_form():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, QMatrix,
                     QScalar, block_jordan, check_partition, conjugate,
@@ -160,6 +162,35 @@ def test_jordan_data_finds_q_twisted_roots():
     A = conjugate(g, QMatrix.diagonal(C3, lams))
     assert any(not A.rows[i][j].is_zero() for i in range(2) for j in range(2) if i != j)
     spec = JordanSpec(C3, [(lam, [1]) for lam in lams])
+    assert jordan_data(A) == spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]),
+                          st.integers(-8, 8)), min_size=1, max_size=4))
+def test_newton_polygon_candidates_contain_every_monomial_root(roots):
+    # the candidates of prod (y - c_i q^k_i) cover every root, whatever the
+    # spread of the valuations k_i and however the residues c_i repeat
+    q = GEN.q()
+    lams = [GEN.rational(c) * q ** k for c, k in roots]
+    p = (GEN.one(),)
+    for lam in lams:
+        p = poly.mul(p, (-lam, GEN.one()))
+    assert set(lams) <= jordan._root_candidates_generic(p, GEN)
+
+
+def test_round_trip_dense_generic_conjugate_with_spread_valuations():
+    # the q-adic valuations -4 and 5 of the eigenvalues lie far apart, and no
+    # diagonal entry of the conjugate is an eigenvalue, so the roots come
+    # from the Newton polygon of the char poly
+    q = GEN.q()
+    lams = [GEN.rational(2) * q ** -4, GEN.rational(3) * q ** 5]
+    spec = JordanSpec(GEN, [(lams[0], [2]), (lams[1], [1])])
+    rng = random.Random(8)
+    while True:
+        A = conjugate(unimodular(GEN, 3, rng), realize(spec))
+        if not any(A[i, i] == lam for i in range(3) for lam in lams):
+            break
     assert jordan_data(A) == spec
 
 

@@ -2,18 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qplane import (DivisionByZero, FieldContext, INFINITE, MixedContext,
                     ParseError, QScalar, ZeroArgument, canonical_key,
                     cyclotomic_polynomial, format_scalar, parse_scalar,
-                    q_equivalent, substitute_q_inverse)
+                    q_equivalent, q_orbit, substitute_q_inverse)
 from qplane.scalars import MAX_GENERIC_EXPONENT
 
 C3 = FieldContext.root_of_unity(3)
 C4 = FieldContext.root_of_unity(4)
 GEN = FieldContext.generic()
+F1 = Fraction(1)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -184,9 +185,87 @@ def test_q_equivalence_is_an_equivalence_relation():
         assert (mab + mbc) % 5 == mac % 5
 
 
-def test_q_equivalent_checks_context_argument():
+def test_q_equivalent_rejects_mixed_contexts():
     with pytest.raises(MixedContext):
-        q_equivalent(C3.one(), C3.one(), C4)
+        q_equivalent(C3.one(), C4.one())
+
+
+# ---------------------------------------------------------------------------
+# q-orbits
+# ---------------------------------------------------------------------------
+
+ORBIT_CONTEXTS = (C3, FieldContext.root_of_unity(5), GEN)
+
+
+def reference_q_equivalent(a, b):
+    """q-equivalence from the ratio a/b, checked against q^m term by term."""
+    ratio = a / b
+    ctx = a.ctx
+    if ctx.is_generic:
+        if ratio.den == (F1,) and ratio.num[-1] == 1 and not any(ratio.num[:-1]):
+            return len(ratio.num) - 1
+        if ratio.num == (F1,) and not any(ratio.den[:-1]):
+            return -(len(ratio.den) - 1)
+        return None
+    power = ctx.one()
+    for m in range(ctx.ell):
+        if ratio == power:
+            return m
+        power = power * ctx.q()
+    return None
+
+
+@st.composite
+def nonzero_scalars(draw, ctx):
+    """c * q^k * (a polynomial in q), or over Q(q) a ratio of two of them."""
+    q = ctx.q()
+
+    def poly_in_q():
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+        return sum((ctx.rational(c) * q ** k for k, c in enumerate(coeffs)), ctx.zero())
+
+    value = ctx.rational(draw(rationals)) * q ** draw(st.integers(-6, 6)) * poly_in_q()
+    if ctx.is_generic and draw(st.booleans()):
+        den = poly_in_q()
+        value = value / den if den else value
+    assume(value)
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_q_orbit_shift_law(data):
+    ctx = data.draw(st.sampled_from(ORBIT_CONTEXTS))
+    a = data.draw(nonzero_scalars(ctx))
+    j = data.draw(st.integers(-12, 12))
+    key, k = q_orbit(a)
+    shifted_key, shifted_k = q_orbit(a * ctx.q_power(j))
+    assert shifted_key == key
+    if ctx.is_generic:
+        assert shifted_k == k + j
+    else:
+        assert 0 <= k < ctx.ell and shifted_k == (k + j) % ctx.ell
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_q_orbit_separates_exactly_the_q_classes(data):
+    ctx = data.draw(st.sampled_from(ORBIT_CONTEXTS))
+    a = data.draw(nonzero_scalars(ctx))
+    b = data.draw(st.one_of(
+        nonzero_scalars(ctx),
+        st.integers(-9, 9).map(lambda j: a * ctx.q_power(j)),
+        st.tuples(rationals.filter(bool), st.integers(-9, 9)).map(
+            lambda cj: a * cj[0] * ctx.q_power(cj[1]))))
+    expected = reference_q_equivalent(a, b)
+    assert (q_orbit(a)[0] == q_orbit(b)[0]) == (expected is not None)
+    assert q_equivalent(a, b) == expected
+
+
+def test_q_orbit_rejects_zero():
+    for ctx in ORBIT_CONTEXTS:
+        with pytest.raises(ZeroArgument):
+            q_orbit(ctx.zero())
 
 
 # ---------------------------------------------------------------------------
