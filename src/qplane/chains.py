@@ -39,29 +39,17 @@ def partition_count(t: int) -> int:
     return restricted_partition_count(t, t)
 
 
-def _window_min_sums(counts, ell):
-    """f(i) = sum over start positions of the minimum of a width-(i+1) window.
-
-    Windows are cyclic when ell is finite and are truncated by zeros outside
-    the support when ell is infinite (an out-of-range slot counts as 0, so
-    any window leaving the support contributes nothing).
-    """
-    s = len(counts)
+def _window_min_sums(counts):
+    """f(i) = sum over the ell = len(counts) start positions of the minimum
+    of the cyclic width-(i+1) window, for i < ell, then f(ell) = ell * min."""
+    ell = len(counts)
     f = []
-    if ell is INFINITE:
-        for i in range(s + 1):
-            total = 0
-            for j in range(s - i):
-                total += min(counts[j:j + i + 1])
-            f.append(total)
-        f.append(0)
-    else:
-        for i in range(ell):
-            total = 0
-            for j in range(ell):
-                total += min(counts[(j + k) % ell] for k in range(i + 1))
-            f.append(total)
-        f.append(ell * min(counts))
+    for i in range(ell):
+        total = 0
+        for j in range(ell):
+            total += min(counts[(j + k) % ell] for k in range(i + 1))
+        f.append(total)
+    f.append(ell * min(counts))
     return f
 
 
@@ -77,22 +65,22 @@ def associated_sequence(counts, ell):
     counts = tuple(int(c) for c in counts)
     if any(c < 0 for c in counts):
         raise ValueError("multiplicities must be nonnegative")
+    cut = len(counts)
     if ell is INFINITE:
-        top = len(counts)
-    else:
-        if len(counts) != ell:
-            raise LengthMismatch(
-                f"cyclic count vector must have length {ell}, got {len(counts)}"
-            )
-        top = ell
-    if top == 0:
-        return ()
-    f = _window_min_sums(counts, ell)
+        # a linear class is a cyclic one with one empty slot, which no chain
+        # crosses; its full-cycle count (0) is dropped
+        counts += (0,)
+    elif len(counts) != ell:
+        raise LengthMismatch(
+            f"cyclic count vector must have length {ell}, got {len(counts)}"
+        )
+    top = len(counts)
+    f = _window_min_sums(counts)
     m = [0] * top
     m[top - 1] = min(counts)
     for i in range(1, top):
         m[i - 1] = f[i - 1] - 2 * f[i] + f[i + 1]
-    return tuple(m)
+    return tuple(m[:cut])
 
 
 @dataclass(frozen=True)

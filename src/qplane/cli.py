@@ -2,7 +2,8 @@
 
 Every subcommand reads JSON files and/or flags and writes one JSON document
 to standard output.  Exit codes: 0 success, 2 invalid input or flags
-(including input too large for the recursion, index or listing limits),
+(including input too large for the recursion, index, listing or counting
+limits, or for memory),
 3 the input pair violates AB = qBA, 4 a spectrum could not be resolved in
 the coefficient field.  The default seed is 0, overridden by the
 QPLANE_SEED environment variable, overridden in turn by --seed.
@@ -26,6 +27,7 @@ from .serialize import (ell_from_obj, ell_to_obj, fingerprint_to_obj,
 
 DEFAULT_SEED = 0
 MAX_LISTED = 100_000  # n = 24 at ell = inf lists 94235 indices (1.4 s, 44 MB)
+MAX_COUNT_WORK = 20_000_000  # table additions; ell = 2, n = 10^7 takes 5 s and 0.5 GB
 
 
 def _parse_ell(text: str):
@@ -92,6 +94,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     ell = _parse_ell(args.ell)
+    # count_ML fills tables of n + 1 entries with about min(ell, n) * n
+    # additions, and none at ell = 1
+    if ell != 1 and min(ell, args.n) * max(args.n, 0) > MAX_COUNT_WORK:
+        raise OverflowError(f"more than {MAX_COUNT_WORK} table additions at n = {args.n}")
     return _emit({"count": count_ML(ell, args.n)})
 
 
@@ -223,6 +229,9 @@ def main(argv=None) -> int:
         return 2
     except (RecursionError, OverflowError) as err:
         print(f"error: input too large: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
         return 2
 
 

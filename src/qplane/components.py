@@ -115,16 +115,11 @@ def enumerate_ML(ell, n: int):
     if ell == 1:  # r is empty, so m = (n,) is the only index
         return [ComponentIndex(1, (n,), ())]
     out = []
-    if ell is INFINITE:
-        for j in range(n, -1, -1):
-            for m in _count_vectors(j, j):
-                for r in _count_vectors(n - j, n - j):
-                    out.append(ComponentIndex(ell, m, r))
-    else:
-        for j in range(n, -1, -1):
-            for m in _count_vectors(j, min(ell, j) if j else 0):
-                for r in _count_vectors(n - j, min(ell - 1, n - j)):
-                    out.append(ComponentIndex(ell, m, r))
+    for j in range(n, -1, -1):
+        # min(INFINITE, j) is the int j: no part-size cap when q has infinite order
+        for m in _count_vectors(j, min(ell, j)):
+            for r in _count_vectors(n - j, min(ell - 1, n - j)):
+                out.append(ComponentIndex(ell, m, r))
     return out
 
 
@@ -161,7 +156,7 @@ def dim_component_via_CBS(idx: ComponentIndex) -> int:
     for i, c in enumerate(idx.m):
         size = i + 1
         block_dim = size * size
-        if ell is not INFINITE and size == ell:
+        if size == ell:
             block_dim += 1
         for _ in range(c):
             sizes.append(size)
@@ -210,7 +205,11 @@ class _RationalPool:
     """Seeded source of positive rationals, pairwise non-q-equivalent.
 
     Base values (eigenvalue seeds of the summands) are drawn with rejection
-    so that no two share a q-orbit; filler values are merely nonzero.
+    so that no two share a q-orbit; filler values are merely nonzero.  Draws
+    are num/den with 1 <= num, den <= 9, 55 distinct positive rationals,
+    no two q-equivalent; once bases have used all 55, further bases are
+    drawn with num, den up to the number of bases drawn, which leaves each
+    rejection below one in five.
     """
 
     def __init__(self, ctx, seed):
@@ -218,14 +217,15 @@ class _RationalPool:
         self.rng = random.Random(seed)
         self.orbits = set()  # the q-orbit keys of the bases drawn so far
 
-    def filler(self):
-        num = self.rng.randint(1, 9)
-        den = self.rng.randint(1, 9)
+    def filler(self, top=9):
+        num = self.rng.randint(1, top)
+        den = self.rng.randint(1, top)
         return self.ctx.rational(Fraction(num, den))
 
     def base(self):
+        top = 9 if len(self.orbits) < 55 else len(self.orbits)
         while True:
-            cand = self.filler()
+            cand = self.filler(top)
             key = q_orbit(cand)[0]
             if key not in self.orbits:
                 self.orbits.add(key)
@@ -254,8 +254,7 @@ def _u_block(ctx, size, pool):
     supers = [pool.filler() for _ in range(size - 1)]
     for k, b in enumerate(supers):
         rows[k][k + 1] = b
-    full_cycle = ctx.ell is not INFINITE and size == ctx.ell
-    if full_cycle:
+    if size == ctx.ell:
         beta = pool.base()
         prod = ctx.one()
         for b in supers:
@@ -354,7 +353,7 @@ def _jacobian_rank_once(kind, size, ctx, rng) -> int:
         dA = QMatrix.diagonal(ctx, diag)
         rows.append(_flatten_pair(g * dA * ginv, Z))
         positions = [(k, k + 1) for k in range(size - 1)]
-        if ctx.ell is not INFINITE and size == ctx.ell:
+        if size == ctx.ell:
             positions.append((size - 1, 0))
         for (rr, cc) in positions:
             grid = [[zero] * size for _ in range(size)]
@@ -381,14 +380,13 @@ def parametrization_jacobian_rank(kind: str, i: int, ell, seed=0) -> int:
         raise ValueError("kind must be 'D' or 'N'")
     if i < 1:
         raise BadIndex("block size must be at least 1")
-    if ell is not INFINITE:
-        if kind == "D" and i > ell:
-            raise BadIndex("dense strata have size at most ell")
-        if kind == "N" and i > ell - 1:
-            raise BadIndex("nilpotent strata have size at most ell - 1")
+    if kind == "D" and i > ell:
+        raise BadIndex("dense strata have size at most ell")
+    if kind == "N" and i > ell - 1:
+        raise BadIndex("nilpotent strata have size at most ell - 1")
     ctx = FieldContext.for_order(ell)
     expected = i * i
-    if kind == "D" and ell is not INFINITE and i == ell:
+    if kind == "D" and i == ell:
         expected += 1
     rng = random.Random(seed)
     best = -1

@@ -29,7 +29,7 @@ class QMatrix:
             for entry in row:
                 if not isinstance(entry, QScalar):
                     raise TypeError(f"matrix entries must be QScalar, got {type(entry)}")
-                if entry.ctx != ctx:
+                if entry.ctx is not ctx:
                     raise MixedContext("matrix entry from a different field context")
         self.ctx = ctx
         self.nrows = nrows
@@ -70,7 +70,7 @@ class QMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, QMatrix)
-            and self.ctx == other.ctx
+            and self.ctx is other.ctx
             and self.rows == other.rows
             and self.ncols == other.ncols
         )
@@ -94,7 +94,7 @@ class QMatrix:
     # -- ring operations -----------------------------------------------------
 
     def _check_same_shape(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             raise MixedContext("matrices from different field contexts")
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch(
@@ -129,7 +129,7 @@ class QMatrix:
             return self.scale(other)
         if not isinstance(other, QMatrix):
             return NotImplemented
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             raise MixedContext("matrices from different field contexts")
         if self.ncols != other.nrows:
             raise DimensionMismatch(
@@ -200,7 +200,7 @@ def direct_sum(*matrices: QMatrix) -> QMatrix:
         raise DimensionMismatch("direct_sum needs at least one matrix")
     ctx = matrices[0].ctx
     for m in matrices:
-        if m.ctx != ctx:
+        if m.ctx is not ctx:
             raise MixedContext("direct_sum over mixed field contexts")
     total_r = sum(m.nrows for m in matrices)
     total_c = sum(m.ncols for m in matrices)

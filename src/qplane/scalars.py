@@ -79,24 +79,26 @@ def cyclotomic_polynomial(ell: int):
 # field contexts
 # ---------------------------------------------------------------------------
 
+_CONTEXTS = {}  # order of q -> its one FieldContext
+
+
 class FieldContext:
     """Fixes the coefficient field: Q(zeta_ell) or Q(q).
 
-    Instances are interned (one object per distinct context), immutable and
-    hashable.  ``ctx.ell`` is the multiplicative order of q: a positive
-    integer in the root-of-unity regime, math.inf in the generic regime.
+    ``ctx.ell`` is the multiplicative order of q: a positive integer for
+    Q(zeta_ell), INFINITE for Q(q).  Contexts are built only through the
+    factories below, which keep one immutable object per order, so two
+    contexts are the same field exactly when they are the same object.
     """
 
-    __slots__ = ("regime", "is_generic", "_ell", "_deg",
-                 "_powers", "_reduction", "_conjugators")
+    __slots__ = ("ell", "is_generic", "_deg", "_powers", "_reduction", "_conjugators")
 
-    def __init__(self, regime, ell=None):
-        self.regime = regime
-        self.is_generic = regime == "generic_q"
-        self._ell = ell
+    def __init__(self, ell):
+        self.ell = ell
+        self.is_generic = ell is INFINITE
         self._deg = 0
         self._powers = self._reduction = self._conjugators = ()
-        if regime == "cyclotomic":
+        if not self.is_generic:
             # Phi_ell is monic with integer coefficients: x^deg = -low
             low = [int(c) for c in cyclotomic_polynomial(ell)[:-1]]
             deg = len(low)
@@ -119,16 +121,19 @@ class FieldContext:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    @lru_cache(maxsize=None)
+    def _intern(ell) -> "FieldContext":
+        ctx = _CONTEXTS.get(ell)
+        return ctx if ctx is not None else _CONTEXTS.setdefault(ell, FieldContext(ell))
+
+    @staticmethod
     def root_of_unity(ell: int) -> "FieldContext":
         if not isinstance(ell, int) or ell < 1:
             raise ValueError("root_of_unity needs a positive integer ell")
-        return FieldContext("cyclotomic", ell)
+        return FieldContext._intern(int(ell))  # int(True) is 1
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def generic() -> "FieldContext":
-        return FieldContext("generic_q")
+        return FieldContext._intern(INFINITE)
 
     @staticmethod
     def for_order(ell) -> "FieldContext":
@@ -137,26 +142,14 @@ class FieldContext:
             return FieldContext.generic()
         return FieldContext.root_of_unity(ell)
 
-    # -- identity -----------------------------------------------------------
-
-    @property
-    def ell(self):
-        return self._ell if self.regime == "cyclotomic" else INFINITE
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldContext)
-            and self.regime == other.regime
-            and self._ell == other._ell
-        )
-
-    def __hash__(self):
-        return hash((self.regime, self._ell))
+    def __reduce__(self):
+        # pickle and copy rebuild through the table, keeping one object per order
+        return (FieldContext.for_order, (self.ell,))
 
     def __repr__(self):
         if self.is_generic:
             return "FieldContext(generic_q)"
-        return f"FieldContext(cyclotomic, ell={self._ell})"
+        return f"FieldContext(cyclotomic, ell={self.ell})"
 
     # -- integer arithmetic on Q(zeta_ell) numerators -----------------------
 
@@ -183,7 +176,7 @@ class FieldContext:
         """sigma_k(a) * q^shift, for sigma_k(a) = a(q^k) the Galois conjugate
         of an integer vector."""
         out = [0] * self._deg
-        ell, powers = self._ell, self._powers
+        ell, powers = self.ell, self._powers
         for i, c in enumerate(a):
             if c:
                 for t, v in powers[(i * k + shift) % ell]:
@@ -214,7 +207,7 @@ class FieldContext:
                 return QScalar(self, num=(F0,) * m + (F1,), den=(F1,))
             return QScalar(self, num=(F1,), den=(F0,) * (-m) + (F1,))
         ints = [0] * self._deg
-        for t, v in self._powers[m % self._ell]:
+        for t, v in self._powers[m % self.ell]:
             ints[t] = v
         return QScalar(self, ints)
 
@@ -223,7 +216,7 @@ class FieldContext:
     def to_obj(self):
         if self.is_generic:
             return {"type": "generic_q"}
-        return {"type": "cyclotomic", "ell": self._ell}
+        return {"type": "cyclotomic", "ell": self.ell}
 
     @staticmethod
     def from_obj(obj) -> "FieldContext":
@@ -245,7 +238,7 @@ class FieldContext:
 # ---------------------------------------------------------------------------
 
 def _check_ctx(a, b):
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx:
         raise MixedContext(f"cannot combine {a.ctx!r} with {b.ctx!r}")
 
 
@@ -429,7 +422,7 @@ class QScalar:
             other = self.ctx.rational(other)
         if not isinstance(other, QScalar):
             return NotImplemented
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             return False
         if self.ctx.is_generic:
             return self.num == other.num and self.den == other.den
@@ -477,7 +470,7 @@ def substitute_q_inverse(a: QScalar) -> QScalar:
         num = tuple(reversed(tuple(a.num) + (F0,) * (top - len(a.num))))
         den = tuple(reversed(tuple(a.den) + (F0,) * (top - len(a.den))))
         return QScalar(ctx, num=num, den=den)
-    return QScalar(ctx, ctx._conjugate(a.ints, ctx._ell - 1), a.d)
+    return QScalar(ctx, ctx._conjugate(a.ints, ctx.ell - 1), a.d)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +495,8 @@ def q_orbit(a: QScalar):
         low_num = next(i for i, c in enumerate(a.num) if c)
         low_den = next(i for i, c in enumerate(a.den) if c)
         return (a.num[low_num:], a.den[low_den:]), low_num - low_den
-    ints, j = min((tuple(ctx._conjugate(a.ints, 1, j)), j) for j in range(ctx._ell))
-    return (ints, a.d), -j % ctx._ell
+    ints, j = min((tuple(ctx._conjugate(a.ints, 1, j)), j) for j in range(ctx.ell))
+    return (ints, a.d), -j % ctx.ell
 
 
 def q_equivalent(a: QScalar, b: QScalar):

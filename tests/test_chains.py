@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qplane import (ChainDecomposition, FieldContext, MixedContext, ZeroElement,
-                    associated_sequence, chain_decompose, partition_count,
+from qplane import (ChainDecomposition, FieldContext, INFINITE, MixedContext,
+                    ZeroElement, associated_sequence, chain_decompose, partition_count,
                     restricted_partition_count)
 
 C4 = FieldContext.root_of_unity(4)
@@ -316,6 +316,23 @@ def test_generic_regime_linear_chains():
     lengths = sorted(length for _, length in dec.chains)
     assert lengths == [1, 3]
     assert dec.length_counts == (1, 0, 1)
+
+
+def linear_associated_sequence(counts):
+    """Reference for ell = INFINITE: second differences of the sums of window
+    minima over the linear vector, windows that leave it counting as 0."""
+    s = len(counts)
+    if s == 0:
+        return ()
+    f = [sum(min(counts[j:j + i + 1]) for j in range(s - i)) for i in range(s + 1)]
+    f.append(0)
+    m = [f[i - 1] - 2 * f[i] + f[i + 1] for i in range(1, s)]
+    return tuple(m) + (min(counts),)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), max_size=9))
+def test_linear_sequence_is_the_cyclic_one_with_an_empty_slot(counts):
+    assert associated_sequence(counts, INFINITE) == linear_associated_sequence(counts)
 
 
 def test_generic_gap_stays_split():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from qplane import (FieldContext, JordanSpec, MatrixPair, QMatrix, conjugate,
                     jordan_block, q_layered)
+from qplane import cli
 from qplane.cli import main
 from qplane.serialize import (index_to_obj, matrix_to_obj, pair_from_obj,
                               pair_to_obj)
@@ -292,6 +293,64 @@ def test_width_one_answers_without_walking_to_n():
 
 def test_count_of_an_unindexable_n_exits_two(capsys):
     assert_clean_exit_two(capsys, ["count", "--ell", "3", "--n", str(10 ** 20)])
+
+
+def partition_numbers(n):
+    """p(0..n) by Euler's pentagonal number recurrence."""
+    p = [1] + [0] * n
+    for k in range(1, n + 1):
+        j, total = 1, 0
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            total += sign * p[k - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= k:
+                total += sign * p[k - j * (3 * j + 1) // 2]
+            j += 1
+        p[k] = total
+    return p
+
+
+def test_count_bounds_its_table_work_before_building_it():
+    # the tables take about min(ell, n) * n additions: 10^10, 3 * 10^9 and
+    # 10^12 here, against minutes of work or gigabytes of entries
+    for ell, n in (("inf", 10 ** 5), ("3", 10 ** 9), ("1000000", 10 ** 6)):
+        done = run_cli_bounded("count", "--ell", ell, "--n", str(n), timeout=10)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: input too large: ")
+    # below the bound the counts are exact: at ell = inf the sum of
+    # p(i) p(n - i), at ell = 3 of p_2(i) p_3(n - i) in closed form
+    p = partition_numbers(4000)
+    n = 10 ** 6
+    expected = {("inf", 4000): sum(p[i] * p[4000 - i] for i in range(4001)),
+                ("3", n): sum((i // 2 + 1) * (((n - i + 3) ** 2 + 6) // 12)
+                              for i in range(n + 1))}
+    for (ell, n), count in expected.items():
+        done = run_cli_bounded("count", "--ell", ell, "--n", str(n), timeout=10)
+        assert done.returncode == 0
+        assert json.loads(done.stdout) == {"count": count}
+
+
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_count", exhausted)
+    assert_clean_exit_two(capsys, ["count", "--ell", "3", "--n", "5"])
+
+
+def test_sample_draws_bases_past_the_small_rationals(tmp_path):
+    # 60 one-by-one summands need 60 pairwise non-q-equivalent bases, more
+    # than the 55 rationals num/den with 1 <= num, den <= 9
+    for ell, index in (("2", {"m": [60, 0], "r": [0]}),
+                       ("inf", {"m": {"1": 60}, "r": {}})):
+        path = tmp_path / f"index_{ell}.json"
+        path.write_text(json.dumps(index))
+        done = run_cli_bounded("sample", "--ell", ell, "--index", str(path), timeout=10)
+        assert done.returncode == 0
+        pair = pair_from_obj(json.loads(done.stdout))  # checks AB = qBA
+        assert len({pair.A[i, i] for i in range(60)}) == 60
 
 
 def test_generic_exponent_above_the_parser_cap_exits_two(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qplane import (DimensionMismatch, FieldContext, NotSquare, QMatrix,
+from qplane import (DimensionMismatch, FieldContext, MixedContext, NotSquare, QMatrix,
                     SingularConjugator, char_poly, conjugate, direct_sum,
                     eval_poly_at_matrix, inverse, kernel_basis, rank)
 
@@ -56,6 +56,20 @@ def test_ragged_rows_rejected():
 def test_shape_mismatch_in_sum():
     with pytest.raises(DimensionMismatch):
         QMatrix.identity(C3, 2) + QMatrix.zero(C3, 3, 3)
+
+
+def test_mixed_contexts_rejected():
+    C4 = FieldContext.root_of_unity(4)
+    with pytest.raises(MixedContext, match="matrix entry from a different field context"):
+        QMatrix(C3, [[C3.one(), C4.one()]])
+    for other in (C4, GEN):
+        I3, Io = QMatrix.identity(C3, 2), QMatrix.identity(other, 2)
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(MixedContext, match="matrices from different field contexts"):
+                op(I3, Io)
+        with pytest.raises(MixedContext, match="direct_sum over mixed field contexts"):
+            direct_sum(I3, Io)
+        assert I3 != Io
 
 
 def test_identity_is_multiplicative_unit():

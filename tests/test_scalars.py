@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +103,60 @@ def test_zero_division_raises():
 def test_mixed_context_rejected():
     with pytest.raises(MixedContext):
         C3.one() + C4.one()
+
+
+def test_mixed_context_rejected_for_every_scalar_operation():
+    for a, b in ((C3, C4), (C3, GEN), (GEN, C4)):
+        for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x - y,
+                   lambda x, y: x / y):
+            with pytest.raises(MixedContext, match=re.escape(f"cannot combine {a!r} with {b!r}")):
+                op(a.q(), b.q())
+        assert a.one() != b.one()
+
+
+# one context per order: every way of reaching it returns the same object
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 6, INFINITE])
+def test_every_factory_returns_the_one_context_of_its_order(ell):
+    ctx = FieldContext.for_order(ell)
+    reached = [FieldContext.for_order(ell), FieldContext.from_obj(ctx.to_obj()),
+               copy.copy(ctx), copy.deepcopy(ctx)]
+    reached += [pickle.loads(pickle.dumps(ctx, proto))
+                for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    if ell is INFINITE:
+        reached += [FieldContext.generic(), FieldContext.for_order(float("inf"))]
+    else:
+        reached += [FieldContext.root_of_unity(ell), FieldContext.root_of_unity(ell=ell)]
+    assert all(other is ctx for other in reached)
+    assert ctx.ell is ell and ctx.is_generic == (ell is INFINITE)
+
+
+def test_bool_order_is_the_order_one_context():
+    ctx = FieldContext.root_of_unity(True)
+    assert ctx is FieldContext.root_of_unity(1) is FieldContext.for_order(True)
+    assert repr(ctx) == "FieldContext(cyclotomic, ell=1)"
+    assert ctx.to_obj() == {"type": "cyclotomic", "ell": 1}
+
+
+def test_context_repr_and_serialization_are_unchanged():
+    assert repr(GEN) == "FieldContext(generic_q)"
+    assert repr(C3) == "FieldContext(cyclotomic, ell=3)"
+    assert GEN.to_obj() == {"type": "generic_q"}
+    assert C3.to_obj() == {"type": "cyclotomic", "ell": 3}
+    for bad in (0, -2, 2.0, "3", None):
+        with pytest.raises(ValueError, match="root_of_unity needs a positive integer ell"):
+            FieldContext.for_order(bad)
+
+
+@pytest.mark.parametrize("ctx", [C3, C4, GEN])
+def test_copied_scalars_combine_with_their_context(ctx):
+    q = ctx.q()
+    copies = [copy.copy(q), copy.deepcopy(q)]
+    copies += [pickle.loads(pickle.dumps(q, proto))
+               for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert other.ctx is ctx
+        assert ctx.one() + other == 1 + q
+        assert format_scalar(ctx.one() + other) == "1 + q"
 
 
 def test_power_by_negative_integer():
