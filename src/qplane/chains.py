@@ -43,12 +43,13 @@ def _window_min_sums(counts):
     """f(i) = sum over the ell = len(counts) start positions of the minimum
     of the cyclic width-(i+1) window, for i < ell, then f(ell) = ell * min."""
     ell = len(counts)
-    f = []
-    for i in range(ell):
-        total = 0
-        for j in range(ell):
-            total += min(counts[(j + k) % ell] for k in range(i + 1))
-        f.append(total)
+    f = [0] * ell
+    for j in range(ell):
+        # one running minimum per start position: windows grow by one slot
+        low = counts[j]
+        for i in range(ell):
+            low = min(low, counts[(j + i) % ell])
+            f[i] += low
     f.append(ell * min(counts))
     return f
 

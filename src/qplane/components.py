@@ -14,7 +14,7 @@ from fractions import Fraction
 from .commutant import MatrixPair, q_layered, sylvester_operator
 from .errors import BadIndex, DegeneratePoint
 from .jordan import jordan_block
-from .matrices import QMatrix, conjugate, direct_sum, inverse, rank
+from .matrices import QMatrix, direct_sum, rank
 from .poly import trim
 from .scalars import FieldContext, INFINITE, q_orbit, substitute_q_inverse
 from .chains import _partition_table
@@ -303,68 +303,41 @@ def sample_point(idx: ComponentIndex, seed=0) -> MatrixPair:
 # Jacobian rank of the stratum parametrizations
 # ---------------------------------------------------------------------------
 
-def _random_invertible(ctx, size, rng):
-    while True:
-        rows = [
-            [ctx.rational(Fraction(rng.randint(-5, 5))) for _ in range(size)]
-            for _ in range(size)
-        ]
-        g = QMatrix(ctx, rows)
-        if rank(g) == size:
-            return g
-
-
-def _flatten_pair(Xa: QMatrix, Xb: QMatrix):
-    out = []
-    for row in Xa.rows:
-        out.extend(row)
-    for row in Xb.rows:
-        out.extend(row)
-    return out
-
-
 def _jacobian_rank_once(kind, size, ctx, rng) -> int:
     pool = _RationalPool(ctx, rng.randint(0, 2 ** 30))
     if kind == "D":
         A, B = _u_block(ctx, size, pool)
     else:
         A, B = _v_block(ctx, size, pool)
-    g = _random_invertible(ctx, size, rng)
-    ginv = inverse(g)
-    Abar = g * A * ginv
-    Bbar = g * B * ginv
-
+    # The map (g, theta) -> (g A(theta) g^-1, g B(theta) g^-1) is
+    # GL_n-equivariant: its differential at (g, theta) is the one at
+    # (1, theta) followed by the invertible X -> g X g^-1, so the rank does
+    # not depend on g and is taken at g = 1.
     zero = ctx.zero()
     one = ctx.one()
     # conjugation directions: d/dt of exp(tY) X exp(-tY) = [Y, X]; row Y is
-    # -(Abar Y - Y Abar, Bbar Y - Y Bbar), the negated column Y of the stacked
+    # -(A Y - Y A, B Y - Y B), the negated column Y of the stacked
     # operators, and the sign does not change the rank
-    rows = list(QMatrix(ctx, sylvester_operator(Abar, Abar, one).rows
-                        + sylvester_operator(Bbar, Bbar, one).rows).transpose().rows)
-    Z = QMatrix.zero(ctx, size, size)
+    rows = list(QMatrix(ctx, sylvester_operator(A, A, one).rows
+                        + sylvester_operator(B, B, one).rows).transpose().rows)
+    half = [zero] * (size * size)
     if kind == "D":
-        # the A-scale direction: A = a * diag(1, 1/q, ...), so dA/da = A / a
-        qinv = ctx.q().inverse()
-        diag = []
-        cur = one
-        for _ in range(size):
-            diag.append(cur)
-            cur = cur * qinv
-        dA = QMatrix.diagonal(ctx, diag)
-        rows.append(_flatten_pair(g * dA * ginv, Z))
+        # the A-scale direction: A = a * diag(1, 1/q, ...), so dA/da = A / a,
+        # a nonzero multiple of A itself
+        rows.append([x for row in A.rows for x in row] + half)
         positions = [(k, k + 1) for k in range(size - 1)]
         if size == ctx.ell:
             positions.append((size - 1, 0))
         for (rr, cc) in positions:
-            grid = [[zero] * size for _ in range(size)]
-            grid[rr][cc] = one
-            rows.append(_flatten_pair(Z, g * QMatrix(ctx, grid) * ginv))
+            dB = list(half)
+            dB[rr * size + cc] = one
+            rows.append(half + dB)
     else:
         for k in range(size):
             e = [zero] * size
             e[k] = one
             Lk = q_layered(size, size, e, ctx=ctx)
-            rows.append(_flatten_pair(Z, g * Lk * ginv))
+            rows.append(half + [x for row in Lk.rows for x in row])
     return rank(QMatrix(ctx, rows))
 
 
@@ -373,8 +346,11 @@ def parametrization_jacobian_rank(kind: str, i: int, ell, seed=0) -> int:
 
     kind "D" covers the dense strata (expected rank i^2, or ell^2 + 1 for
     the full-cycle stratum); kind "N" the nilpotent strata (expected i^2).
-    Resamples a few times if an unlucky point underperforms and raises
-    DegeneratePoint if the rank stays below the expected value.
+    The point is random in theta only: the conjugator is the identity,
+    since the parametrization is GL_n-equivariant and its rank is the same
+    at every conjugator.  Resamples a few times if an unlucky point
+    underperforms and raises DegeneratePoint if the rank stays below the
+    expected value.
     """
     if kind not in ("D", "N"):
         raise ValueError("kind must be 'D' or 'N'")

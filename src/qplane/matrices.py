@@ -36,6 +36,10 @@ class QMatrix:
         self.ncols = ncols
         self.rows = rows
 
+    def __reduce__(self):
+        # __slots__ without __getstate__ does not pickle at protocols 0 and 1
+        return (QMatrix, (self.ctx, self.rows))
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod

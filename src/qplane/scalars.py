@@ -287,6 +287,10 @@ class QScalar:
             self.ints, self.d = tuple(ints), d
             self.num = self.den = None
 
+    def __reduce__(self):
+        # __slots__ without __getstate__ does not pickle at protocols 0 and 1
+        return (QScalar, (self.ctx, self.ints, self.d, self.num, self.den))
+
     @property
     def coeffs(self):
         """Root-of-unity regime: the coefficient vector as Fractions."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qplane import (ChainDecomposition, FieldContext, INFINITE, MixedContext,
                     ZeroElement, associated_sequence, chain_decompose, partition_count,
                     restricted_partition_count)
+from qplane.chains import _window_min_sums
 
 C4 = FieldContext.root_of_unity(4)
 GEN = FieldContext.generic()
@@ -42,6 +43,20 @@ def window_min_identity_holds(counts, ell):
         if lhs != rhs:
             return False
     return True
+
+
+def window_min_sums_cubic(counts):
+    """The direct form of chains._window_min_sums: every window's minimum
+    recomputed from its slots."""
+    ell = len(counts)
+    f = []
+    for i in range(ell):
+        total = 0
+        for j in range(ell):
+            total += min(counts[(j + k) % ell] for k in range(i + 1))
+        f.append(total)
+    f.append(ell * min(counts))
+    return f
 
 
 def brute_force_decompositions(offsets, ell):
@@ -178,6 +193,11 @@ def test_window_min_identity_random():
         ell = rng.randint(1, 6)
         counts = tuple(rng.randint(0, 6) for _ in range(ell))
         assert window_min_identity_holds(counts, ell)
+
+
+@given(st.lists(st.integers(0, 20), min_size=1, max_size=12))
+def test_window_min_sums_match_the_direct_form(counts):
+    assert _window_min_sums(tuple(counts)) == window_min_sums_cubic(tuple(counts))
 
 
 def test_size_conservation():

@@ -291,6 +291,17 @@ def test_width_one_answers_without_walking_to_n():
     assert json.loads(done.stdout) == {"count": 1}
 
 
+def test_chains_at_a_thousand_slots_answers_in_time():
+    # one running minimum per window start keeps this quadratic in ell
+    counts = [1 + (k * k) % 11 for k in range(1000)]
+    done = run_cli_bounded("chains", "--ell", "1000",
+                           "--counts", ",".join(map(str, counts)), timeout=10)
+    assert done.returncode == 0
+    m = json.loads(done.stdout)["m"]
+    assert len(m) == 1000
+    assert sum((i + 1) * c for i, c in enumerate(m)) == sum(counts)
+
+
 def test_count_of_an_unindexable_n_exits_two(capsys):
     assert_clean_exit_two(capsys, ["count", "--ell", "3", "--n", str(10 ** 20)])
 

@@ -1,4 +1,10 @@
+import os
 import random
+import resource
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +14,9 @@ from qplane import (BadIndex, ComponentIndex, FieldContext, INFINITE,
                     parametrization_jacobian_rank, partition_count,
                     q_equivalent, rank, restricted_partition_count,
                     sample_point, theta_index, theta_point)
+from qplane.commutant import q_layered, sylvester_operator
+from qplane.components import _RationalPool, _jacobian_rank_once, _u_block, _v_block
+from qplane.matrices import QMatrix, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +243,75 @@ def test_jacobian_rank_nilpotent_strata():
 def test_jacobian_rank_generic_regime():
     assert parametrization_jacobian_rank("D", 3, INFINITE, seed=0) == 9
     assert parametrization_jacobian_rank("N", 2, INFINITE, seed=0) == 4
+
+
+def conjugated_jacobian_rank_once(kind, size, ctx, rng):
+    """The differential's rank at (g, theta) for a random invertible g: the
+    point of _jacobian_rank_once conjugated by g, with every direction
+    conjugated too."""
+    pool = _RationalPool(ctx, rng.randint(0, 2 ** 30))
+    A, B = (_u_block if kind == "D" else _v_block)(ctx, size, pool)
+    while True:
+        g = QMatrix(ctx, [[ctx.rational(Fraction(rng.randint(-5, 5)))
+                           for _ in range(size)] for _ in range(size)])
+        if rank(g) == size:
+            break
+    ginv = inverse(g)
+    zero, one = ctx.zero(), ctx.one()
+    Abar, Bbar = g * A * ginv, g * B * ginv
+    Z = QMatrix.zero(ctx, size, size)
+
+    def flat(Xa, Xb):
+        return [x for X in (Xa, Xb) for row in (g * X * ginv).rows for x in row]
+
+    def unit(rr, cc):
+        return QMatrix(ctx, [[one if (r, c) == (rr, cc) else zero for c in range(size)]
+                             for r in range(size)])
+
+    rows = list(QMatrix(ctx, sylvester_operator(Abar, Abar, one).rows
+                        + sylvester_operator(Bbar, Bbar, one).rows).transpose().rows)
+    if kind == "D":
+        qinv = ctx.q().inverse()
+        rows.append(flat(QMatrix.diagonal(ctx, [qinv ** k for k in range(size)]), Z))
+        positions = [(k, k + 1) for k in range(size - 1)]
+        if size == ctx.ell:
+            positions.append((size - 1, 0))
+        rows += [flat(Z, unit(rr, cc)) for rr, cc in positions]
+    else:
+        for k in range(size):
+            e = [one if j == k else zero for j in range(size)]
+            rows.append(flat(Z, q_layered(size, size, e, ctx=ctx)))
+    return rank(QMatrix(ctx, rows))
+
+
+def stratum_sizes():
+    for ell in (2, 3, 4, 5):
+        yield from (("D", i, ell) for i in range(1, ell + 1))
+        yield from (("N", i, ell) for i in range(1, ell))
+    for i in (1, 2, 3):
+        yield from (("D", i, INFINITE), ("N", i, INFINITE))
+
+
+@pytest.mark.parametrize("kind,i,ell", list(stratum_sizes()))
+def test_jacobian_rank_does_not_depend_on_the_conjugator(kind, i, ell):
+    ctx = FieldContext.for_order(ell)
+    for seed in (0, 1):
+        assert (_jacobian_rank_once(kind, i, ctx, random.Random(seed))
+                == conjugated_jacobian_rank_once(kind, i, ctx, random.Random(seed)))
+
+
+def test_jacobian_rank_at_larger_generic_strata_answers_in_time():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("from qplane import INFINITE, parametrization_jacobian_rank as j; "
+            "print(j('D', 4, INFINITE), j('N', 4, INFINITE), j('D', 5, INFINITE))")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=10, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (2 ** 30, 2 ** 30)))
+    assert done.returncode == 0
+    assert done.stdout.split() == ["16", "16", "25"]
 
 
 def test_jacobian_rank_bad_sizes():

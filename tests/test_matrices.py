@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -25,6 +27,19 @@ def random_matrix(ctx, n, m, rng, density=1.0):
                 row.append(ctx.zero())
         rows.append(row)
     return QMatrix(ctx, rows)
+
+
+@pytest.mark.parametrize("ctx", [C3, GEN])
+def test_matrices_survive_pickle_and_copy(ctx):
+    q = ctx.q()
+    M = QMatrix(ctx, [[q, ctx.one() / (q + 2)], [ctx.zero(), q ** -1]])
+    copies = [copy.copy(M), copy.deepcopy(M)]
+    copies += [pickle.loads(pickle.dumps(M, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert other.ctx is ctx
+        assert other == M and hash(other) == hash(M)
+        assert other * M == M * M
 
 
 def det_by_laplace(A):
@@ -338,3 +353,43 @@ def test_char_poly_matches_sympy(A):
             reduced = sympy.rem(sympy.expand(theirs),
                                 sympy.cyclotomic_poly(A.ctx.ell, x), x)
             assert sympy.expand(ours - reduced) == 0
+
+
+@st.composite
+def low_rank_inputs(draw):
+    """Matrices up to 5 x 6 over Q(zeta_3), Q(zeta_5) or Q(q), built as a
+    product L R through an inner dimension of at most the smaller side, so
+    that many are rank-deficient; entries of L and R are a + b q^k."""
+    ctx = draw(st.sampled_from((C3, FieldContext.root_of_unity(5), GEN)))
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    inner = draw(st.integers(0, min(nrows, ncols)))
+    top = 2 if ctx.is_generic else ctx.ell - 1
+
+    def factor(r, c):
+        return QMatrix(ctx, [[ctx.rational(draw(SMALL))
+                              + ctx.rational(draw(SMALL)) * ctx.q() ** draw(st.integers(-1, top))
+                              for _ in range(c)] for _ in range(r)])
+
+    if not inner:
+        return QMatrix.zero(ctx, nrows, ncols)
+    return factor(nrows, inner) * factor(inner, ncols)
+
+
+@given(low_rank_inputs())
+@settings(max_examples=40, deadline=None)
+def test_rank_matches_sympy_domain_matrix(A):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    x = sympy.Symbol("x")
+    if A.ctx.is_generic:
+        K = sympy.QQ.frac_field(x)
+        entries = [[K.from_sympy(scalar_to_sympy(sympy, e, x)) for e in row]
+                   for row in A.rows]
+    else:
+        zeta = sympy.exp(2 * sympy.pi * sympy.I / A.ctx.ell)
+        K = sympy.QQ.algebraic_field(zeta)
+        z = K.from_sympy(zeta)
+        entries = [[sum((K.from_sympy(sympy.Rational(c.numerator, c.denominator)) * z ** i
+                         for i, c in enumerate(e.coeffs)), K.zero) for e in row]
+                   for row in A.rows]
+    assert rank(A) == DomainMatrix(entries, (A.nrows, A.ncols), K).rank()

@@ -152,7 +152,7 @@ def test_copied_scalars_combine_with_their_context(ctx):
     q = ctx.q()
     copies = [copy.copy(q), copy.deepcopy(q)]
     copies += [pickle.loads(pickle.dumps(q, proto))
-               for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
     for other in copies:
         assert other.ctx is ctx
         assert ctx.one() + other == 1 + q
