@@ -130,7 +130,11 @@ def _cmd_sample(args) -> int:
 
 def _cmd_invariants(args) -> int:
     pair = pair_from_obj(_load_json(args.input))
-    fp = trace_fingerprint(pair, args.max_degree)
+    N = pair.size if args.max_degree is None else args.max_degree
+    # the grid has (N + 1)^2 entries and needs about N powers of each matrix
+    if N > 0 and (N + 1) ** 2 > MAX_LISTED:
+        raise OverflowError(f"more than {MAX_LISTED} trace invariants at degree {N}")
+    fp = trace_fingerprint(pair, N)
     return _emit(fingerprint_to_obj(fp))
 
 

@@ -113,39 +113,76 @@ class TraceFingerprint:
     grid: tuple
 
 
-def _trace_of_product(X: QMatrix, Y: QMatrix):
-    total = X.ctx.zero()
-    n = X.nrows
-    for r in range(n):
-        row = X.rows[r]
-        for k in range(n):
-            x = row[k]
-            if not x.is_zero():
-                total = total + x * Y.rows[k][r]
-    return total
+def _powers(X: QMatrix, top: int):
+    """[None, X, X^2, ..., X^top], with X itself at index 1 even when top < 1."""
+    pows = [None, X]
+    while len(pows) <= top:
+        pows.append(pows[-1] * X)
+    return pows
+
+
+def _nonzeros(X: QMatrix):
+    return [(r, k, x) for r, row in enumerate(X.rows)
+            for k, x in enumerate(row) if not x.is_zero()]
+
+
+def _trace_of_product(nonzeros, Y: QMatrix):
+    """Tr(XY) from the nonzero entries (r, k, x) of X, without forming XY."""
+    total = None
+    rows = Y.rows
+    for r, k, x in nonzeros:
+        y = rows[k][r]
+        if not y.is_zero():
+            total = x * y if total is None else total + x * y
+    return Y.ctx.zero() if total is None else total
+
+
+def _axis_traces(pows, N: int):
+    """Tr(X^k) for 0 <= k <= N; X^N is read as X^(N-1) X when not built."""
+    X = pows[1]
+    out = [X.ctx.rational(X.nrows)]
+    for k in range(1, N + 1):
+        if k < len(pows):
+            out.append(pows[k].trace())
+        else:
+            out.append(_trace_of_product(_nonzeros(pows[k - 1]), X))
+    return out
 
 
 def trace_fingerprint(pair: MatrixPair, N=None) -> TraceFingerprint:
-    """Exact grid of trace invariants of the pair up to degree N (default n).
+    """Exact grid of Tr(A^i B^j), 0 <= i, j <= N (default N = n).
 
     Conjugation-invariant; shared by a pair and its semisimplification.
+    Row 0 and column 0 are the traces of the powers of B and of A.  Off
+    the axes only the entries with q^(ij) = 1 are computed, that is those
+    with ell | i*j (every one at ell = 1, none at ell = inf); the rest are
+    exact zeros, since A^i B^j = q^(ij) B^j A^i and Tr(XY) = Tr(YX) give
+    (1 - q^(ij)) Tr(A^i B^j) = 0.
     """
     if N is None:
         N = pair.size
     if N < 0:
         raise BadIndex("the degree bound must be nonnegative")
     ctx = pair.ctx
-    n = pair.size
-    a_pows = [QMatrix.identity(ctx, n)]
-    b_pows = [QMatrix.identity(ctx, n)]
-    for _ in range(N):
-        a_pows.append(a_pows[-1] * pair.A)
-        b_pows.append(b_pows[-1] * pair.B)
-    grid = tuple(
-        tuple(_trace_of_product(a_pows[i], b_pows[j]) for j in range(N + 1))
-        for i in range(N + 1)
-    )
-    return TraceFingerprint(N, grid)
+    lattice = {}  # i >= 1 -> the j >= 1 with q^(ij) = 1
+    if not ctx.is_generic:
+        for i in range(1, N + 1):
+            js = [j for j in range(1, N + 1) if i * j % ctx.ell == 0]
+            if js:
+                lattice[i] = js
+    # the lattice is symmetric in i and j; the axes need powers up to N - 1
+    top = max([N - 1, *lattice])
+    a_pows = _powers(pair.A, top)
+    b_pows = _powers(pair.B, top)
+    grid = [[ctx.zero()] * (N + 1) for _ in range(N + 1)]
+    grid[0] = _axis_traces(b_pows, N)
+    for i, t in enumerate(_axis_traces(a_pows, N)):
+        grid[i][0] = t
+    for i, js in lattice.items():
+        nonzeros = _nonzeros(a_pows[i])
+        for j in js:
+            grid[i][j] = _trace_of_product(nonzeros, b_pows[j])
+    return TraceFingerprint(N, tuple(map(tuple, grid)))
 
 
 # ---------------------------------------------------------------------------

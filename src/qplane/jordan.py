@@ -308,7 +308,7 @@ def jordan_data(A: QMatrix, hint_eigenvalues=()) -> JordanSpec:
         if roots[lam] == 1:
             blocks.append((lam, (1,)))
             continue
-        shifted = A - QMatrix.identity(ctx, n).scale(lam)
+        shifted = A.shift(-lam)
         power, ranks = shifted, [n, rank(shifted)]
         while n - ranks[-1] < roots[lam]:
             power = power * shifted

@@ -128,6 +128,17 @@ class QMatrix:
             scalar = self.ctx.rational(scalar)
         return QMatrix(self.ctx, [[scalar * x for x in row] for row in self.rows])
 
+    def shift(self, scalar) -> "QMatrix":
+        """X + c I for a square X, touching only the diagonal."""
+        if not self.is_square():
+            raise NotSquare("adding a multiple of the identity needs a square matrix")
+        if isinstance(scalar, (int, Fraction)):
+            scalar = self.ctx.rational(scalar)
+        rows = [list(row) for row in self.rows]
+        for i, row in enumerate(rows):
+            row[i] = row[i] + scalar
+        return QMatrix(self.ctx, rows)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QScalar)):
             return self.scale(other)
@@ -138,21 +149,22 @@ class QMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
+        # row by row over nonzeros on both sides (Gustavson, ACM TOMS 1978):
+        # output row i sums A[i][k] * (nonzero row k of B) over nonzero A[i][k]
         zero = self.ctx.zero()
-        # accumulate only over nonzero left entries: matrices here are often sparse
-        cols = list(zip(*other.rows))
+        ncols = other.ncols
+        right = [[(c, y) for c, y in enumerate(row) if not y.is_zero()]
+                 for row in other.rows]
         out = []
         for row in self.rows:
-            nz = [(k, x) for k, x in enumerate(row) if not x.is_zero()]
-            new_row = []
-            for col in cols:
-                acc = zero
-                for k, x in nz:
-                    y = col[k]
-                    if not y.is_zero():
-                        acc = acc + x * y
-                new_row.append(acc)
-            out.append(new_row)
+            acc = [None] * ncols
+            for k, x in enumerate(row):
+                if x.is_zero():
+                    continue
+                for c, y in right[k]:
+                    s = acc[c]
+                    acc[c] = x * y if s is None else s + x * y
+            out.append([zero if s is None else s for s in acc])
         return QMatrix(self.ctx, out)
 
     def __rmul__(self, other):
@@ -323,19 +335,17 @@ def char_poly(A: QMatrix):
     if not A.is_square():
         raise NotSquare("char_poly needs a square matrix")
     n = A.nrows
-    ctx = A.ctx
-    one = ctx.one()
+    one = A.ctx.one()
     if n == 0:
         return [one]
     coeffs = [None] * (n + 1)
     coeffs[n] = one
-    M = QMatrix.identity(ctx, n)
+    AM = A  # A M_k, with M_1 = I
     for k in range(1, n + 1):
-        AM = A * M
         c = -(AM.trace() / k)
         coeffs[n - k] = c
         if k < n:
-            M = AM + QMatrix.identity(ctx, n).scale(c)
+            AM = A * AM.shift(c)  # M_(k+1) = A M_k + c I
     return coeffs
 
 
@@ -345,5 +355,5 @@ def eval_poly_at_matrix(coeffs, A: QMatrix) -> QMatrix:
         raise NotSquare("polynomial evaluation needs a square matrix")
     out = QMatrix.zero(A.ctx, A.nrows, A.nrows)
     for c in reversed(list(coeffs)):
-        out = out * A + QMatrix.identity(A.ctx, A.nrows).scale(c)
+        out = (out * A).shift(c)
     return out

@@ -91,11 +91,13 @@ class FieldContext:
     contexts are the same field exactly when they are the same object.
     """
 
-    __slots__ = ("ell", "is_generic", "_deg", "_powers", "_reduction", "_conjugators")
+    __slots__ = ("ell", "is_generic", "_deg", "_powers", "_reduction", "_conjugators",
+                 "_zero", "_one")
 
     def __init__(self, ell):
         self.ell = ell
         self.is_generic = ell is INFINITE
+        self._zero = self._one = None  # built on first use; scalars are immutable
         self._deg = 0
         self._powers = self._reduction = self._conjugators = ()
         if not self.is_generic:
@@ -186,10 +188,14 @@ class FieldContext:
     # -- scalar factories ---------------------------------------------------
 
     def zero(self) -> "QScalar":
-        return self.rational(0)
+        if self._zero is None:
+            self._zero = self.rational(0)
+        return self._zero
 
     def one(self) -> "QScalar":
-        return self.rational(1)
+        if self._one is None:
+            self._one = self.rational(1)
+        return self._one
 
     def rational(self, value) -> "QScalar":
         c = Fraction(value)

@@ -11,7 +11,7 @@ from qplane import cli
 from qplane.cli import main
 from qplane.serialize import (index_to_obj, matrix_to_obj, pair_from_obj,
                               pair_to_obj)
-from qplane import ComponentIndex, classify
+from qplane import ComponentIndex, classify, sample_point
 
 GEN = FieldContext.generic()
 C3 = FieldContext.root_of_unity(3)
@@ -277,6 +277,23 @@ def test_enumerate_git_bounds_its_output_before_building_it():
     assert done.stdout == ""
     lines = done.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: input too large: ")
+
+
+def test_invariants_bounds_its_grid_before_building_it(tmp_path):
+    # the grid has (N + 1)^2 entries and needs N powers of each matrix:
+    # N = 100000 would run until memory is gone
+    pair = sample_point(ComponentIndex(3, m=(0, 0, 1), r=(0, 0)), seed=0)
+    path = write_pair(tmp_path, "pair.json", pair)
+    done = run_cli_bounded("invariants", "--input", path, "--max-degree", "100000",
+                           timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: input too large: ")
+    done = run_cli_bounded("invariants", "--input", path, "--max-degree", "300")
+    assert done.returncode == 0
+    body = json.loads(done.stdout)
+    assert body["N"] == 300 and len(body["T"]) == 301
 
 
 def test_width_one_answers_without_walking_to_n():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qplane import (BadIndex, ComponentIndex, FieldContext, GitIndex, INFINITE,
                     MatrixPair, QMatrix, UnsupportedShape, conjugate, count_TPL,
@@ -11,6 +13,15 @@ from qplane import (BadIndex, ComponentIndex, FieldContext, GitIndex, INFINITE,
 GEN = FieldContext.generic()
 C2 = FieldContext.root_of_unity(2)
 C3 = FieldContext.root_of_unity(3)
+
+
+def unimodular(ctx, n, rng):
+    """A dense L*U with unit triangular factors: invertible over Z."""
+    L = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(n)]
+         for i in range(n)]
+    U = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    return QMatrix.from_rational_rows(ctx, L) * QMatrix.from_rational_rows(ctx, U)
 
 
 def random_invertible(ctx, n, rng):
@@ -117,6 +128,49 @@ def test_fingerprint_conjugation_invariant():
             g = random_invertible(ctx, n, rng)
             moved = MatrixPair(conjugate(g, pair.A), conjugate(g, pair.B))
             assert trace_fingerprint(moved).grid == trace_fingerprint(pair).grid
+
+
+def all_entries_grid(pair, N):
+    """Reference: every Tr(A^i B^j), 0 <= i, j <= N, from full products."""
+    ctx, n = pair.ctx, pair.size
+    a_pows = [QMatrix.identity(ctx, n)]
+    b_pows = [QMatrix.identity(ctx, n)]
+    for _ in range(N):
+        a_pows.append(a_pows[-1] * pair.A)
+        b_pows.append(b_pows[-1] * pair.B)
+    return tuple(tuple((a_pows[i] * b_pows[j]).trace() for j in range(N + 1))
+                 for i in range(N + 1))
+
+
+@st.composite
+def fingerprint_inputs(draw):
+    ell = draw(st.sampled_from([1, 2, 3, 4, 5, 6, INFINITE]))
+    n = draw(st.integers(1, 4))
+    pool = enumerate_ML(ell, n)
+    idx = pool[draw(st.integers(0, len(pool) - 1))]
+    pair = sample_point(idx, seed=draw(st.integers(0, 10 ** 6)))
+    kind = draw(st.sampled_from(["sample", "semisimple", "dense"]))
+    if kind == "semisimple":
+        pair = semisimplify(pair)
+    elif kind == "dense":
+        g = unimodular(pair.ctx, n, random.Random(draw(st.integers(0, 10 ** 6))))
+        pair = MatrixPair(conjugate(g, pair.A), conjugate(g, pair.B))
+    N = draw(st.sampled_from([0, 1, n, n + 2]))
+    return pair, N
+
+
+@given(fingerprint_inputs())
+@settings(max_examples=60, deadline=None)
+def test_fingerprint_matches_all_entries_and_pins_the_zero_pattern(drawn):
+    pair, N = drawn
+    reference = all_entries_grid(pair, N)
+    assert trace_fingerprint(pair, N).grid == reference
+    ell = pair.ctx.ell
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            # (1 - q^(ij)) Tr(A^i B^j) = 0 off the lattice ell | i*j
+            if ell is INFINITE or i * j % ell:
+                assert reference[i][j].is_zero()
 
 
 # ---------------------------------------------------------------------------

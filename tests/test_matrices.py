@@ -101,6 +101,68 @@ def test_product_against_hand_computation():
     assert A * B == QMatrix.from_rational_rows(C3, [[5, 2], [1, 1]])
 
 
+def naive_product(A, B):
+    """Reference: the textbook triple loop over every entry."""
+    ctx = A.ctx
+    rows = []
+    for i in range(A.nrows):
+        row = []
+        for j in range(B.ncols):
+            total = ctx.zero()
+            for k in range(A.ncols):
+                total = total + A[i, k] * B[k, j]
+            row.append(total)
+        rows.append(row)
+    return QMatrix(ctx, rows)
+
+
+def random_field_matrix(ctx, n, m, rng, density):
+    """Entries a + b q with small rational a, b; zero with probability 1 - density."""
+    q = ctx.q()
+    return QMatrix(ctx, [
+        [ctx.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+         + ctx.rational(rng.randint(-2, 2)) * q
+         if rng.random() < density else ctx.zero()
+         for _ in range(m)]
+        for _ in range(n)])
+
+
+@pytest.mark.parametrize("ctx", [C3, FieldContext.root_of_unity(5), GEN])
+def test_product_matches_the_naive_triple_loop(ctx):
+    rng = random.Random(11)
+    for m, k, n in ((1, 1, 1), (2, 3, 4), (4, 3, 2), (3, 1, 3), (1, 4, 1), (5, 5, 5)):
+        for da, db in ((1.0, 1.0), (0.3, 0.3), (1.0, 0.2), (0.0, 1.0), (1.0, 0.0)):
+            A = random_field_matrix(ctx, m, k, rng, da)
+            B = random_field_matrix(ctx, k, n, rng, db)
+            got = A * B
+            assert got == naive_product(A, B)
+            assert (got.nrows, got.ncols) == (m, n)
+
+
+@pytest.mark.parametrize("ctx", [C3, FieldContext.root_of_unity(5), GEN])
+def test_shift_matches_adding_a_multiple_of_the_identity(ctx):
+    rng = random.Random(12)
+    for n in (1, 2, 4):
+        I = QMatrix.identity(ctx, n)
+        for density in (1.0, 0.3, 0.0):
+            X = random_field_matrix(ctx, n, n, rng, density)
+            for c in (0, 3, -2, Fraction(-5, 3), ctx.q() + 2, ctx.zero()):
+                assert X.shift(c) == X + c * I
+    with pytest.raises(NotSquare):
+        QMatrix.zero(ctx, 2, 3).shift(1)
+
+
+def test_eval_poly_at_matrix_takes_int_coefficients():
+    rng = random.Random(13)
+    for ctx in (C3, GEN):
+        A = random_field_matrix(ctx, 3, 3, rng, 0.7)
+        # 2 - 3x + x^2, Horner by hand
+        expected = (A * A) + A * (-3) + QMatrix.identity(ctx, 3) * 2
+        assert eval_poly_at_matrix([2, -3, 1], A) == expected
+        assert eval_poly_at_matrix([ctx.rational(2), -3, Fraction(1)], A) == expected
+        assert eval_poly_at_matrix([], A).is_zero()
+
+
 def test_transpose_involution_and_shapes():
     rng = random.Random(2)
     A = random_matrix(GEN, 2, 5, rng)

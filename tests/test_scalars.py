@@ -159,6 +159,21 @@ def test_copied_scalars_combine_with_their_context(ctx):
         assert format_scalar(ctx.one() + other) == "1 + q"
 
 
+@pytest.mark.parametrize("ell", [1, 3, 5, INFINITE])
+def test_zero_and_one_are_built_once_per_context(ell):
+    ctx = FieldContext.for_order(ell)
+    zero, one = ctx.zero(), ctx.one()
+    assert ctx.zero() is zero and ctx.one() is one
+    assert zero.is_zero() and one == 1 and format_scalar(one) == "1"
+    copies = [copy.copy(ctx), copy.deepcopy(ctx)]
+    copies += [pickle.loads(pickle.dumps(ctx, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        q = other.q()
+        assert other.zero() + q == q and other.one() * q == q
+        assert zero + other.one() == one and other.zero() * one == zero
+
+
 def test_power_by_negative_integer():
     q = GEN.q()
     assert q ** -2 == (q * q).inverse()
