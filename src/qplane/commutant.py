@@ -64,21 +64,7 @@ def q_layered(m: int, n: int, v, ctx=None) -> QMatrix:
     for x in v:
         if not isinstance(x, QScalar) or x.ctx is not ctx:
             raise MixedContext("layer vector entries must share one context")
-    q = ctx.q()
-    zero = ctx.zero()
-    offset = n - low
-    rows = []
-    scale = ctx.one()
-    for i in range(m):
-        row = [zero] * n
-        for k in range(low):
-            j = offset + k + i
-            if j >= n:
-                break
-            row[j] = v[k] * scale
-        rows.append(row)
-        scale = scale * q
-    return QMatrix(ctx, rows)
+    return _layered(ctx, m, n, [QMatrix(ctx, [[x]]) for x in v], 1, 1)
 
 
 def q_layered_block(s: int, t: int, blocks, ctx=None) -> QMatrix:
@@ -103,25 +89,23 @@ def q_layered_block(s: int, t: int, blocks, ctx=None) -> QMatrix:
             raise MixedContext("blocks must share one context")
         if (blk.nrows, blk.ncols) != shape:
             raise LengthMismatch("blocks must all have the same shape")
-    br, bc = shape
+    return _layered(ctx, s, t, blocks, *shape)
+
+
+def _layered(ctx, s: int, t: int, blocks, br: int, bc: int) -> QMatrix:
+    """The s x t grid of br x bc blocks whose slot (i, j) holds q^i blocks[k]
+    for j = t - min(s, t) + i + k < t, and zero blocks elsewhere."""
     q = ctx.q()
-    zero = ctx.zero()
-    rows = [[zero] * (t * bc) for _ in range(s * br)]
-    offset = t - low
+    low = len(blocks)
+    entries = []
     scale = ctx.one()
     for i in range(s):
-        for k in range(low):
-            j = offset + k + i
-            if j >= t:
-                break
-            blk = blocks[k]
-            for r in range(br):
-                for c in range(bc):
-                    val = blk.rows[r][c]
-                    if not val.is_zero():
-                        rows[i * br + r][j * bc + c] = val * scale
+        for k in range(low - i):
+            j = t - low + i + k
+            entries.extend((i * br + r, j * bc + c, x * scale)
+                           for r, c, x in blocks[k].nonzeros())
         scale = scale * q
-    return QMatrix(ctx, rows)
+    return QMatrix.sparse(ctx, s * br, t * bc, entries)
 
 
 def sylvester_operator(L: QMatrix, R: QMatrix, c: QScalar) -> QMatrix:
@@ -136,20 +120,14 @@ def sylvester_operator(L: QMatrix, R: QMatrix, c: QScalar) -> QMatrix:
     m, n = L.nrows, R.nrows
     zero = L.ctx.zero()
     grid = [[zero] * (m * n) for _ in range(m * n)]
-    for i in range(m):
-        for r in range(m):
-            a = L.rows[i][r]
-            if not a.is_zero():
-                for j in range(n):
-                    grid[i * n + j][r * n + j] = a
-    for s in range(n):
+    for i, r, a in L.nonzeros():
         for j in range(n):
-            b = R.rows[s][j]
-            if not b.is_zero():
-                b = c * b
-                for i in range(m):
-                    row = grid[i * n + j]
-                    row[i * n + s] = row[i * n + s] - b
+            grid[i * n + j][r * n + j] = a
+    for s, j, b in R.nonzeros():
+        b = -(c * b)
+        for i in range(m):
+            row = grid[i * n + j]
+            row[i * n + s] = row[i * n + s] + b
     return QMatrix(L.ctx, grid)
 
 

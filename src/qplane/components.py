@@ -249,20 +249,15 @@ def _u_block(ctx, size, pool):
         diag.append(cur)
         cur = cur * qinv
     A = QMatrix.diagonal(ctx, diag)
-    zero = ctx.zero()
-    rows = [[zero] * size for _ in range(size)]
     supers = [pool.filler() for _ in range(size - 1)]
-    for k, b in enumerate(supers):
-        rows[k][k + 1] = b
+    entries = [(k, k + 1, b) for k, b in enumerate(supers)]
     if size == ctx.ell:
         beta = pool.base()
         prod = ctx.one()
         for b in supers:
             prod = prod * b
-        corner = (beta ** size) / prod
-        rows[size - 1][0] = corner
-    B = QMatrix(ctx, rows)
-    return A, B
+        entries.append((size - 1, 0, (beta ** size) / prod))
+    return A, QMatrix.sparse(ctx, size, size, entries)
 
 
 def _v_block(ctx, size, pool):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .commutant import MatrixPair
 from .components import ComponentIndex
 from .errors import BadIndex, UnsupportedShape
-from .jordan import jordan_block
 from .matrices import QMatrix, direct_sum
 from .scalars import INFINITE
 
@@ -121,11 +120,6 @@ def _powers(X: QMatrix, top: int):
     return pows
 
 
-def _nonzeros(X: QMatrix):
-    return [(r, k, x) for r, row in enumerate(X.rows)
-            for k, x in enumerate(row) if not x.is_zero()]
-
-
 def _trace_of_product(nonzeros, Y: QMatrix):
     """Tr(XY) from the nonzero entries (r, k, x) of X, without forming XY."""
     total = None
@@ -145,7 +139,7 @@ def _axis_traces(pows, N: int):
         if k < len(pows):
             out.append(pows[k].trace())
         else:
-            out.append(_trace_of_product(_nonzeros(pows[k - 1]), X))
+            out.append(_trace_of_product(pows[k - 1].nonzeros(), X))
     return out
 
 
@@ -179,7 +173,7 @@ def trace_fingerprint(pair: MatrixPair, N=None) -> TraceFingerprint:
     for i, t in enumerate(_axis_traces(a_pows, N)):
         grid[i][0] = t
     for i, js in lattice.items():
-        nonzeros = _nonzeros(a_pows[i])
+        nonzeros = a_pows[i].nonzeros()
         for j in js:
             grid[i][j] = _trace_of_product(nonzeros, b_pows[j])
     return TraceFingerprint(N, tuple(map(tuple, grid)))
@@ -190,57 +184,38 @@ def trace_fingerprint(pair: MatrixPair, N=None) -> TraceFingerprint:
 # ---------------------------------------------------------------------------
 
 def _interval_cuts(A: QMatrix, B: QMatrix):
-    """Positions where both matrices split block-diagonally."""
+    """Positions where both matrices split block-diagonally: c is a cut when
+    no nonzero entry of A or B ties an index below c to one at or above c."""
     n = A.nrows
+    reach = [0] * n  # reach[i]: the largest j >= i tied to i by an entry
+    for i, j, _ in A.nonzeros() + B.nonzeros():
+        lo = min(i, j)
+        reach[lo] = max(reach[lo], i, j)
     cuts = [0]
+    far = 0
     for c in range(1, n):
-        clean = True
-        for i in range(c):
-            for j in range(c, n):
-                if not (A.rows[i][j].is_zero() and A.rows[j][i].is_zero()
-                        and B.rows[i][j].is_zero() and B.rows[j][i].is_zero()):
-                    clean = False
-                    break
-            if not clean:
-                break
-        if clean:
+        far = max(far, reach[c - 1])
+        if far < c:
             cuts.append(c)
     cuts.append(n)
     return cuts
 
 
-def _is_strictly_upper(M: QMatrix) -> bool:
-    for i in range(M.nrows):
-        for j in range(i + 1):
-            if not M.rows[i][j].is_zero():
-                return False
-    return True
-
-
 def _semisimplify_block(ctx, Ab: QMatrix, Bb: QMatrix):
     s = Ab.nrows
-    a_diagonal = all(
-        Ab.rows[i][j].is_zero() for i in range(s) for j in range(s) if i != j
-    )
-    if a_diagonal and all(not Ab.rows[k][k].is_zero() for k in range(s)):
-        if _is_strictly_upper(Bb):
+    a_entries = Ab.nonzeros()
+    b_lower = [(i, j) for i, j, _ in Bb.nonzeros() if j <= i]
+    if [(i, j) for i, j, _ in a_entries] == [(k, k) for k in range(s)]:
+        if not b_lower:
             # dense kind without the wraparound: the orbit closure reaches B = 0
             return Ab, QMatrix.zero(ctx, s, s)
-        corner = Bb.rows[s - 1][0]
-        lower_clean = all(
-            Bb.rows[i][j].is_zero()
-            for i in range(s) for j in range(i + 1)
-            if (i, j) != (s - 1, 0)
-        )
-        if not corner.is_zero() and lower_clean and ctx.q_power(s) == ctx.one():
+        if b_lower == [(s - 1, 0)] and ctx.q_power(s) == ctx.one():
             # full-cycle kind: the orbit is already closed
             return Ab, Bb
         raise UnsupportedShape("unrecognized dense-kind summand")
-    if Ab == jordan_block(ctx, s, ctx.zero()):
-        upper = all(
-            Bb.rows[i][j].is_zero() for i in range(s) for j in range(i)
-        )
-        if upper:
+    one = ctx.one()
+    if a_entries == [(k, k + 1, one) for k in range(s - 1)]:  # A = J_s(0)
+        if all(i == j for i, j in b_lower):
             diag = QMatrix.diagonal(ctx, [Bb.rows[k][k] for k in range(s)])
             return QMatrix.zero(ctx, s, s), diag
         raise UnsupportedShape("unrecognized nilpotent-kind summand")

@@ -90,15 +90,7 @@ class JordanSpec:
 
 def jordan_block(ctx: FieldContext, size: int, eigenvalue: QScalar) -> QMatrix:
     """J_size(eigenvalue): eigenvalue on the diagonal, 1 on the superdiagonal."""
-    z, o = ctx.zero(), ctx.one()
-    rows = []
-    for i in range(size):
-        row = [z] * size
-        row[i] = eigenvalue
-        if i + 1 < size:
-            row[i + 1] = o
-        rows.append(row)
-    return QMatrix(ctx, rows) if size else QMatrix.zero(ctx, 0, 0)
+    return block_jordan(ctx, size, 1, eigenvalue)
 
 
 def block_jordan(ctx: FieldContext, size: int, multiplicity: int,
@@ -106,14 +98,9 @@ def block_jordan(ctx: FieldContext, size: int, multiplicity: int,
     """The (size*multiplicity)-square matrix with identity blocks on the
     block superdiagonal: similar to `multiplicity` copies of J_size(eigenvalue)."""
     n = size * multiplicity
-    z, o = ctx.zero(), ctx.one()
-    rows = [[z] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = eigenvalue
-    for blk in range(size - 1):
-        for t in range(multiplicity):
-            rows[blk * multiplicity + t][(blk + 1) * multiplicity + t] = o
-    return QMatrix(ctx, rows) if n else QMatrix.zero(ctx, 0, 0)
+    one = ctx.one()
+    return QMatrix.sparse(ctx, n, n, [(i, i, eigenvalue) for i in range(n)]
+                          + [(i, i + multiplicity, one) for i in range(n - multiplicity)])
 
 
 def realize(spec: JordanSpec) -> QMatrix:

@@ -20,7 +20,7 @@ class QMatrix:
     __slots__ = ("ctx", "nrows", "ncols", "rows")
 
     def __init__(self, ctx: FieldContext, rows):
-        rows = tuple(tuple(entry for entry in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         for row in rows:
@@ -43,22 +43,28 @@ class QMatrix:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(ctx: FieldContext, nrows: int, ncols: int) -> "QMatrix":
+    def sparse(ctx: FieldContext, nrows: int, ncols: int, entries) -> "QMatrix":
+        """nrows x ncols with x at (r, c) for each (r, c, x) in entries and
+        the context's zero everywhere else; the inverse of ``nonzeros``."""
         z = ctx.zero()
-        return QMatrix(ctx, [[z] * ncols for _ in range(nrows)])
+        rows = [[z] * ncols for _ in range(nrows)]
+        for r, c, x in entries:
+            rows[r][c] = x
+        return QMatrix(ctx, rows)
+
+    @staticmethod
+    def zero(ctx: FieldContext, nrows: int, ncols: int) -> "QMatrix":
+        return QMatrix.sparse(ctx, nrows, ncols, ())
 
     @staticmethod
     def identity(ctx: FieldContext, n: int) -> "QMatrix":
-        z, o = ctx.zero(), ctx.one()
-        return QMatrix(ctx, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return QMatrix.diagonal(ctx, [ctx.one()] * n)
 
     @staticmethod
     def diagonal(ctx: FieldContext, entries) -> "QMatrix":
         entries = list(entries)
-        z = ctx.zero()
         n = len(entries)
-        return QMatrix(ctx, [[entries[i] if i == j else z for j in range(n)]
-                             for i in range(n)])
+        return QMatrix.sparse(ctx, n, n, [(i, i, x) for i, x in enumerate(entries)])
 
     @staticmethod
     def from_rational_rows(ctx: FieldContext, rows) -> "QMatrix":
@@ -88,6 +94,11 @@ class QMatrix:
             ", ".join(format_scalar(x) for x in row) for row in self.rows
         )
         return f"QMatrix({self.nrows}x{self.ncols}: {body})"
+
+    def nonzeros(self):
+        """The nonzero entries as (r, c, x), row by row."""
+        return [(r, c, x) for r, row in enumerate(self.rows)
+                for c, x in enumerate(row) if not x.is_zero()]
 
     def is_zero(self) -> bool:
         return all(entry.is_zero() for row in self.rows for entry in row)
@@ -266,8 +277,9 @@ def _rref(A: QMatrix):
             f = row_i[c]
             if i == r or f.is_zero():
                 continue
+            f = -f
             for j, x in nonzero:
-                row_i[j] = row_i[j] - f * x
+                row_i[j] = row_i[j] + f * x
             row_i[c] = zero
         piv_cols.append(c)
     return grid, piv_cols

@@ -88,6 +88,29 @@ def test_q_layered_intertwines_jordan_blocks():
         assert lhs == rhs.scale(q)
 
 
+def test_q_layered_is_the_block_version_with_one_by_one_blocks():
+    rng = random.Random(2)
+    q = C3.q()
+    for m, n in [(1, 1), (2, 2), (1, 3), (3, 1), (3, 5), (5, 3), (4, 4)]:
+        v = [C3.rational(rng.randint(-2, 2)) * q ** rng.randint(0, 2) for _ in range(min(m, n))]
+        L = q_layered(m, n, v)
+        assert (L.nrows, L.ncols) == (m, n)
+        assert L == q_layered_block(m, n, [QMatrix(C3, [[x]]) for x in v])
+
+
+def test_q_layered_keeps_its_degenerate_shapes():
+    # with no layers q_layered keeps its m rows; q_layered_block has no
+    # block shape to repeat and gives 0 x 0
+    def shape(M):
+        return (M.nrows, M.ncols)
+
+    for k in range(4):
+        assert shape(q_layered(k, 0, [], ctx=GEN)) == (k, 0)
+        assert shape(q_layered(0, k, [], ctx=GEN)) == (0, 0)
+        assert shape(q_layered_block(k, 0, [], ctx=GEN)) == (0, 0)
+        assert shape(q_layered_block(0, k, [], ctx=GEN)) == (0, 0)
+
+
 def test_q_layered_block_intertwines():
     rng = random.Random(1)
     q = C3.q()

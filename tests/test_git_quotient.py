@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from qplane import (BadIndex, ComponentIndex, FieldContext, GitIndex, INFINITE,
                     MatrixPair, QMatrix, UnsupportedShape, conjugate, count_TPL,
-                    dim_git, enumerate_ML, enumerate_TPL, git_index_of_stratum,
-                    jordan_block, q_layered, rank, sample_point, semisimplify,
-                    trace_fingerprint)
+                    dim_git, direct_sum, enumerate_ML, enumerate_TPL,
+                    git_index_of_stratum, jordan_block, q_layered, rank,
+                    sample_point, semisimplify, trace_fingerprint)
+from qplane.git_quotient import _interval_cuts, _semisimplify_block
 
 GEN = FieldContext.generic()
 C2 = FieldContext.root_of_unity(2)
@@ -225,6 +226,61 @@ def test_semisimplify_rejects_unstructured_input():
     moved = MatrixPair(conjugate(g, pair.A), conjugate(g, pair.B))
     with pytest.raises(UnsupportedShape):
         semisimplify(moved)
+
+
+def test_semisimplify_block_refusals_keep_their_messages():
+    q, zero = C3.q(), C3.zero()
+    D = QMatrix.diagonal(C3, [C3.one(), q * q])
+    J = jordan_block(C3, 2, zero)
+    lower = QMatrix.from_rational_rows(C3, [[0, 0], [1, 1]])
+    # a wraparound corner closes a cycle only at size ell
+    corner = QMatrix.from_rational_rows(C3, [[0, 1], [1, 0]])
+    for Ab, Bb, message in ((D, lower, "unrecognized dense-kind summand"),
+                            (D, corner, "unrecognized dense-kind summand"),
+                            (J, lower, "unrecognized nilpotent-kind summand"),
+                            (J + D, QMatrix.zero(C3, 2, 2),
+                             "summand is neither dense-kind nor nilpotent-kind")):
+        with pytest.raises(UnsupportedShape, match=f"^{message}$"):
+            _semisimplify_block(C3, Ab, Bb)
+
+
+def reference_interval_cuts(A, B):
+    """Reference: c is a cut when every entry of A and B that ties an index
+    below c to one at or above c is zero, checked entry by entry."""
+    n = A.nrows
+    cuts = [0]
+    for c in range(1, n):
+        if all(M.rows[i][j].is_zero() and M.rows[j][i].is_zero()
+               for M in (A, B) for i in range(c) for j in range(c, n)):
+            cuts.append(c)
+    return cuts + [n]
+
+
+@st.composite
+def block_diagonal_inputs(draw):
+    """Two block-diagonal matrices with common block sizes; a block may be
+    zero, sparse or dense, so the cuts are a superset of the boundaries."""
+    ctx = draw(st.sampled_from([C3, FieldContext.root_of_unity(5), GEN]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+
+    def block(s):
+        pick = st.sampled_from([0] if draw(st.booleans()) else [0, 0, 1, -2])
+        return QMatrix.from_rational_rows(ctx, [[draw(pick) for _ in range(s)]
+                                                for _ in range(s)]).scale(ctx.q())
+
+    A = direct_sum(*[block(s) for s in sizes])
+    B = direct_sum(*[block(s) for s in sizes])
+    return A, B, sizes
+
+
+@given(block_diagonal_inputs())
+@settings(max_examples=80, deadline=None)
+def test_interval_cuts_match_the_entrywise_definition(drawn):
+    A, B, sizes = drawn
+    cuts = _interval_cuts(A, B)
+    assert cuts == reference_interval_cuts(A, B)
+    boundaries = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+    assert set(boundaries) <= set(cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, QMatrix,
-                    QScalar, block_jordan, check_partition, conjugate,
-                    jordan_block, jordan_data, q_classes, q_equivalent, rank,
-                    realize, transpose_partition)
+                    QScalar, block_jordan, char_poly, check_partition, conjugate,
+                    direct_sum, jordan_block, jordan_data, q_classes, q_equivalent,
+                    rank, realize, transpose_partition)
 from qplane import jordan, poly
 
 C3 = FieldContext.root_of_unity(3)
@@ -192,6 +192,36 @@ def test_round_trip_dense_generic_conjugate_with_spread_valuations():
         if not any(A[i, i] == lam for i in range(3) for lam in lams):
             break
     assert jordan_data(A) == spec
+
+
+def test_jordan_data_walks_the_q_orbit_of_a_hint_over_q_of_q():
+    # the Newton polygon of the cofactor left after the hint 1 + q offers
+    # only q, which is not a root: (1 + q) q and (1 + q) q^2 are found only
+    # by walking the q-orbit of 1 + q
+    q = GEN.q()
+    a = GEN.one() + q
+    g = QMatrix.from_rational_rows(GEN, [[1, 1], [1, 2]])
+    A = direct_sum(QMatrix.diagonal(GEN, [a]),
+                   conjugate(g, QMatrix.diagonal(GEN, [a * q, a * q * q])))
+    spec = jordan_data(A)
+    assert spec == JordanSpec(GEN, [(lam, [1]) for lam in (a, a * q, a * q * q)])
+
+
+def test_jordan_data_refuses_a_hull_edge_of_fractional_slope():
+    # y^2 - q: the hull edge from (0, 1) to (2, 0) has slope -1/2, so no
+    # monomial c q^k is a candidate and the roots +-q^(1/2) lie outside Q(q)
+    q = GEN.q()
+    C = QMatrix(GEN, [[GEN.zero(), q], [GEN.one(), GEN.zero()]])
+    assert char_poly(C) == [-q, GEN.zero(), GEN.one()]
+    with pytest.raises(EigenvaluesNotFound):
+        jordan_data(C)
+
+
+def test_jordan_block_is_the_block_jordan_of_multiplicity_one():
+    for ctx in (C3, GEN):
+        for lam in (ctx.zero(), ctx.one(), ctx.rational(3) * ctx.q()):
+            for size in range(5):
+                assert jordan_block(ctx, size, lam) == block_jordan(ctx, size, 1, lam)
 
 
 def test_jordan_data_runs_no_gcd_over_the_field(monkeypatch):

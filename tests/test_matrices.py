@@ -152,6 +152,23 @@ def test_shift_matches_adding_a_multiple_of_the_identity(ctx):
         QMatrix.zero(ctx, 2, 3).shift(1)
 
 
+@pytest.mark.parametrize("ctx", [C3, FieldContext.root_of_unity(5), GEN])
+def test_sparse_and_nonzeros_invert_each_other(ctx):
+    rng = random.Random(14)
+    for nrows, ncols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (4, 3)):
+        for density in (0.0, 0.4, 1.0):
+            X = random_field_matrix(ctx, nrows, ncols, rng, density)
+            entries = [(r, c, x) for r, row in enumerate(X.rows)
+                       for c, x in enumerate(row) if not x.is_zero()]
+            M = QMatrix.sparse(ctx, nrows, ncols, entries)
+            assert M.nonzeros() == entries
+            assert M == X
+            # a matrix without rows has no columns either
+            assert (M.nrows, M.ncols) == (nrows, ncols if nrows else 0)
+    assert QMatrix.sparse(ctx, 2, 2, [(1, 0, ctx.q())]).rows == (
+        (ctx.zero(), ctx.zero()), (ctx.q(), ctx.zero()))
+
+
 def test_eval_poly_at_matrix_takes_int_coefficients():
     rng = random.Random(13)
     for ctx in (C3, GEN):
