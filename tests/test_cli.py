@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
 from qplane import (FieldContext, JordanSpec, MatrixPair, QMatrix, conjugate,
-                    jordan_block, q_layered)
+                    jordan_block, predicted_commutant_dim, q_layered, realize)
 from qplane import cli
 from qplane.cli import main
 from qplane.serialize import (index_to_obj, matrix_to_obj, pair_from_obj,
@@ -254,6 +255,26 @@ def run_cli_bounded(*argv, timeout=60):
     return subprocess.run([sys.executable, "-m", "qplane.cli", *argv],
                           env=src_env(), capture_output=True, text=True,
                           timeout=timeout, preexec_fn=limit_memory)
+
+
+def test_commutant_of_a_dense_ten_by_ten_conjugate_stays_fast(tmp_path):
+    # exact elimination of its 100 x 100 operator took 13-17 s on a 2-core
+    # VM; images mod primes, certified exact, take well under a second
+    r, q = C3.rational, C3.q()
+    spec = JordanSpec(C3, [(r(7), (2, 1)), (r(7) * q, (1, 1)),
+                           (r(11), (2, 1)), (r(11) * q, (1, 1))])
+    rng = random.Random(10)
+    n = 10
+    L = QMatrix(C3, [[r(1) if i == j else r(rng.choice((-1, 1, 2))) if i > j else r(0)
+                      for j in range(n)] for i in range(n)])
+    U = QMatrix(C3, [[r(1) if i == j else r(rng.choice((-1, 1, 2))) if i < j else r(0)
+                      for j in range(n)] for i in range(n)])
+    A = conjugate(L * U, realize(spec))
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(matrix_to_obj(A, with_field=True)))
+    done = run_cli_bounded("commutant", "--input", str(path), timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["dimension"] == predicted_commutant_dim(spec) == 8
 
 
 def test_enumerate_bounds_its_output_before_building_it():

@@ -99,14 +99,14 @@ def test_q_layered_is_the_block_version_with_one_by_one_blocks():
 
 
 def test_q_layered_keeps_its_degenerate_shapes():
-    # with no layers q_layered keeps its m rows; q_layered_block has no
-    # block shape to repeat and gives 0 x 0
+    # with no layers q_layered keeps its m x n shape; q_layered_block has
+    # no block shape to repeat and gives 0 x 0
     def shape(M):
         return (M.nrows, M.ncols)
 
     for k in range(4):
         assert shape(q_layered(k, 0, [], ctx=GEN)) == (k, 0)
-        assert shape(q_layered(0, k, [], ctx=GEN)) == (0, 0)
+        assert shape(q_layered(0, k, [], ctx=GEN)) == (0, k)
         assert shape(q_layered_block(k, 0, [], ctx=GEN)) == (0, 0)
         assert shape(q_layered_block(0, k, [], ctx=GEN)) == (0, 0)
 

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qplane import (DimensionMismatch, FieldContext, MixedContext, NotSquare, QMatrix,
-                    SingularConjugator, char_poly, conjugate, direct_sum,
+                    QScalar, SingularConjugator, char_poly, conjugate, direct_sum,
                     eval_poly_at_matrix, inverse, kernel_basis, rank)
+from qplane import matrices
 
 C3 = FieldContext.root_of_unity(3)
 GEN = FieldContext.generic()
@@ -162,11 +163,39 @@ def test_sparse_and_nonzeros_invert_each_other(ctx):
                        for c, x in enumerate(row) if not x.is_zero()]
             M = QMatrix.sparse(ctx, nrows, ncols, entries)
             assert M.nonzeros() == entries
-            assert M == X
-            # a matrix without rows has no columns either
-            assert (M.nrows, M.ncols) == (nrows, ncols if nrows else 0)
+            # QMatrix(ctx, []) cannot know its column count, so compare rows
+            assert M.rows == X.rows and M.ctx is X.ctx
+            assert (M.nrows, M.ncols) == (nrows, ncols)
     assert QMatrix.sparse(ctx, 2, 2, [(1, 0, ctx.q())]).rows == (
         (ctx.zero(), ctx.zero()), (ctx.q(), ctx.zero()))
+
+
+@pytest.mark.parametrize("ctx", [C3, GEN])
+def test_matrices_keep_their_shape_when_a_side_is_zero(ctx):
+    def shape(M):
+        return (M.nrows, M.ncols)
+
+    assert shape(QMatrix.zero(ctx, 0, 4)) == (0, 4)
+    assert shape(QMatrix.zero(ctx, 0, 4) * QMatrix.zero(ctx, 4, 2)) == (0, 2)
+    assert shape(QMatrix.zero(ctx, 2, 0) * QMatrix.zero(ctx, 0, 3)) == (2, 3)
+    assert (QMatrix.zero(ctx, 2, 0) * QMatrix.zero(ctx, 0, 3)).is_zero()
+    assert shape(QMatrix.zero(ctx, 3, 0).transpose()) == (0, 3)
+    assert shape(QMatrix.zero(ctx, 0, 3).transpose()) == (3, 0)
+    X = random_field_matrix(ctx, 3, 4, random.Random(15), 1.0)
+    assert shape(X.submatrix(range(0), range(4))) == (0, 4)
+    assert shape(X.submatrix(range(3), range(0))) == (3, 0)
+    assert shape(direct_sum(QMatrix.zero(ctx, 0, 2), QMatrix.zero(ctx, 3, 0))) == (3, 2)
+    assert shape(QMatrix.zero(ctx, 0, 4) + QMatrix.zero(ctx, 0, 4)) == (0, 4)
+    assert shape(-QMatrix.zero(ctx, 0, 4).scale(3)) == (0, 4)
+    assert shape(QMatrix.zero(ctx, 0, 4).map_entries(lambda x: x + 1)) == (0, 4)
+    assert QMatrix.zero(ctx, 0, 4) != QMatrix.zero(ctx, 0, 3)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert shape(pickle.loads(pickle.dumps(QMatrix.zero(ctx, 0, 4), proto))) == (0, 4)
+    # an m x 0 map has the zero space as kernel; a 0 x n map has all of Q^n
+    assert kernel_basis(QMatrix.zero(ctx, 3, 0)) == []
+    assert rank(QMatrix.zero(ctx, 3, 0)) == rank(QMatrix.zero(ctx, 0, 3)) == 0
+    unit = [tuple(ctx.one() if j == i else ctx.zero() for j in range(3)) for i in range(3)]
+    assert kernel_basis(QMatrix.zero(ctx, 0, 3)) == unit
 
 
 def test_eval_poly_at_matrix_takes_int_coefficients():
@@ -472,3 +501,148 @@ def test_rank_matches_sympy_domain_matrix(A):
                          for i, c in enumerate(e.coeffs)), K.zero) for e in row]
                    for row in A.rows]
     assert rank(A) == DomainMatrix(entries, (A.nrows, A.ncols), K).rank()
+
+
+# ---------------------------------------------------------------------------
+# certified multimodular elimination over Q(zeta_ell)
+# ---------------------------------------------------------------------------
+
+def exact_echelon(A):
+    """(rank, kernel basis) by exact elimination over QScalars."""
+    ctx = A.ctx
+    pivots = matrices._rref(matrices._sparse_rows(A.nrows, A.nonzeros()), A.ncols,
+                            matrices._exact_field(ctx))
+    return len(pivots), matrices._kernel_of(pivots, A.ncols, ctx)
+
+
+@st.composite
+def modular_inputs(draw):
+    """Matrices up to 6 x 7 (sides may be 0) over Q(zeta_ell): sparse, dense,
+    or products through a small inner dimension, with entries of a few bits
+    or of over 100 bits, which need more than one 62-bit prime."""
+    ctx = FieldContext.root_of_unity(draw(st.sampled_from((1, 2, 3, 4, 5, 7, 8, 12))))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(("sparse", "dense", "low rank")))
+    top = 2 ** draw(st.sampled_from((3, 110)))
+
+    def entry():
+        ints = [draw(st.integers(-top, top)) for _ in range(ctx._deg)]
+        return QScalar(ctx, ints, draw(st.integers(1, 6)))
+
+    def grid(r, c, density):
+        return QMatrix.sparse(ctx, r, c, [(i, j, entry()) for i in range(r) for j in range(c)
+                                          if draw(st.integers(0, 99)) < density])
+
+    if kind == "low rank":
+        inner = draw(st.integers(0, 2))
+        return grid(nrows, inner, 100) * grid(inner, ncols, 100)
+    return grid(nrows, ncols, 30 if kind == "sparse" else 100)
+
+
+def large_entry_matrix(ell, nrows, ncols, seed):
+    """Entries with 110-bit coefficients over small denominators."""
+    ctx = FieldContext.root_of_unity(ell)
+    rng = random.Random(seed)
+    return QMatrix(ctx, [[QScalar(ctx, [rng.randint(-2 ** 110, 2 ** 110) for _ in range(ctx._deg)],
+                                  rng.randint(1, 9)) for _ in range(ncols)]
+                         for _ in range(nrows)])
+
+
+@given(modular_inputs())
+@example(large_entry_matrix(1, 2, 3, 0))
+@settings(max_examples=80, deadline=None)
+def test_modular_elimination_matches_exact_elimination(A):
+    r, basis = exact_echelon(A)
+    entries = A.nonzeros()
+    assert matrices._modular(A, entries, True) == (r, basis)
+    assert matrices._modular(A, entries, False)[0] == r
+    assert rank(A) == r and kernel_basis(A) == basis
+
+
+@pytest.mark.parametrize("ell", [1, 3, 5])
+def test_modular_elimination_joins_several_primes_for_large_entries(ell, monkeypatch):
+    # 110-bit entries give reduced-echelon entries of hundreds of bits: one
+    # 62-bit prime cannot hold them, and what it reconstructs is wrong
+    used = set()
+    real = matrices._prime
+    monkeypatch.setattr(matrices, "_prime", lambda ell, k: used.add(k) or real(ell, k))
+    for seed, (nrows, ncols) in enumerate(((1, 2), (1, 3), (2, 3), (3, 4))):
+        A = large_entry_matrix(ell, nrows, ncols, seed)
+        used.clear()
+        assert matrices._modular(A, A.nonzeros(), True) == exact_echelon(A)
+        assert len(used) > 1
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 5])
+def test_modular_elimination_skips_unlucky_primes(ell, monkeypatch):
+    ctx = FieldContext.root_of_unity(ell)
+    p, roots, _ = matrices._prime(ell, 0)
+    one = ctx.one()
+    # a pivot that vanishes mod the first prime: under its one embedding
+    # over Q, or under some but not all embeddings over Q(zeta)
+    vanishing = ctx.rational(p) if ctx._deg == 1 else ctx.q() - ctx.rational(roots[0])
+    # a denominator that the first prime divides
+    tiny = ctx.rational(Fraction(1, p))
+    verdicts = []
+    real = matrices._certified
+    monkeypatch.setattr(matrices, "_certified",
+                        lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+    # (rows, whether the reduced echelon form has small entries)
+    for rows, small in (([[vanishing, vanishing]], True),
+                        ([[vanishing, vanishing], [one, one + one]], True),
+                        ([[vanishing, one]], False),
+                        ([[tiny, one, ctx.q()], [one, one, one]], False),
+                        ([[vanishing, tiny, one], [one, one, ctx.zero()]], False)):
+        A = QMatrix(ctx, rows)
+        verdicts.clear()
+        assert matrices._modular(A, A.nonzeros(), True) == exact_echelon(A)
+        assert matrices._modular(A, A.nonzeros(), False)[0] == exact_echelon(A)[0]
+        if small and ctx._deg > 1:
+            # embeddings that disagree on the pivots drop the prime before a
+            # reconstruction from it reaches the certificate, and the next
+            # prime alone certifies
+            assert verdicts == [True]
+
+
+def test_a_sabotaged_reconstruction_is_rejected_and_falls_back(monkeypatch):
+    ctx = FieldContext.root_of_unity(3)
+    rng = random.Random(17)
+    A = random_field_matrix(ctx, 8, 3, rng, 1.0) * random_field_matrix(ctx, 3, 8, rng, 1.0)
+    assert matrices._use_modular(A, len(A.nonzeros()))
+    r, basis = exact_echelon(A)
+    assert len(basis) == 5
+    real = matrices._ratrec
+
+    def off_by_one(u, m, bound):
+        got = real(u, m, bound)
+        return got and (got[0] + 1, got[1])
+
+    monkeypatch.setattr(matrices, "_ratrec", off_by_one)
+    assert matrices._modular(A, A.nonzeros(), True) is None
+    assert kernel_basis(A) == basis
+    assert rank(A) == r == 3
+
+
+def test_the_certificate_rejects_each_broken_condition():
+    ctx = FieldContext.root_of_unity(3)
+    one, zero, q = ctx.one(), ctx.zero(), ctx.q()
+    A = QMatrix(ctx, [[one, -one, zero], [zero, zero, one]])  # pivots 0, 2; free 1
+    entries = A.nonzeros()
+    assert matrices._certified(A, entries, [0, 2], [(one, one, zero)])
+    broken = [
+        ([0, 2], [(one + one, one + one, zero)]),  # 2 at its free column
+        ([0, 2], [(q, one, zero)]),           # A v != 0
+        ([0, 2], []),                         # a free column without a vector
+        # pivots 0, 1 claimed: column 1 is then not in the span left of it
+        ([0, 1], [(zero, zero, one)]),
+        # pivot 1 claimed: the vector of free column 0 reaches right of it,
+        # though A v = 0 holds
+        ([1, 2], [(one, one, zero)]),
+    ]
+    for pivot_cols, basis in broken:
+        assert not matrices._certified(A, entries, pivot_cols, basis)
+    # a vector that is 1 at another free column is not reduced-echelon
+    B = QMatrix(ctx, [[one, one, one]])  # pivot 0; free 1, 2
+    good = [(-one, one, zero), (-one, zero, one)]
+    assert matrices._certified(B, B.nonzeros(), [0], good)
+    assert not matrices._certified(B, B.nonzeros(), [0], [good[0], (-one - one, one, one)])
