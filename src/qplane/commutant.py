@@ -112,23 +112,16 @@ def sylvester_operator(L: QMatrix, R: QMatrix, c: QScalar) -> QMatrix:
     """Matrix of X -> L X - c X R on m x n matrices X, flattened row-major.
 
     L is m x m and R is n x n.  Entry ((i, j), (r, s)) is
-    L[i][r] [j = s] - c R[s][j] [i = r], written entry by entry without
-    matrix products.
+    L[i][r] [j = s] - c R[s][j] [i = r], one (row, column, value) triple
+    per term, without matrix products.
     """
     if not (L.is_square() and R.is_square()):
         raise NotSquare("X -> L X - c X R needs square L and R")
     m, n = L.nrows, R.nrows
-    zero = L.ctx.zero()
-    grid = [[zero] * (m * n) for _ in range(m * n)]
-    for i, r, a in L.nonzeros():
-        for j in range(n):
-            grid[i * n + j][r * n + j] = a
-    for s, j, b in R.nonzeros():
-        b = -(c * b)
-        for i in range(m):
-            row = grid[i * n + j]
-            row[i * n + s] = row[i * n + s] + b
-    return QMatrix(L.ctx, grid)
+    scaled = [(s, j, -(c * b)) for s, j, b in R.nonzeros()]
+    entries = [(i * n + j, r * n + j, a) for i, r, a in L.nonzeros() for j in range(n)]
+    entries += [(i * n + j, i * n + s, b) for s, j, b in scaled for i in range(m)]
+    return QMatrix.sparse(L.ctx, m * n, m * n, entries)
 
 
 def _unflatten(ctx, vec, nrows, ncols) -> QMatrix:

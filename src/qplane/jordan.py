@@ -158,24 +158,23 @@ def rational_roots(coeffs):
 # ---------------------------------------------------------------------------
 
 
-def _root_candidates_cyclotomic(cofactor, ctx):
-    """Rational candidates from the coordinate projections of the cofactor
-    (a rational root must kill every coordinate simultaneously)."""
-    deg = len(cofactor[0].ints) if cofactor else 0
-    for t in range(deg):
-        coord = [Fraction(c.ints[t], c.d) for c in cofactor]
-        if any(coord):
-            return {ctx.rational(r) for r in rational_roots(coord)}
-    return set()
+def _residuals(cofactor, ctx):
+    """Pairs (k, residual): for every root c*q^k of the cofactor with c
+    rational, c is a rational root of the residual yielded at k.
 
-
-def _root_candidates_generic(cofactor, ctx):
-    """Monomial candidates c*q^k (c rational) for the cofactor over Q(q),
-    read off its Newton polygon, the lower convex hull of the points
-    (j, val a_j) for the q-adic valuations of its coefficients a_j.  The
-    least valuation among the terms a_j (c q^k)^j must be reached twice,
-    so -k is the slope of a hull edge, and c is then a root of the residual
-    polynomial: the lowest Laurent coefficients of the a_j on that edge."""
+    Q(zeta_ell): k = 0, ..., ell-1, and the residual is the first nonzero
+    coordinate projection of cofactor(q^k y), since a rational root kills
+    every coordinate at once.  Q(q): k runs over the integer slopes of the
+    Newton polygon, the lower convex hull of the points (j, val a_j) for the
+    q-adic valuations of the coefficients a_j.  At a root of valuation k the
+    least valuation among the terms a_j (c q^k)^j is reached twice, so -k is
+    the slope of a hull edge, and c is a root of the residual: the lowest
+    Laurent coefficients of the a_j on that edge."""
+    if not ctx.is_generic:
+        for k in range(ctx.ell):
+            scaled = [c * ctx.q_power(k * j) for j, c in enumerate(cofactor)]
+            yield k, next(coord for coord in zip(*(c.coeffs for c in scaled)) if any(coord))
+        return
     points = []  # (j, val a_j, lowest Laurent coefficient of a_j)
     for j, a in enumerate(cofactor):
         if a:
@@ -190,7 +189,6 @@ def _root_candidates_generic(cofactor, ctx):
                 break
             hull.pop()
         hull.append(p)
-    candidates = set()
     for (i, v_i, _), (j, v_j, _) in zip(hull, hull[1:]):
         k, rem = divmod(v_i - v_j, j - i)
         if rem:
@@ -199,18 +197,16 @@ def _root_candidates_generic(cofactor, ctx):
         for t, v, low in points:
             if i <= t <= j and v + k * t == v_i + k * i:
                 residual[t - i] = low
-        for c in rational_roots(residual):
-            candidates.add(ctx.rational(c) * ctx.q_power(k))
-    return candidates
+        yield k, residual
 
 
 def _discover_roots(p, ctx, hints):
-    """{root: multiplicity} for the monic p: each candidate is divided out of
-    the cofactor (what is left of p) as often as it divides.  Candidates:
-    zero, the hints, rational-coordinate roots (c*q^k over Q(q)), q-orbits
-    of found roots, then (root-of-unity regime) rational r with r*q^k a
-    root, all drawn from the cofactor.  The search stops when the cofactor
-    has degree 0: then every root is found with its multiplicity."""
+    """{root: multiplicity} for the monic p.  Each candidate is divided out
+    of the cofactor (what is left of p) as often as it divides: zero, the
+    hints, for every root found the members of its q-orbit at the k of the
+    residuals, and c*q^k for the rational roots c of the residual at k.
+    The search stops when the cofactor has degree 0: then every root is
+    found with its multiplicity."""
     roots = {}
     cofactor = p
 
@@ -233,37 +229,22 @@ def _discover_roots(p, ctx, hints):
         try_add(h)
     if len(cofactor) == 1:
         return roots
-    search = _root_candidates_generic if ctx.is_generic else _root_candidates_cyclotomic
-    for cand in search(cofactor, ctx):
-        try_add(cand)
-    # close under the q-orbit
-    q = ctx.q()
-    frontier = [r for r in roots if not r.is_zero()]
-    while frontier and len(cofactor) > 1:
-        base = frontier.pop()
-        if ctx.is_generic:
-            for step in (q, q.inverse()):
-                walk = base * step
-                while try_add(walk):
-                    frontier.append(walk)
-                    walk = walk * step
-        else:
-            power = base
-            for _ in range(ctx.ell - 1):
-                power = power * q
-                if try_add(power):
-                    frontier.append(power)
-    if not ctx.is_generic:
-        # roots r*q^k (r rational) whose q-orbit holds no root found above:
-        # r is a rational root of cofactor(q^k y)
-        twist = ctx.one()
-        for _ in range(1, ctx.ell):
-            if len(cofactor) == 1:
-                break
-            twist = twist * q
-            scaled = [c * twist ** j for j, c in enumerate(cofactor)]
-            for r in _root_candidates_cyclotomic(scaled, ctx):
-                try_add(r * twist)
+    residuals = list(_residuals(cofactor, ctx))
+
+    def add_orbit(x):  # x = b q^(k_x) is a root: try b q^k at each k
+        k_x = q_orbit(x)[1]
+        for k, _ in residuals:
+            try_add(x * ctx.q_power(k - k_x))
+
+    for x in [x for x in roots if x]:
+        add_orbit(x)
+    for k, residual in residuals:
+        if len(cofactor) == 1:
+            break
+        for c in rational_roots(residual):
+            x = ctx.rational(c) * ctx.q_power(k)
+            if try_add(x):
+                add_orbit(x)
     return roots
 
 

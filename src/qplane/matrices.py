@@ -63,13 +63,15 @@ class QMatrix:
 
     @staticmethod
     def sparse(ctx: FieldContext, nrows: int, ncols: int, entries) -> "QMatrix":
-        """nrows x ncols with x at (r, c) for each (r, c, x) in entries and
-        the context's zero everywhere else; the inverse of ``nonzeros``."""
+        """nrows x ncols with the sum of the x given at (r, c) by the
+        (r, c, x) in entries, and the context's zero where none is given;
+        on distinct positions the inverse of ``nonzeros``."""
         z = ctx.zero()
         rows = [[z] * ncols for _ in range(nrows)]
         for r, c, x in entries:
             _check_entry(ctx, x)
-            rows[r][c] = x
+            y = rows[r][c]
+            rows[r][c] = y + x if y else x
         return QMatrix._build(ctx, rows, ncols)
 
     @staticmethod

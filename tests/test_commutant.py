@@ -255,6 +255,18 @@ def test_sylvester_operator_matches_matrix_products():
                         == [x for row in expected.rows for x in row])
 
 
+def test_sylvester_operator_cancels_a_diagonal_position_exactly():
+    # X -> A X - q X A with A = diag(a, a/q): at ((0, 1), (0, 1)) the terms
+    # a and -q (a/q) of one position sum to zero
+    for ctx in (GEN, C3):
+        q = ctx.q()
+        a = ctx.rational(3) + q
+        S = sylvester_operator(QMatrix.diagonal(ctx, [a, a / q]),
+                               QMatrix.diagonal(ctx, [a, a / q]), q)
+        assert S[1, 1] == ctx.zero()
+        assert [(r, c) for r, c, _ in S.nonzeros()] == [(0, 0), (2, 2), (3, 3)]
+
+
 def test_sylvester_operator_needs_square_sides():
     with pytest.raises(NotSquare):
         sylvester_operator(QMatrix.zero(GEN, 2, 3), QMatrix.identity(GEN, 2), GEN.one())

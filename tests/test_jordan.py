@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, QMatrix,
@@ -176,7 +176,9 @@ def test_newton_polygon_candidates_contain_every_monomial_root(roots):
     p = (GEN.one(),)
     for lam in lams:
         p = poly.mul(p, (-lam, GEN.one()))
-    assert set(lams) <= jordan._root_candidates_generic(p, GEN)
+    candidates = {GEN.rational(c) * q ** k for k, residual in jordan._residuals(p, GEN)
+                  for c in jordan.rational_roots(residual)}
+    assert set(lams) <= candidates
 
 
 def test_round_trip_dense_generic_conjugate_with_spread_valuations():
@@ -205,6 +207,57 @@ def test_jordan_data_walks_the_q_orbit_of_a_hint_over_q_of_q():
                    conjugate(g, QMatrix.diagonal(GEN, [a * q, a * q * q])))
     spec = jordan_data(A)
     assert spec == JordanSpec(GEN, [(lam, [1]) for lam in (a, a * q, a * q * q)])
+
+
+def test_jordan_data_finds_hint_orbit_members_past_a_gap_over_q_of_q():
+    # (1 + q) q^2 and (1 + q) q^5 are roots but (1 + q) q is not: each root
+    # is found as the member of the hint's q-orbit at its own valuation
+    q = GEN.q()
+    a = GEN.one() + q
+    g = QMatrix.from_rational_rows(GEN, [[1, 1], [1, 2]])
+    A = direct_sum(QMatrix.diagonal(GEN, [a]),
+                   conjugate(g, QMatrix.diagonal(GEN, [a * q ** 2, a * q ** 5])))
+    spec = jordan_data(A)
+    assert spec == JordanSpec(GEN, [(lam, [1]) for lam in (a, a * q ** 2, a * q ** 5)])
+
+
+def test_jordan_data_finds_hint_orbit_members_past_a_gap_over_q_of_zeta5():
+    # b q^2 and b q^4 are roots but b q and b q^3 are not, and no member of
+    # the q-orbit of b is rational times a power of q
+    C5 = FieldContext.root_of_unity(5)
+    q = C5.q()
+    b = C5.one() + C5.rational(2) * q
+    g = QMatrix.from_rational_rows(C5, [[1, 1], [1, 2]])
+    A = direct_sum(QMatrix.diagonal(C5, [b]),
+                   conjugate(g, QMatrix.diagonal(C5, [b * q ** 2, b * q ** 4])))
+    spec = jordan_data(A)
+    assert spec == JordanSpec(C5, [(lam, [1]) for lam in (b, b * q ** 2, b * q ** 4)])
+
+
+ORBIT_CONTEXTS = {"generic": GEN, "ell5": FieldContext.root_of_unity(5),
+                  "ell8": FieldContext.root_of_unity(8)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(ORBIT_CONTEXTS)),
+       st.tuples(*[st.sampled_from([1, -1, 2, Fraction(-3, 2)])] * 2),
+       st.sets(st.integers(-5, 7).filter(bool), min_size=1, max_size=3),
+       st.integers(0, 2 ** 16))
+def test_jordan_data_recovers_every_q_orbit_member_of_a_hint(name, coords, exponents, seed):
+    # b has two nonzero coordinates, so no member b q^s is a rational times
+    # a power of q; b is a hint as a diagonal entry, and the exponents may
+    # leave gaps in its orbit
+    ctx = ORBIT_CONTEXTS[name]
+    q = ctx.q()
+    b = ctx.rational(coords[0]) + ctx.rational(coords[1]) * q
+    if not ctx.is_generic:
+        exponents = {s % ctx.ell for s in exponents} - {0}
+        assume(exponents)
+    members = [b * q ** s for s in sorted(exponents)]
+    g = unimodular(ctx, len(members), random.Random(seed))
+    A = direct_sum(QMatrix.diagonal(ctx, [b]),
+                   conjugate(g, QMatrix.diagonal(ctx, members)))
+    assert jordan_data(A) == JordanSpec(ctx, [(lam, [1]) for lam in [b, *members]])
 
 
 def test_jordan_data_refuses_a_hull_edge_of_fractional_slope():
