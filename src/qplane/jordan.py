@@ -178,8 +178,8 @@ def _residuals(cofactor, ctx):
     points = []  # (j, val a_j, lowest Laurent coefficient of a_j)
     for j, a in enumerate(cofactor):
         if a:
-            (num, den), v = q_orbit(a)
-            points.append((j, v, num[0] / den[0]))
+            (num, den), v = q_orbit(a)  # integer tuples: keep the ratio exact
+            points.append((j, v, Fraction(num[0], den[0])))
     hull = []
     for p in points:
         # drop the last vertex while it lies on or above the chord to p

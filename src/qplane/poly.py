@@ -1,13 +1,19 @@
-"""Dense polynomials over an exact field.
+"""Dense polynomials over an exact field, and over the integers.
 
 A polynomial is a little-endian tuple of coefficients: (c0, c1, ..., cd)
-stands for c0 + c1 x + ... + cd x^d.  The coefficients may be of any exact
-field type whose zero is falsy: Fractions (numerators and denominators in
-Q(q), the cyclotomic polynomials) or QScalars (characteristic polynomials).
-A polynomial is trimmed when its last coefficient is nonzero, and the zero
-polynomial is ().  Every function here takes trimmed polynomials and returns
-trimmed tuples; ``trim`` is the one way in for anything else.
+stands for c0 + c1 x + ... + cd x^d.  The ring operations (``trim``, ``add``,
+``neg``, ``mul``, ``scale``, ``evaluate``) take coefficients of any exact type
+whose zero is falsy: ints (numerators and denominators in Q(q)), Fractions
+(the cyclotomic polynomials, root search) or QScalars (characteristic
+polynomials).  ``div``, ``gcd`` and ``div_linear`` need a field.  The
+integer helpers ``prem``, ``primitive``, ``primitive_gcd`` and ``div_exact``
+work in Z[x] without any division that leaves Z.  A polynomial is trimmed
+when its last coefficient is nonzero, and the zero polynomial is ().  Every
+function here takes trimmed polynomials and returns trimmed tuples; ``trim``
+is the one way in for anything else.
 """
+
+import math
 
 from .errors import DivisionByZero
 
@@ -99,3 +105,76 @@ def evaluate(a, x):
         acc = acc * x + a[k]
     return acc
 
+
+# ---------------------------------------------------------------------------
+# Z[x]: pseudo-division and the primitive remainder sequence
+# ---------------------------------------------------------------------------
+
+def prem(a, b):
+    """The pseudo-remainder of a by b in Z[x]: the remainder of
+    lc(b)^(deg a - deg b + 1) * a on division by b, which stays integral
+    (a itself when deg a < deg b).  b must be nonzero."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    top = len(b) - 1
+    lc = b[-1]
+    rem = list(a)
+    for k in range(len(a) - top - 1, -1, -1):
+        # rem := lc * rem - rem[k + top] x^k b, whose term at k + top cancels
+        f = rem[k + top]
+        rem[:k + top] = [x * lc for x in rem[:k + top]]
+        if f:
+            for j in range(top):
+                rem[k + j] -= f * b[j]
+    return trim(rem[:top]) if len(a) > top else a
+
+
+def primitive(a):
+    """a divided by its content, with a positive leading coefficient; a
+    must be nonzero."""
+    c = math.gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else tuple([x // c for x in a])
+
+
+def primitive_gcd(a, b):
+    """The primitive greatest common divisor of a and b in Z[x], with a
+    positive leading coefficient (() when both are zero).
+
+    Collins's primitive remainder sequence (JACM 14, 1967): every
+    pseudo-remainder is made primitive before the next step, which keeps
+    its coefficients from swelling as they do under Euclid over Q."""
+    if not a or not b:
+        return primitive(a or b) if a or b else ()
+    a, b = primitive(a), primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = prem(a, b)
+        if not r:
+            return b
+        a, b = b, primitive(r)
+    return (1,)
+
+
+def div_exact(a, b):
+    """The quotient a / b in Z[x], where b divides a exactly; raises
+    ValueError when it does not."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    top = len(b) - 1
+    lc = b[-1]
+    rem = list(a)
+    quot = [0] * max(len(a) - top, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        f, r = divmod(rem[k + top], lc)
+        if r:
+            raise ValueError("inexact polynomial division")
+        quot[k] = f
+        if f:
+            for j in range(top):
+                rem[k + j] -= f * b[j]
+    if any(rem[:top]):
+        raise ValueError("inexact polynomial division")
+    return tuple(quot)

@@ -9,9 +9,14 @@ A scalar lives in one of two fields, fixed by a FieldContext:
   reduced modulo the monic integer polynomial Phi_ell, so equality is
   coefficient-wise.
 * generic regime: the rational function field Q(q), represented as a
-  reduced ratio of polynomials with monic denominator.  Here q is an
-  indeterminate and the order of q is treated as infinite.  Coefficients
-  are fractions.Fraction.
+  ratio n/d of two integer polynomials in q (little-endian int tuples) in
+  canonical form: n and d coprime over Q, the gcd of all their coefficients
+  together is 1, and lc(d) > 0, so equality is tuple equality.  Here q is an
+  indeterminate and the order of q is treated as infinite.  Results are
+  reduced by an integer gcd: the content alone when n or d is constant, else
+  a primitive remainder sequence (``poly.primitive_gcd``) and exact division
+  in Z[q].  ``num``/``den`` give the same value as Fractions with a monic
+  denominator, the form that printing, sorting and hashing read.
 
 All arithmetic is exact (Python big integers); nothing in this module rounds.
 """
@@ -200,7 +205,7 @@ class FieldContext:
     def rational(self, value) -> "QScalar":
         c = Fraction(value)
         if self.is_generic:
-            return QScalar(self, num=(c,) if c else (), den=(F1,))
+            return _generic(self, (c.numerator,) if c else (), (c.denominator,))
         return QScalar(self, (c.numerator,) + (0,) * (self._deg - 1), c.denominator)
 
     def q(self) -> "QScalar":
@@ -210,8 +215,8 @@ class FieldContext:
         """The scalar q^m (m may be negative)."""
         if self.is_generic:
             if m >= 0:
-                return QScalar(self, num=(F0,) * m + (F1,), den=(F1,))
-            return QScalar(self, num=(F1,), den=(F0,) * (-m) + (F1,))
+                return _generic(self, (0,) * m + (1,), (1,))
+            return _generic(self, (1,), (0,) * (-m) + (1,))
         ints = [0] * self._deg
         for t, v in self._powers[m % self.ell]:
             ints[t] = v
@@ -243,9 +248,81 @@ class FieldContext:
 # scalars
 # ---------------------------------------------------------------------------
 
+_new = object.__new__
+
+
 def _check_ctx(a, b):
     if a.ctx is not b.ctx:
         raise MixedContext(f"cannot combine {a.ctx!r} with {b.ctx!r}")
+
+
+def _canonical(n, d, coprime=False):
+    """The canonical integer pair for n/d: trimmed int tuples n and d != ()
+    in, coprime over Q, content 1 and lc(d) > 0 out.  ``coprime`` says the
+    caller knows n and d share no factor of positive degree."""
+    if not n:
+        return (), (1,)
+    if not coprime and len(n) > 1 and len(d) > 1:
+        g = poly.primitive_gcd(n, d)
+        if len(g) > 1:
+            n, d = poly.div_exact(n, g), poly.div_exact(d, g)
+    c = math.gcd(*n, *d)
+    if d[-1] < 0:
+        c = -c
+    if c != 1:
+        n, d = tuple([x // c for x in n]), tuple([x // c for x in d])
+    return n, d
+
+
+def _cancel(a, b):
+    """a and b divided by their common factor of positive degree."""
+    if len(a) > 1 and len(b) > 1:
+        g = poly.primitive_gcd(a, b)
+        if len(g) > 1:
+            return poly.div_exact(a, g), poly.div_exact(b, g)
+    return a, b
+
+
+def _generic_product(n, d, m, e):
+    """The canonical pair of (n/d)(m/e), from two canonical pairs.
+
+    The gcd of n m and d e is gcd(n, e) gcd(m, d), so the product needs
+    only these two smaller gcds (Henrici, JACM 3, 1956)."""
+    n, e = _cancel(n, e)
+    m, d = _cancel(m, d)
+    return _canonical(poly.mul(n, m), poly.mul(d, e), True)
+
+
+def _generic_sum(n, d, m, e):
+    """The canonical pair of n/d + m/e, from two canonical pairs.
+
+    With g = gcd(d, e), d = g d', e = g e': the sum is (n e' + m d') / (g d' e'),
+    and its numerator shares no factor with d' or e', so only its gcd with g
+    is left to cancel (Henrici, JACM 3, 1956).  A constant denominator makes
+    g = 1."""
+    if d == e:
+        return _canonical(poly.add(n, m), d)
+    g = poly.primitive_gcd(d, e) if len(d) > 1 and len(e) > 1 else (1,)
+    if len(g) == 1:
+        return _canonical(poly.add(poly.mul(n, e), poly.mul(m, d)), poly.mul(d, e), True)
+    d, e = poly.div_exact(d, g), poly.div_exact(e, g)
+    num, g = _cancel(poly.add(poly.mul(n, e), poly.mul(m, d)), g)
+    return _canonical(num, poly.mul(poly.mul(d, e), g), True)
+
+
+def _generic(ctx, n, d):
+    """The Q(q) scalar n/d from an integer pair already in canonical form,
+    built without checks; every Q(q) result goes through here."""
+    s = _new(QScalar)
+    s.ctx, s.ints, s.d, s.int_num, s.int_den = ctx, None, None, n, d
+    return s
+
+
+def _cyclotomic(ctx, ints, d):
+    """The Q(zeta_ell) scalar ints/d from a canonical pair, without checks."""
+    s = _new(QScalar)
+    s.ctx, s.ints, s.d, s.int_num, s.int_den = ctx, ints, d, None, None
+    return s
 
 
 class QScalar:
@@ -254,12 +331,17 @@ class QScalar:
     Root-of-unity regime: the value is sum(ints[i] q^i) / d, where ``ints``
     is the reduced integer coefficient vector of length deg(Phi_ell) and
     ``d > 0`` with gcd(d, *ints) = 1, so the pair is canonical; ``coeffs``
-    is the same vector as Fractions.  Generic regime: ``num``/``den`` is a
-    reduced fraction of polynomials with monic denominator.  Values are
-    immutable; all arithmetic returns fresh scalars.
+    is the same vector as Fractions.  Generic regime: the value is
+    int_num / int_den, two little-endian integer polynomials in q, coprime
+    over Q, with content 1 taken over both and a positive leading
+    coefficient in int_den, so the pair is canonical; ``num``/``den`` are
+    the same fraction as Fraction tuples with a monic denominator.  The
+    constructor takes ``num``/``den`` as tuples of ints or Fractions and
+    reduces them.  Values are immutable; all arithmetic returns fresh
+    scalars.
     """
 
-    __slots__ = ("ctx", "ints", "d", "num", "den")
+    __slots__ = ("ctx", "ints", "d", "int_num", "int_den")
 
     def __init__(self, ctx, ints=None, d=1, num=None, den=None):
         self.ctx = ctx
@@ -268,19 +350,11 @@ class QScalar:
             num, den = poly.trim(num), poly.trim(den)
             if not den:
                 raise DivisionByZero("zero denominator")
-            if not num:
-                num, den = (), (F1,)
-            else:
-                g = poly.gcd(num, den)
-                if len(g) > 1:
-                    num = poly.div(num, g)[0]
-                    den = poly.div(den, g)[0]
-                lc = den[-1]
-                if lc != 1:
-                    inv = 1 / lc
-                    num = poly.scale(num, inv)
-                    den = poly.scale(den, inv)
-            self.num, self.den = num, den
+            # clear the denominators of the coefficients: ints have denominator 1
+            m = math.lcm(*(c.denominator for c in num), *(c.denominator for c in den))
+            self.int_num, self.int_den = _canonical(
+                tuple(c.numerator * (m // c.denominator) for c in num),
+                tuple(c.numerator * (m // c.denominator) for c in den))
         else:
             assert len(ints) == ctx._deg
             if d != 1:
@@ -291,11 +365,28 @@ class QScalar:
                     ints = [x // g for x in ints]
                     d //= g
             self.ints, self.d = tuple(ints), d
-            self.num = self.den = None
+            self.int_num = self.int_den = None
 
     def __reduce__(self):
         # __slots__ without __getstate__ does not pickle at protocols 0 and 1
         return (QScalar, (self.ctx, self.ints, self.d, self.num, self.den))
+
+    @property
+    def num(self):
+        """Generic regime: the numerator as Fractions, scaled so that ``den``
+        is monic."""
+        if not self.ctx.is_generic:
+            return None
+        lc = self.int_den[-1]
+        return tuple(Fraction(c, lc) for c in self.int_num)
+
+    @property
+    def den(self):
+        """Generic regime: the monic denominator as Fractions."""
+        if not self.ctx.is_generic:
+            return None
+        lc = self.int_den[-1]
+        return tuple(Fraction(c, lc) for c in self.int_den)
 
     @property
     def coeffs(self):
@@ -320,7 +411,7 @@ class QScalar:
 
     def is_zero(self) -> bool:
         if self.ctx.is_generic:
-            return not self.num
+            return not self.int_num
         return not any(self.ints)
 
     def __bool__(self):
@@ -329,8 +420,9 @@ class QScalar:
     def as_rational(self):
         """The value as a Fraction if it is rational, else None."""
         if self.ctx.is_generic:
-            if self.den == (F1,) and len(self.num) <= 1:
-                return self.num[0] if self.num else F0
+            n, d = self.int_num, self.int_den
+            if len(d) == 1 and len(n) <= 1:
+                return Fraction(n[0], d[0]) if n else F0
             return None
         if any(self.ints[1:]):
             return None
@@ -343,8 +435,8 @@ class QScalar:
         if o is None:
             return NotImplemented
         if self.ctx.is_generic:
-            num = poly.add(poly.mul(self.num, o.den), poly.mul(o.num, self.den))
-            return QScalar(self.ctx, num=num, den=poly.mul(self.den, o.den))
+            return _generic(self.ctx, *_generic_sum(self.int_num, self.int_den,
+                                                    o.int_num, o.int_den))
         d, e = self.d, o.d
         if d == e:
             return QScalar(self.ctx, [x + y for x, y in zip(self.ints, o.ints)], d)
@@ -355,9 +447,10 @@ class QScalar:
     __radd__ = __add__
 
     def __neg__(self):
+        # the negation of a canonical pair is canonical
         if self.ctx.is_generic:
-            return QScalar(self.ctx, num=poly.neg(self.num), den=self.den)
-        return QScalar(self.ctx, [-x for x in self.ints], self.d)
+            return _generic(self.ctx, poly.neg(self.int_num), self.int_den)
+        return _cyclotomic(self.ctx, tuple([-x for x in self.ints]), self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -376,7 +469,8 @@ class QScalar:
         if o is None:
             return NotImplemented
         if self.ctx.is_generic:
-            return QScalar(self.ctx, num=poly.mul(self.num, o.num), den=poly.mul(self.den, o.den))
+            return _generic(self.ctx, *_generic_product(self.int_num, self.int_den,
+                                                        o.int_num, o.int_den))
         return QScalar(self.ctx, self.ctx._mul(self.ints, o.ints), self.d * o.d)
 
     __rmul__ = __mul__
@@ -385,8 +479,8 @@ class QScalar:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         ctx = self.ctx
-        if ctx.is_generic:
-            return QScalar(ctx, num=self.den, den=self.num)
+        if ctx.is_generic:  # swapped, the pair stays canonical up to its sign
+            return _generic(ctx, *_canonical(self.int_den, self.int_num, True))
         # a^-1 = prod_{sigma != 1} sigma(a) / N(a), with a = ints / d
         a = self.ints
         others = [1] + [0] * (ctx._deg - 1)
@@ -435,7 +529,7 @@ class QScalar:
         if self.ctx is not other.ctx:
             return False
         if self.ctx.is_generic:
-            return self.num == other.num and self.den == other.den
+            return self.int_num == other.int_num and self.int_den == other.int_den
         return self.ints == other.ints and self.d == other.d
 
     def __hash__(self):
@@ -443,6 +537,8 @@ class QScalar:
         if r is not None:
             return hash(r)
         if self.ctx.is_generic:
+            if self.int_den[-1] == 1:  # the view holds the same integers, equal hashes
+                return hash((self.int_num, self.int_den))
             return hash((self.num, self.den))
         return hash(self.coeffs)
 
@@ -460,9 +556,13 @@ def canonical_key(a: QScalar):
 
     Compares the canonical coefficient vectors lexicographically, each
     coefficient by magnitude and then sign; used to fix block orderings and
-    class-base choices.
+    class-base choices.  Over Q(q) the vectors are those of the monic view
+    ``num``/``den``; where the integer denominator is already monic the
+    integer pair holds the same values and is read directly.
     """
     if a.ctx.is_generic:
+        if a.int_den[-1] == 1:
+            return (tuple(map(_frac_key, a.int_num)), tuple(map(_frac_key, a.int_den)))
         return (tuple(map(_frac_key, a.num)), tuple(map(_frac_key, a.den)))
     return tuple(map(_frac_key, a.coeffs))
 
@@ -476,10 +576,13 @@ def substitute_q_inverse(a: QScalar) -> QScalar:
     """
     ctx = a.ctx
     if ctx.is_generic:
-        top = max(len(a.num), len(a.den))
-        num = tuple(reversed(tuple(a.num) + (F0,) * (top - len(a.num))))
-        den = tuple(reversed(tuple(a.den) + (F0,) * (top - len(a.den))))
-        return QScalar(ctx, num=num, den=den)
+        # q^top n(1/q) / q^top d(1/q): the reversals stay coprime (q divides
+        # at most one of them)
+        n, d = a.int_num, a.int_den
+        top = max(len(n), len(d))
+        n = poly.trim((0,) * (top - len(n)) + n[::-1])
+        d = poly.trim((0,) * (top - len(d)) + d[::-1])
+        return _generic(ctx, *_canonical(n, d, True))
     return QScalar(ctx, ctx._conjugate(a.ints, ctx.ell - 1), a.d)
 
 
@@ -492,19 +595,21 @@ def q_orbit(a: QScalar):
     that the hashable key names.  Two nonzero scalars of one context are
     q-equivalent exactly when their keys are equal.
 
-    Generic regime: b is a with its q-adic valuation k stripped from num
-    and den, and the key is (num, den) of b.  Root-of-unity regime: b is
-    the member a * q^(-k), 0 <= k < ell, with the least (ints, d); q acts on
-    the integer vector unimodularly, so every member keeps the denominator d
-    in lowest terms.
+    Generic regime: b is a with its q-adic valuation k stripped from the
+    integer pair (int_num, int_den), which keeps the pair canonical, and the
+    key is that pair of b.  Root-of-unity regime: b is the member
+    a * q^(-k), 0 <= k < ell, with the least (ints, d); q acts on the integer
+    vector unimodularly, so every member keeps the denominator d in lowest
+    terms.
     """
     if a.is_zero():
         raise ZeroArgument("q-orbits are defined for nonzero scalars")
     ctx = a.ctx
     if ctx.is_generic:
-        low_num = next(i for i, c in enumerate(a.num) if c)
-        low_den = next(i for i, c in enumerate(a.den) if c)
-        return (a.num[low_num:], a.den[low_den:]), low_num - low_den
+        n, d = a.int_num, a.int_den
+        low_num = next(i for i, c in enumerate(n) if c)
+        low_den = next(i for i, c in enumerate(d) if c)
+        return (n[low_num:], d[low_den:]), low_num - low_den
     ints, j = min((tuple(ctx._conjugate(a.ints, 1, j)), j) for j in range(ctx.ell))
     return (ints, a.d), -j % ctx.ell
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, QMatrix,
                     QScalar, block_jordan, char_poly, check_partition, conjugate,
                     direct_sum, jordan_block, jordan_data, q_classes, q_equivalent,
-                    rank, realize, transpose_partition)
+                    q_orbit, rank, realize, transpose_partition)
 from qplane import jordan, poly
 
 C3 = FieldContext.root_of_unity(3)
@@ -179,6 +179,29 @@ def test_newton_polygon_candidates_contain_every_monomial_root(roots):
     candidates = {GEN.rational(c) * q ** k for k, residual in jordan._residuals(p, GEN)
                   for c in jordan.rational_roots(residual)}
     assert set(lams) <= candidates
+
+
+def test_residuals_and_orbit_keys_stay_exact_for_non_monic_denominators():
+    # roots r and r q^2 with r = (1 + q)/(2 + 3q): the lowest Laurent
+    # coefficient 1/2 of each is a ratio of integers read off the orbit keys,
+    # and must stay a Fraction (int / int would be a float)
+    q = GEN.q()
+    r = (GEN.one() + q) / (GEN.rational(2) + GEN.rational(3) * q)
+    lams = [r, r * q ** 2]
+    p = (GEN.one(),)
+    for lam in lams:
+        p = poly.mul(p, (-lam, GEN.one()))
+    residuals = list(jordan._residuals(p, GEN))
+    assert {k for k, _ in residuals} == {0, 2}
+    for _, residual in residuals:
+        assert all(type(c) is Fraction for c in residual)
+        assert Fraction(1, 2) in jordan.rational_roots(residual)
+    key, k = q_orbit(r)
+    for j in (-3, 1, 2, 7):
+        assert q_orbit(r * q ** j) == (key, k + j)
+    others = [r * GEN.rational(2), (GEN.one() + q) / (GEN.rational(2) + q),
+              GEN.one() / r, r + GEN.one()]
+    assert len({key, *(q_orbit(x)[0] for x in others)}) == 1 + len(others)
 
 
 def test_round_trip_dense_generic_conjugate_with_spread_valuations():

@@ -81,6 +81,100 @@ def test_coefficient_tuples_stay_homogeneous():
 
 
 # ---------------------------------------------------------------------------
+# over Z: pseudo-remainder, primitive gcd and exact division, against sympy
+# ---------------------------------------------------------------------------
+
+HUGE = 2 ** 200
+huge_ints = st.one_of(st.integers(-HUGE, HUGE), st.integers(-9, 9))
+
+
+def int_polys(max_size):
+    return st.lists(huge_ints, max_size=max_size).map(poly.trim)
+
+
+def zz_poly(sympy, coeffs):
+    return sympy.Poly(list(reversed(coeffs)) or [0], sympy.Symbol("x"), domain="ZZ")
+
+
+def from_zz(p):
+    return poly.trim(tuple(int(c) for c in reversed(p.all_coeffs())))
+
+
+def assert_ints(*polys):
+    for p in polys:
+        assert type(p) is tuple and all(type(c) is int for c in p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_polys(13), int_polys(13).filter(bool))
+def test_prem_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    r = poly.prem(a, b)
+    assert_ints(r)
+    assert r == from_zz(sympy.prem(zz_poly(sympy, a), zz_poly(sympy, b)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_polys(5), int_polys(5), int_polys(5))
+def test_primitive_gcd_matches_sympy(a, b, common):
+    sympy = pytest.importorskip("sympy")
+    a, b = poly.mul(a, common), poly.mul(b, common)  # degrees up to 12
+    g = poly.primitive_gcd(a, b)
+    assert_ints(g)
+    if not a and not b:
+        assert g == ()
+        return
+    expected = from_zz(zz_poly(sympy, a).gcd(zz_poly(sympy, b)).primitive()[1])
+    if expected[-1] < 0:
+        expected = poly.neg(expected)
+    assert g == expected
+    assert g[-1] > 0 and poly.primitive(g) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_polys(7), int_polys(7).filter(bool))
+def test_div_exact_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    product = poly.mul(a, b)
+    quot = poly.div_exact(product, b)
+    assert_ints(quot)
+    assert quot == a == from_zz(sympy.exquo(zz_poly(sympy, product), zz_poly(sympy, b)))
+    if len(b) > 1:
+        with pytest.raises(ValueError):
+            poly.div_exact(poly.add(product, (1,)), b)
+
+
+def test_integer_helpers_on_small_cases():
+    assert poly.prem((5, 2, 0, 3), (1, 2)) == (29,)
+    assert poly.prem((1, 2), (1, 0, 1)) == (1, 2)  # deg a < deg b: a itself
+    assert poly.primitive((-4, 2, -6)) == (2, -1, 3)
+    assert poly.primitive_gcd((), ()) == ()
+    assert poly.primitive_gcd((), (0, -2, 4)) == (0, -1, 2)
+    assert poly.primitive_gcd((1, 1), (2, 3)) == (1,)
+    assert poly.div_exact((), (3, 1)) == ()
+    with pytest.raises(DivisionByZero):
+        poly.prem((1,), ())
+    with pytest.raises(ValueError):
+        poly.div_exact((1, 1), (2,))
+
+
+def test_field_semantics_kept_for_fractions_and_scalars():
+    # div and gcd still divide in the coefficient field: Fractions stay
+    # Fractions, the gcd is monic, and the quotient need not be integral
+    half = Fraction(1, 2)
+    assert poly.div((Fraction(1), Fraction(3)), (Fraction(2),)) == (
+        (half, Fraction(3, 2)), ())
+    g = poly.gcd((Fraction(-2), Fraction(0), Fraction(2)), (Fraction(3), Fraction(3)))
+    assert g == (Fraction(1), Fraction(1)) and all(type(c) is Fraction for c in g)
+    q, one = GEN.q(), GEN.one()
+    two = GEN.rational(2)
+    quot, rem = poly.div((q, two * q), (two,))  # (q + 2q x) / 2
+    assert quot == (q / 2, q) and rem == ()
+    g = poly.gcd(poly.mul((q, one), (one, two)), poly.mul((q, one), (two, q)))
+    assert g == (q, one)
+
+
+# ---------------------------------------------------------------------------
 # over Q(zeta_ell) and Q(q), by identities
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 import re
@@ -12,6 +13,7 @@ from qplane import (DivisionByZero, FieldContext, INFINITE, MixedContext,
                     ParseError, QScalar, ZeroArgument, canonical_key,
                     cyclotomic_polynomial, format_scalar, parse_scalar,
                     q_equivalent, q_orbit, substitute_q_inverse)
+from qplane import poly
 from qplane.scalars import MAX_GENERIC_EXPONENT
 
 C3 = FieldContext.root_of_unity(3)
@@ -541,3 +543,98 @@ def test_cyclotomic_representation_pins(case):
     assert parse_scalar(format_scalar(a), ctx) == a
     if not any(u[1:]):
         assert a.as_rational() == u[0] and a == u[0]
+
+
+# ---------------------------------------------------------------------------
+# Q(q): the canonical integer pair and its Fraction view
+# ---------------------------------------------------------------------------
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def generic_values(draw):
+    """A Q(q) scalar built through the public constructor from Fraction
+    tuples with non-monic, non-integral denominators."""
+    num = draw(st.lists(small_fractions, max_size=4))
+    den = draw(st.lists(small_fractions, min_size=1, max_size=4).filter(any))
+    return QScalar(GEN, num=num, den=den)
+
+
+def monic_view(n, d):
+    """The Q(q) normal form before integer pairs: Euclid over Q and a monic
+    denominator, from the value n/d as Fraction tuples."""
+    num, den = tuple(map(Fraction, n)), tuple(map(Fraction, d))
+    if not num:
+        return (), (F1,)
+    g = poly.gcd(num, den)
+    num, den = poly.div(num, g)[0], poly.div(den, g)[0]
+    lc = den[-1]
+    return poly.scale(num, 1 / lc), poly.scale(den, 1 / lc)
+
+
+def assert_canonical(a):
+    n, d = a.int_num, a.int_den
+    assert type(n) is tuple and type(d) is tuple
+    assert all(type(c) is int for c in n + d)
+    assert d and d[-1] > 0 and (not n or n[-1])
+    if not n:
+        assert d == (1,)
+        return
+    assert math.gcd(*n, *d) == 1
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    if sympy is not None:
+        x = sympy.Symbol("x")
+        common = sympy.gcd(sympy.Poly(n[::-1], x), sympy.Poly(d[::-1], x))
+        assert common.degree() == 0
+    assert (a.num, a.den) == monic_view(n, d)
+    assert all(type(c) is Fraction for c in a.num + a.den)
+    # the sort key of the monic view, magnitude before sign
+    assert canonical_key(a) == tuple(tuple((abs(c), 0 if c >= 0 else 1) for c in part)
+                                     for part in (a.num, a.den))
+
+
+@settings(max_examples=120, deadline=None)
+@given(generic_values(), generic_values(), st.integers(-3, 3))
+def test_generic_results_are_canonical(a, b, k):
+    results = [a, b, a + b, a - b, b - a, a * b, -a, a ** k if a else a,
+               substitute_q_inverse(a), parse_scalar(format_scalar(a), GEN)]
+    if b:
+        results += [a / b, b.inverse(), 1 / b]
+    for r in results:
+        assert_canonical(r)
+    assert parse_scalar(format_scalar(a), GEN) == a
+    assert a - b == a + (-b)
+    assert -(-a) == a
+
+
+NON_MONIC = [
+    ((1, 1), (2, 3)),
+    ((Fraction(1, 2), 1), (-7, 0, Fraction(3, 5))),
+    ((0, 0, Fraction(-4, 9)), (Fraction(5, 6), Fraction(2, 3))),
+    ((6,), (4, 0, 0, -10)),
+]
+
+
+@pytest.mark.parametrize("num, den", NON_MONIC)
+def test_generic_pickle_and_copy_round_trip(num, den):
+    a = QScalar(GEN, num=num, den=den)
+    assert a.int_den[-1] != 1  # a denominator that is not monic over Z
+    copies = [copy.copy(a), copy.deepcopy(a)]
+    copies += [pickle.loads(pickle.dumps(a, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for b in copies:
+        assert (b.int_num, b.int_den) == (a.int_num, a.int_den)
+        assert b == a and hash(b) == hash(a) and b.ctx is GEN
+        assert format_scalar(b) == format_scalar(a)
+
+
+def test_generic_hash_equals_the_fraction_view_hash():
+    # hash((num, den)) of the monic Fraction view, as before integer pairs
+    for num, den in NON_MONIC + [((1, 2), (3, 1)), ((0, 5), (1,))]:
+        a = QScalar(GEN, num=num, den=den)
+        r = a.as_rational()
+        assert hash(a) == (hash(r) if r is not None else hash((a.num, a.den)))
