@@ -20,6 +20,16 @@ from .scalars import FieldContext, INFINITE, q_orbit, substitute_q_inverse
 from .chains import _partition_table
 
 
+def _order(ell):
+    """ell as an order of q: a positive integer, or INFINITE for anything
+    equal to it; BadIndex otherwise."""
+    if not isinstance(ell, int) and ell == INFINITE:
+        return INFINITE
+    if not isinstance(ell, int) or ell < 1:
+        raise BadIndex("the order must be a positive integer or INFINITE")
+    return ell
+
+
 def _norm(counts) -> int:
     return sum((i + 1) * c for i, c in enumerate(counts))
 
@@ -43,13 +53,10 @@ class ComponentIndex:
         r = tuple(int(c) for c in r)
         if any(c < 0 for c in m) or any(c < 0 for c in r):
             raise BadIndex("block counts must be nonnegative")
-        if not isinstance(ell, int) and ell == INFINITE:
-            ell = INFINITE
+        ell = _order(ell)
         if ell is INFINITE:
             m, r = trim(m), trim(r)
         else:
-            if not isinstance(ell, int) or ell < 1:
-                raise BadIndex("the order must be a positive integer or INFINITE")
             if len(m) > ell or len(r) > ell - 1:
                 raise BadIndex(
                     f"count vectors too long for order {ell}: "
@@ -112,6 +119,7 @@ def enumerate_ML(ell, n: int):
     """All component indices (m, r) with ||m|| + ||r|| = n, duplicate-free."""
     if n < 0:
         raise BadIndex("n must be nonnegative")
+    ell = _order(ell)
     if ell == 1:  # r is empty, so m = (n,) is the only index
         return [ComponentIndex(1, (n,), ())]
     out = []
@@ -127,6 +135,7 @@ def count_ML(ell, n: int) -> int:
     """Closed-form component count: sum of p_{ell-1}(i) * p_ell(j), i+j = n."""
     if n < 0:
         raise BadIndex("n must be nonnegative")
+    ell = _order(ell)
     if ell == 1:
         return 1
     if ell is INFINITE:
@@ -310,12 +319,12 @@ def _jacobian_rank_once(kind, size, ctx, rng) -> int:
     # not depend on g and is taken at g = 1.
     zero = ctx.zero()
     one = ctx.one()
+    half = [zero] * (size * size)
     # conjugation directions: d/dt of exp(tY) X exp(-tY) = [Y, X]; row Y is
     # -(A Y - Y A, B Y - Y B), the negated column Y of the stacked
     # operators, and the sign does not change the rank
-    rows = list(QMatrix(ctx, sylvester_operator(A, A, one).rows
-                        + sylvester_operator(B, B, one).rows).transpose().rows)
-    half = [zero] * (size * size)
+    stacked = sylvester_operator(A, A, one).rows + sylvester_operator(B, B, one).rows
+    rows = list(QMatrix._build(ctx, stacked, len(half)).transpose().rows)
     if kind == "D":
         # the A-scale direction: A = a * diag(1, 1/q, ...), so dA/da = A / a,
         # a nonzero multiple of A itself
@@ -333,7 +342,7 @@ def _jacobian_rank_once(kind, size, ctx, rng) -> int:
             e[k] = one
             Lk = q_layered(size, size, e, ctx=ctx)
             rows.append(half + [x for row in Lk.rows for x in row])
-    return rank(QMatrix(ctx, rows))
+    return rank(QMatrix._build(ctx, rows, 2 * len(half)))
 
 
 def parametrization_jacobian_rank(kind: str, i: int, ell, seed=0) -> int:

@@ -11,7 +11,7 @@ that two pairs map to the same quotient point.
 from dataclasses import dataclass
 
 from .commutant import MatrixPair
-from .components import ComponentIndex
+from .components import ComponentIndex, _order
 from .errors import BadIndex, UnsupportedShape
 from .matrices import QMatrix, direct_sum
 from .scalars import INFINITE
@@ -45,10 +45,9 @@ def enumerate_TPL(ell, n: int):
     """
     if n < 0:
         raise BadIndex("n must be nonnegative")
+    ell = _order(ell)
     if ell is INFINITE:
         return [GitIndex(0, m, n - m) for m in range(n, -1, -1)]
-    if not isinstance(ell, int) or ell < 1:
-        raise BadIndex("the order must be a positive integer or INFINITE")
     if ell == 1:
         return [GitIndex(n, 0, 0)]
     out = []
@@ -64,10 +63,9 @@ def count_TPL(ell, n: int) -> int:
     types number sum over p <= P of (n - ell p + 1)."""
     if n < 0:
         raise BadIndex("n must be nonnegative")
+    ell = _order(ell)
     if ell is INFINITE:
         return n + 1
-    if not isinstance(ell, int) or ell < 1:
-        raise BadIndex("the order must be a positive integer or INFINITE")
     if ell == 1:
         return 1
     top = n // ell
@@ -76,6 +74,7 @@ def count_TPL(ell, n: int) -> int:
 
 def dim_git(idx: GitIndex, ell, n: int) -> int:
     """Dimension of the closed-orbit family of type idx inside size n."""
+    ell = _order(ell)
     if idx.size(ell) != n:
         raise BadIndex(f"type {idx} does not have size {n}")
     if ell is INFINITE:

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import DimensionMismatch, MixedContext, NotSquare, SingularConjugator
-from .scalars import FieldContext, QScalar
+from .scalars import FieldContext, QScalar, _lowest
 
 
 def _check_entry(ctx: FieldContext, entry):
@@ -504,8 +504,8 @@ def _prime_budget(A: QMatrix, entries) -> int:
     r = min(A.nrows, A.ncols)
     dens = {}
     for i, _, x in entries:
-        dens[i] = dens.get(i, 0) + x.d.bit_length()
-    top = max((max(map(abs, x.ints)).bit_length() + dens[i] for i, _, x in entries),
+        dens[i] = dens.get(i, 0) + x.int_den[0].bit_length()
+    top = max((max(map(abs, x.int_num)).bit_length() + dens[i] for i, _, x in entries),
               default=0)
     bits = 2 * deg * r * (top + (r * deg).bit_length()) + 2
     return bits // 61 + 2
@@ -515,12 +515,12 @@ def _echelons_mod(entries, nrows, ncols, p, roots):
     """The reduced echelon form of A under each ring map zeta -> root mod p,
     one root at a time, as ``_rref`` returns it."""
     field = _mod_field(p)
-    dinv = {d: pow(d, -1, p) for d in {x.d for _, _, x in entries}}
+    dinv = {d: pow(d, -1, p) for d in {x.int_den[0] for _, _, x in entries}}
     for root in roots:
         powers = [pow(root, t, p) for t in range(len(roots))]
         images = []
         for i, j, x in entries:
-            v = sum(c * w for c, w in zip(x.ints, powers)) * dinv[x.d] % p
+            v = sum(c * w for c, w in zip(x.int_num, powers)) * dinv[x.int_den[0]] % p
             if v:
                 images.append((i, j, v))
         yield _rref(_sparse_rows(nrows, images), ncols, field)
@@ -548,7 +548,7 @@ def _modular(A: QMatrix, entries, want_basis: bool):
         if table is None:
             break
         p, roots, vinv = table
-        if any(x.d % p == 0 for _, _, x in entries):
+        if any(x.int_den[0] % p == 0 for _, _, x in entries):
             continue  # no ring map to F_p: a denominator vanishes
         echelons = []
         for pivots in _echelons_mod(entries, m, n, p, roots):
@@ -601,7 +601,7 @@ def _rebuild(ctx, cols, slots, residues, modulus):
             return None
         if any(a for a, _ in fracs):
             den = math.lcm(*(b for _, b in fracs))
-            rows[e][f] = QScalar(ctx, [a * (den // b) for a, b in fracs], den)
+            rows[e][f] = _lowest(ctx, [a * (den // b) for a, b in fracs], den)
     return list(zip(cols, rows))
 
 

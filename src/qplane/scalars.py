@@ -1,19 +1,19 @@
 """Exact scalar arithmetic for the two coefficient regimes.
 
-A scalar lives in one of two fields, fixed by a FieldContext:
+A scalar lives in one of two fields, fixed by a FieldContext.  In both it
+is one canonical integer pair (int_num, int_den) of little-endian int
+tuples, so equality is tuple equality:
 
 * root-of-unity regime: the cyclotomic field Q(zeta_ell), represented as
-  Q[x] modulo the cyclotomic polynomial Phi_ell, with q = zeta_ell.  An
-  element is an integer coefficient vector of length deg(Phi_ell) over one
-  positive integer denominator, in lowest terms; the vector is always
-  reduced modulo the monic integer polynomial Phi_ell, so equality is
-  coefficient-wise.
-* generic regime: the rational function field Q(q), represented as a
-  ratio n/d of two integer polynomials in q (little-endian int tuples) in
-  canonical form: n and d coprime over Q, the gcd of all their coefficients
-  together is 1, and lc(d) > 0, so equality is tuple equality.  Here q is an
+  Q[x] modulo the cyclotomic polynomial Phi_ell, with q = zeta_ell.
+  int_num is the integer coefficient vector, always of length deg(Phi_ell)
+  and reduced modulo the monic integer polynomial Phi_ell, and int_den is
+  the constant (d,) with d > 0 and gcd(d, *int_num) = 1.
+* generic regime: the rational function field Q(q), a ratio of two integer
+  polynomials in q: trimmed, coprime over Q, the gcd of all their
+  coefficients together is 1, and lc(int_den) > 0.  Here q is an
   indeterminate and the order of q is treated as infinite.  Results are
-  reduced by an integer gcd: the content alone when n or d is constant, else
+  reduced by an integer gcd: the content alone when a side is constant, else
   a primitive remainder sequence (``poly.primitive_gcd``) and exact division
   in Z[q].  ``num``/``den`` give the same value as Fractions with a monic
   denominator, the form that printing, sorting and hashing read.
@@ -32,6 +32,7 @@ from .errors import DivisionByZero, MixedContext, ParseError, ZeroArgument
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+_ONE = (1,)  # the denominator 1, shared rather than a fresh tuple per scalar
 
 INFINITE = math.inf  # the "order of q" in the generic regime
 
@@ -42,15 +43,13 @@ MAX_GENERIC_EXPONENT = 10_000  # the largest k parse_scalar accepts in q^k over 
 # polynomial rendering and the cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-def _pstr(c):
-    """Render a polynomial in q using the scalar grammar (ascending powers)."""
-    if not c:
-        return "0"
+def _pstr(c, lc=1):
+    """Render c / lc (int coefficients, lc > 0) in the scalar grammar, ascending powers."""
     parts = []
     for k, coef in enumerate(c):
         if not coef:
             continue
-        mag = abs(coef)
+        mag = Fraction(abs(coef), lc)
         if k == 0:
             body = str(mag)
         else:
@@ -60,7 +59,7 @@ def _pstr(c):
             parts.append(body if coef > 0 else "-" + body)
         else:
             parts.append((" + " if coef > 0 else " - ") + body)
-    return "".join(parts)
+    return "".join(parts) or "0"
 
 
 @lru_cache(maxsize=None)
@@ -204,9 +203,10 @@ class FieldContext:
 
     def rational(self, value) -> "QScalar":
         c = Fraction(value)
+        den = _ONE if c.denominator == 1 else (c.denominator,)
         if self.is_generic:
-            return _generic(self, (c.numerator,) if c else (), (c.denominator,))
-        return QScalar(self, (c.numerator,) + (0,) * (self._deg - 1), c.denominator)
+            return _build(self, (c.numerator,) if c else (), den)
+        return _build(self, (c.numerator,) + (0,) * (self._deg - 1), den)
 
     def q(self) -> "QScalar":
         return self.q_power(1)
@@ -215,12 +215,9 @@ class FieldContext:
         """The scalar q^m (m may be negative)."""
         if self.is_generic:
             if m >= 0:
-                return _generic(self, (0,) * m + (1,), (1,))
-            return _generic(self, (1,), (0,) * (-m) + (1,))
-        ints = [0] * self._deg
-        for t, v in self._powers[m % self.ell]:
-            ints[t] = v
-        return QScalar(self, ints)
+                return _build(self, (0,) * m + (1,), _ONE)
+            return _build(self, (1,), (0,) * (-m) + (1,))
+        return _build(self, tuple(self._conjugate((1,), 1, m)), _ONE)  # 1 * q^m
 
     # -- serialization ------------------------------------------------------
 
@@ -261,7 +258,7 @@ def _canonical(n, d, coprime=False):
     in, coprime over Q, content 1 and lc(d) > 0 out.  ``coprime`` says the
     caller knows n and d share no factor of positive degree."""
     if not n:
-        return (), (1,)
+        return (), _ONE
     if not coprime and len(n) > 1 and len(d) > 1:
         g = poly.primitive_gcd(n, d)
         if len(g) > 1:
@@ -302,7 +299,7 @@ def _generic_sum(n, d, m, e):
     g = 1."""
     if d == e:
         return _canonical(poly.add(n, m), d)
-    g = poly.primitive_gcd(d, e) if len(d) > 1 and len(e) > 1 else (1,)
+    g = poly.primitive_gcd(d, e) if len(d) > 1 and len(e) > 1 else _ONE
     if len(g) == 1:
         return _canonical(poly.add(poly.mul(n, e), poly.mul(m, d)), poly.mul(d, e), True)
     d, e = poly.div_exact(d, g), poly.div_exact(e, g)
@@ -310,43 +307,49 @@ def _generic_sum(n, d, m, e):
     return _canonical(num, poly.mul(poly.mul(d, e), g), True)
 
 
-def _generic(ctx, n, d):
-    """The Q(q) scalar n/d from an integer pair already in canonical form,
-    built without checks; every Q(q) result goes through here."""
+def _build(ctx, n, d):
+    """The scalar n/d from an integer pair already in canonical form, built
+    without checks; every result of the arithmetic goes through here."""
     s = _new(QScalar)
-    s.ctx, s.ints, s.d, s.int_num, s.int_den = ctx, None, None, n, d
+    s.ctx, s.int_num, s.int_den = ctx, n, d
     return s
 
 
-def _cyclotomic(ctx, ints, d):
-    """The Q(zeta_ell) scalar ints/d from a canonical pair, without checks."""
-    s = _new(QScalar)
-    s.ctx, s.ints, s.d, s.int_num, s.int_den = ctx, ints, d, None, None
-    return s
+def _lowest(ctx, ints, d):
+    """The Q(zeta_ell) scalar ints/d, for an int vector and a nonzero int d:
+    the content reduction to lowest terms with d > 0, then the builder."""
+    if d != 1:
+        g = math.gcd(d, *ints)
+        if d < 0:
+            g = -g
+        if g != 1:
+            ints = [x // g for x in ints]
+            d //= g
+        if d != 1:
+            return _build(ctx, tuple(ints), (d,))
+    return _build(ctx, tuple(ints), _ONE)
 
 
 class QScalar:
     """An exact element of the coefficient field of a FieldContext.
 
-    Root-of-unity regime: the value is sum(ints[i] q^i) / d, where ``ints``
-    is the reduced integer coefficient vector of length deg(Phi_ell) and
-    ``d > 0`` with gcd(d, *ints) = 1, so the pair is canonical; ``coeffs``
-    is the same vector as Fractions.  Generic regime: the value is
-    int_num / int_den, two little-endian integer polynomials in q, coprime
-    over Q, with content 1 taken over both and a positive leading
-    coefficient in int_den, so the pair is canonical; ``num``/``den`` are
-    the same fraction as Fraction tuples with a monic denominator.  The
-    constructor takes ``num``/``den`` as tuples of ints or Fractions and
-    reduces them.  Values are immutable; all arithmetic returns fresh
+    The value is int_num / int_den, a canonical pair of little-endian int
+    tuples (see the module docstring), so equality is tuple equality.
+    Root-of-unity regime: int_num is the reduced coefficient vector of
+    length deg(Phi_ell) and int_den is (d,); ``coeffs`` is int_num / d as
+    Fractions.  Generic regime: two coprime integer polynomials in q;
+    ``num``/``den`` are the same fraction as Fraction tuples with a monic
+    denominator.  The constructor takes an int vector ``ints`` over ``d``
+    (Q(zeta_ell)) or ``num``/``den`` as tuples of ints or Fractions (Q(q))
+    and reduces them.  Values are immutable; all arithmetic returns fresh
     scalars.
     """
 
-    __slots__ = ("ctx", "ints", "d", "int_num", "int_den")
+    __slots__ = ("ctx", "int_num", "int_den")
 
     def __init__(self, ctx, ints=None, d=1, num=None, den=None):
         self.ctx = ctx
         if ctx.is_generic:
-            self.ints = self.d = None
             num, den = poly.trim(num), poly.trim(den)
             if not den:
                 raise DivisionByZero("zero denominator")
@@ -357,19 +360,12 @@ class QScalar:
                 tuple(c.numerator * (m // c.denominator) for c in den))
         else:
             assert len(ints) == ctx._deg
-            if d != 1:
-                g = math.gcd(d, *ints)
-                if d < 0:
-                    g = -g
-                if g != 1:
-                    ints = [x // g for x in ints]
-                    d //= g
-            self.ints, self.d = tuple(ints), d
-            self.int_num = self.int_den = None
+            reduced = _lowest(ctx, ints, d)
+            self.int_num, self.int_den = reduced.int_num, reduced.int_den
 
     def __reduce__(self):
         # __slots__ without __getstate__ does not pickle at protocols 0 and 1
-        return (QScalar, (self.ctx, self.ints, self.d, self.num, self.den))
+        return (_build, (self.ctx, self.int_num, self.int_den))
 
     @property
     def num(self):
@@ -393,8 +389,8 @@ class QScalar:
         """Root-of-unity regime: the coefficient vector as Fractions."""
         if self.ctx.is_generic:
             return None
-        d = self.d
-        return tuple(Fraction(x, d) for x in self.ints)
+        d = self.int_den[0]
+        return tuple(Fraction(x, d) for x in self.int_num)
 
     # -- coercion -----------------------------------------------------------
 
@@ -410,23 +406,17 @@ class QScalar:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.ctx.is_generic:
-            return not self.int_num
-        return not any(self.ints)
+        return not any(self.int_num)
 
     def __bool__(self):
         return not self.is_zero()
 
     def as_rational(self):
         """The value as a Fraction if it is rational, else None."""
-        if self.ctx.is_generic:
-            n, d = self.int_num, self.int_den
-            if len(d) == 1 and len(n) <= 1:
-                return Fraction(n[0], d[0]) if n else F0
+        n, d = self.int_num, self.int_den
+        if len(d) > 1 or any(n[1:]):
             return None
-        if any(self.ints[1:]):
-            return None
-        return Fraction(self.ints[0], self.d)
+        return Fraction(n[0], d[0]) if n else F0
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -435,22 +425,20 @@ class QScalar:
         if o is None:
             return NotImplemented
         if self.ctx.is_generic:
-            return _generic(self.ctx, *_generic_sum(self.int_num, self.int_den,
-                                                    o.int_num, o.int_den))
-        d, e = self.d, o.d
+            return _build(self.ctx, *_generic_sum(self.int_num, self.int_den,
+                                                  o.int_num, o.int_den))
+        a, b, (d,), (e,) = self.int_num, o.int_num, self.int_den, o.int_den
         if d == e:
-            return QScalar(self.ctx, [x + y for x, y in zip(self.ints, o.ints)], d)
+            return _lowest(self.ctx, [x + y for x, y in zip(a, b)], d)
         g = math.gcd(d, e)
         d, e = d // g, e // g
-        return QScalar(self.ctx, [x * e + y * d for x, y in zip(self.ints, o.ints)], d * e * g)
+        return _lowest(self.ctx, [x * e + y * d for x, y in zip(a, b)], d * e * g)
 
     __radd__ = __add__
 
     def __neg__(self):
         # the negation of a canonical pair is canonical
-        if self.ctx.is_generic:
-            return _generic(self.ctx, poly.neg(self.int_num), self.int_den)
-        return _cyclotomic(self.ctx, tuple([-x for x in self.ints]), self.d)
+        return _build(self.ctx, tuple([-x for x in self.int_num]), self.int_den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -468,10 +456,11 @@ class QScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.ctx.is_generic:
-            return _generic(self.ctx, *_generic_product(self.int_num, self.int_den,
-                                                        o.int_num, o.int_den))
-        return QScalar(self.ctx, self.ctx._mul(self.ints, o.ints), self.d * o.d)
+        ctx = self.ctx
+        if ctx.is_generic:
+            return _build(ctx, *_generic_product(self.int_num, self.int_den,
+                                                 o.int_num, o.int_den))
+        return _lowest(ctx, ctx._mul(self.int_num, o.int_num), self.int_den[0] * o.int_den[0])
 
     __rmul__ = __mul__
 
@@ -480,15 +469,15 @@ class QScalar:
             raise DivisionByZero("inverse of zero")
         ctx = self.ctx
         if ctx.is_generic:  # swapped, the pair stays canonical up to its sign
-            return _generic(ctx, *_canonical(self.int_den, self.int_num, True))
-        # a^-1 = prod_{sigma != 1} sigma(a) / N(a), with a = ints / d
-        a = self.ints
+            return _build(ctx, *_canonical(self.int_den, self.int_num, True))
+        # a^-1 = prod_{sigma != 1} sigma(a) / N(a), with a = int_num / d
+        a, (d,) = self.int_num, self.int_den
         others = [1] + [0] * (ctx._deg - 1)
         for k in ctx._conjugators:
             others = ctx._mul(others, ctx._conjugate(a, k))
         norm = ctx._mul(a, others)
         assert norm[0] and not any(norm[1:]), "the norm must be a nonzero rational"
-        return QScalar(ctx, [x * self.d for x in others], norm[0])
+        return _lowest(ctx, [x * d for x in others], norm[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -526,11 +515,8 @@ class QScalar:
             other = self.ctx.rational(other)
         if not isinstance(other, QScalar):
             return NotImplemented
-        if self.ctx is not other.ctx:
-            return False
-        if self.ctx.is_generic:
-            return self.int_num == other.int_num and self.int_den == other.int_den
-        return self.ints == other.ints and self.d == other.d
+        return (self.ctx is other.ctx and self.int_num == other.int_num
+                and self.int_den == other.int_den)
 
     def __hash__(self):
         r = self.as_rational()
@@ -582,8 +568,9 @@ def substitute_q_inverse(a: QScalar) -> QScalar:
         top = max(len(n), len(d))
         n = poly.trim((0,) * (top - len(n)) + n[::-1])
         d = poly.trim((0,) * (top - len(d)) + d[::-1])
-        return _generic(ctx, *_canonical(n, d, True))
-    return QScalar(ctx, ctx._conjugate(a.ints, ctx.ell - 1), a.d)
+        return _build(ctx, *_canonical(n, d, True))
+    # a Galois conjugate of a canonical pair is canonical: sigma is unimodular
+    return _build(ctx, tuple(ctx._conjugate(a.int_num, ctx.ell - 1)), a.int_den)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +585,9 @@ def q_orbit(a: QScalar):
     Generic regime: b is a with its q-adic valuation k stripped from the
     integer pair (int_num, int_den), which keeps the pair canonical, and the
     key is that pair of b.  Root-of-unity regime: b is the member
-    a * q^(-k), 0 <= k < ell, with the least (ints, d); q acts on the integer
-    vector unimodularly, so every member keeps the denominator d in lowest
-    terms.
+    a * q^(-k), 0 <= k < ell, with the least (int_num, d); q acts on the
+    integer vector unimodularly, so every member keeps the denominator d in
+    lowest terms.
     """
     if a.is_zero():
         raise ZeroArgument("q-orbits are defined for nonzero scalars")
@@ -610,8 +597,8 @@ def q_orbit(a: QScalar):
         low_num = next(i for i, c in enumerate(n) if c)
         low_den = next(i for i, c in enumerate(d) if c)
         return (n[low_num:], d[low_den:]), low_num - low_den
-    ints, j = min((tuple(ctx._conjugate(a.ints, 1, j)), j) for j in range(ctx.ell))
-    return (ints, a.d), -j % ctx.ell
+    ints, j = min((tuple(ctx._conjugate(a.int_num, 1, j)), j) for j in range(ctx.ell))
+    return (ints, a.int_den[0]), -j % ctx.ell
 
 
 def q_equivalent(a: QScalar, b: QScalar):
@@ -633,29 +620,32 @@ def q_equivalent(a: QScalar, b: QScalar):
 # ---------------------------------------------------------------------------
 
 def format_scalar(a: QScalar) -> str:
-    """Canonical string form; parse_scalar inverts it exactly."""
-    if a.ctx.is_generic:
-        if a.den == (F1,):
-            return _pstr(a.num)
-        return f"({_pstr(a.num)})/({_pstr(a.den)})"
-    return _pstr(poly.trim(a.coeffs))
+    """Canonical string form (over Q(q) of the monic view); parse_scalar inverts it exactly."""
+    n, d = a.int_num, a.int_den
+    lc = d[-1]
+    if len(d) == 1:
+        return _pstr(n, lc)
+    return f"({_pstr(n, lc)})/({_pstr(d, lc)})"
 
 
 class _Scanner:
-    def __init__(self, text):
+    """Reads text[pos:end] in place: every position counts from the start of text."""
+
+    def __init__(self, text, pos=0, end=None):
         self.text = text
-        self.pos = 0
+        self.pos = pos
+        self.end = len(text) if end is None else end
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < self.end and self.text[self.pos].isspace():
             self.pos += 1
 
     def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos] if self.pos < self.end else ""
 
     def integer(self):
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < self.end and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a digit", start)
@@ -677,13 +667,14 @@ def _parse_exponent(scan: _Scanner, ctx: FieldContext) -> int:
     return k
 
 
-def _parse_poly_sum(scan: _Scanner, ctx: FieldContext, stop_char="") -> QScalar:
+def _parse_poly_sum(scan: _Scanner, ctx: FieldContext) -> QScalar:
+    """The signed sum that fills the scanner up to its end bound."""
     total = ctx.zero()
     first = True
     while True:
         scan.skip_ws()
         ch = scan.peek()
-        if ch == "" or ch == stop_char:
+        if ch == "":
             if first:
                 raise ParseError("empty scalar expression", scan.pos)
             return total
@@ -743,11 +734,10 @@ def parse_scalar(text: str, ctx: FieldContext) -> QScalar:
     stripped = text.strip()
     if ctx.is_generic and stripped.startswith("(") and stripped.endswith(")") \
             and ")/(" in stripped:
-        head, _, tail = stripped.partition(")/(")
-        num_scan = _Scanner(head[1:])
-        num = _parse_poly_sum(num_scan, ctx)
-        den_scan = _Scanner(tail[:-1])
-        den = _parse_poly_sum(den_scan, ctx)
+        start = len(text) - len(text.lstrip())
+        split = text.index(")/(", start)
+        num = _parse_poly_sum(_Scanner(text, start + 1, split), ctx)
+        den = _parse_poly_sum(_Scanner(text, split + 3, start + len(stripped) - 1), ctx)
         if den.is_zero():
             raise DivisionByZero("zero denominator polynomial")
         return num / den

@@ -87,6 +87,30 @@ def test_enumerate_empty_size():
         assert out[0].n == 0
 
 
+# orders of q that are neither a positive integer nor infinite
+BAD_ORDERS = [0, -1, -3, 2.5, "3", None]
+
+
+@pytest.mark.parametrize("ell", BAD_ORDERS)
+def test_enumerate_ML_rejects_an_invalid_order(ell):
+    for n in (0, 3):
+        with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+            enumerate_ML(ell, n)
+
+
+@pytest.mark.parametrize("ell", BAD_ORDERS)
+def test_count_ML_rejects_an_invalid_order(ell):
+    for n in (0, 3):
+        with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+            count_ML(ell, n)
+
+
+def test_an_order_equal_to_infinite_is_the_infinite_order():
+    inf = float("inf")
+    assert count_ML(inf, 5) == count_ML(INFINITE, 5) == len(enumerate_ML(inf, 5))
+    assert enumerate_ML(inf, 3) == enumerate_ML(INFINITE, 3)
+
+
 def test_enumeration_matches_count_formula():
     for ell in (1, 2, 3, 4, 5, 6):
         for n in range(13):

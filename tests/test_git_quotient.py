@@ -81,6 +81,27 @@ def test_dim_examples():
             assert dim_git(idx, 2, n) == n
 
 
+@pytest.mark.parametrize("ell", [0, -1, -3, 2.5, "3", None])
+def test_dim_git_rejects_an_invalid_order(ell):
+    # ell = 0 once answered 3: the size check read 0 * p + m + r
+    with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+        dim_git(GitIndex(0, 2, 1), ell, 3)
+
+
+@pytest.mark.parametrize("ell", [0, -1, 2.5])
+def test_enumerate_and_count_TPL_reject_an_invalid_order(ell):
+    for f in (enumerate_TPL, count_TPL):
+        with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+            f(ell, 3)
+
+
+def test_an_order_equal_to_infinite_is_the_infinite_order_for_types():
+    inf = float("inf")
+    assert enumerate_TPL(inf, 3) == enumerate_TPL(INFINITE, 3)
+    assert count_TPL(inf, 3) == count_TPL(INFINITE, 3) == 4
+    assert dim_git(GitIndex(0, 2, 1), inf, 3) == 3
+
+
 def test_index_validation():
     with pytest.raises(BadIndex):
         GitIndex(-1, 0, 0)

@@ -14,7 +14,7 @@ from qplane import (DivisionByZero, FieldContext, INFINITE, MixedContext,
                     cyclotomic_polynomial, format_scalar, parse_scalar,
                     q_equivalent, q_orbit, substitute_q_inverse)
 from qplane import poly
-from qplane.scalars import MAX_GENERIC_EXPONENT
+from qplane.scalars import MAX_GENERIC_EXPONENT, _build
 
 C3 = FieldContext.root_of_unity(3)
 C4 = FieldContext.root_of_unity(4)
@@ -364,6 +364,25 @@ def test_parse_error_position():
     assert err.value.position is not None
 
 
+@pytest.mark.parametrize("text, position", [
+    ("(1+q)/(1 +)", 10),       # a sign with no term, at the denominator's end
+    ("(1)/(q)/(2)", 6),        # the first ')/(' splits; ')' ends no term
+    ("  (q)/(1 + )", 11),      # leading blanks count
+    ("(1 + * q)/(q)", 5),
+    ("(q)/(2*q^20000)", 9),    # the exponent cap inside the denominator
+])
+def test_ratio_parse_errors_count_from_the_input(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text, GEN)
+    assert err.value.position == position
+    assert str(err.value).endswith(f"(at position {position})")
+
+
+def test_ratio_zero_coefficient_denominator_reports_its_position():
+    with pytest.raises(DivisionByZero, match="at position 11"):
+        parse_scalar("(q)/(1 + 1/0)", GEN)
+
+
 def test_generic_exponent_cap():
     cap = MAX_GENERIC_EXPONENT
     assert parse_scalar(f"q^{cap}", GEN) == GEN.q_power(cap)
@@ -543,6 +562,83 @@ def test_cyclotomic_representation_pins(case):
     assert parse_scalar(format_scalar(a), ctx) == a
     if not any(u[1:]):
         assert a.as_rational() == u[0] and a == u[0]
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_ell): the canonical integer pair
+# ---------------------------------------------------------------------------
+
+LAYOUT_CONTEXTS = [FieldContext.root_of_unity(ell) for ell in (3, 5, 8)]
+layout_rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=60)
+
+
+@st.composite
+def cyclotomic_values(draw):
+    """A context and two scalars of it, sums of rational multiples of
+    powers of q with assorted denominators."""
+    ctx = draw(st.sampled_from(LAYOUT_CONTEXTS))
+
+    def value():
+        out = ctx.zero()
+        for _ in range(draw(st.integers(0, 4))):
+            out = out + ctx.rational(draw(layout_rationals)) * ctx.q_power(
+                draw(st.integers(-9, 9)))
+        return out
+
+    return ctx, value(), value()
+
+
+def assert_cyclotomic_canonical(a, ctx):
+    n, d = a.int_num, a.int_den
+    assert type(n) is tuple and len(n) == ctx._deg
+    assert all(type(c) is int for c in n)
+    assert type(d) is tuple and len(d) == 1 and type(d[0]) is int and d[0] > 0
+    assert math.gcd(d[0], *n) == 1
+    if d == (1,):  # one shared tuple for the denominator 1
+        assert d is ctx.one().int_den
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclotomic_values(), st.integers(-4, 4), st.integers(-20, 20), layout_rationals)
+def test_cyclotomic_results_are_canonical(case, k, m, r):
+    ctx, a, b = case
+    results = [a, b, a + b, a - b, b - a, a * b, -a, a + r, a * r, r - a,
+               ctx.q_power(m), ctx.rational(r), substitute_q_inverse(a),
+               parse_scalar(format_scalar(a), ctx)]
+    if a:
+        results += [a ** k, a.inverse(), 1 / a]
+    if b:
+        results += [a / b, r / b]
+    for x in results:
+        assert_cyclotomic_canonical(x, ctx)
+    assert parse_scalar(format_scalar(a), ctx) == a
+    assert a - b == a + (-b) and -(-a) == a
+
+
+PICKLE_VALUES = [
+    (FieldContext.root_of_unity(3), "-7/6 + 5/4*q"),
+    (FieldContext.root_of_unity(5), "-2*q + 1/3*q^3"),
+    (FieldContext.root_of_unity(8), "9"),
+    (FieldContext.root_of_unity(1), "-2/5"),
+    (FieldContext.root_of_unity(2), "0"),
+    (GEN, "(3/2 + q)/(-1/3 + q^2)"),
+    (GEN, "2/7*q^4"),
+    (GEN, "0"),
+]
+
+
+@pytest.mark.parametrize("ctx, text", PICKLE_VALUES)
+def test_pickle_and_copy_round_trip_in_both_fields(ctx, text):
+    a = parse_scalar(text, ctx)
+    assert a.__reduce__() == (_build, (ctx, a.int_num, a.int_den))
+    copies = [copy.copy(a), copy.deepcopy(a)]
+    copies += [pickle.loads(pickle.dumps(a, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for b in copies:
+        assert b.ctx is ctx
+        assert (b.int_num, b.int_den) == (a.int_num, a.int_den)
+        assert b == a and hash(b) == hash(a)
+        assert format_scalar(b) == format_scalar(a) == text
 
 
 # ---------------------------------------------------------------------------
