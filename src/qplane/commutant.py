@@ -197,11 +197,13 @@ def hom_ext(M1: MatrixPair, M2: MatrixPair) -> HomExtReport:
     # and the G block of d1 as B2 G - q^-1 G B1, the one above times -1/q:
     # neither changes the kernel of d0 or the rank of d1
     one = ctx.one()
-    d0 = QMatrix._build(ctx, sylvester_operator(A2, A1, one).rows
-                        + sylvester_operator(B2, B1, one).rows, dim)
+    SA, SB = sylvester_operator(A2, A1, one), sylvester_operator(B2, B1, one)
+    d0 = QMatrix.sparse(ctx, 2 * dim, dim,
+                        SA.nonzeros() + [(dim + r, c, x) for r, c, x in SB.nonzeros()])
     G = sylvester_operator(B2, B1, q.inverse())
     H = sylvester_operator(A2, A1, q)
-    d1 = QMatrix._build(ctx, [g + h for g, h in zip(G.rows, H.rows)], 2 * dim)
+    d1 = QMatrix.sparse(ctx, dim, 2 * dim,
+                        G.nonzeros() + [(r, dim + c, x) for r, c, x in H.nonzeros()])
     hom_vectors = kernel_basis(d0)
     rank_d0 = dim - len(hom_vectors)
     rank_d1 = rank(d1)

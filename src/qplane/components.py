@@ -319,30 +319,30 @@ def _jacobian_rank_once(kind, size, ctx, rng) -> int:
     # not depend on g and is taken at g = 1.
     zero = ctx.zero()
     one = ctx.one()
-    half = [zero] * (size * size)
+    dim = size * size
     # conjugation directions: d/dt of exp(tY) X exp(-tY) = [Y, X]; row Y is
     # -(A Y - Y A, B Y - Y B), the negated column Y of the stacked
     # operators, and the sign does not change the rank
-    stacked = sylvester_operator(A, A, one).rows + sylvester_operator(B, B, one).rows
-    rows = list(QMatrix._build(ctx, stacked, len(half)).transpose().rows)
+    entries = [(c, r, x) for r, c, x in sylvester_operator(A, A, one).nonzeros()]
+    entries += [(c, dim + r, x) for r, c, x in sylvester_operator(B, B, one).nonzeros()]
     if kind == "D":
         # the A-scale direction: A = a * diag(1, 1/q, ...), so dA/da = A / a,
         # a nonzero multiple of A itself
-        rows.append([x for row in A.rows for x in row] + half)
+        entries += [(dim, r * size + c, x) for r, c, x in A.nonzeros()]
         positions = [(k, k + 1) for k in range(size - 1)]
         if size == ctx.ell:
             positions.append((size - 1, 0))
-        for (rr, cc) in positions:
-            dB = list(half)
-            dB[rr * size + cc] = one
-            rows.append(half + dB)
+        entries += [(dim + 1 + k, dim + rr * size + cc, one)
+                    for k, (rr, cc) in enumerate(positions)]
+        nrows = dim + 1 + len(positions)
     else:
         for k in range(size):
             e = [zero] * size
             e[k] = one
             Lk = q_layered(size, size, e, ctx=ctx)
-            rows.append(half + [x for row in Lk.rows for x in row])
-    return rank(QMatrix._build(ctx, rows, 2 * len(half)))
+            entries += [(dim + k, dim + r * size + c, x) for r, c, x in Lk.nonzeros()]
+        nrows = dim + size
+    return rank(QMatrix.sparse(ctx, nrows, 2 * dim, entries))
 
 
 def parametrization_jacobian_rank(kind: str, i: int, ell, seed=0) -> int:

@@ -122,9 +122,8 @@ def _powers(X: QMatrix, top: int):
 def _trace_of_product(nonzeros, Y: QMatrix):
     """Tr(XY) from the nonzero entries (r, k, x) of X, without forming XY."""
     total = None
-    rows = Y.rows
     for r, k, x in nonzeros:
-        y = rows[k][r]
+        y = Y[k, r]
         if not y.is_zero():
             total = x * y if total is None else total + x * y
     return Y.ctx.zero() if total is None else total
@@ -215,7 +214,7 @@ def _semisimplify_block(ctx, Ab: QMatrix, Bb: QMatrix):
     one = ctx.one()
     if a_entries == [(k, k + 1, one) for k in range(s - 1)]:  # A = J_s(0)
         if all(i == j for i, j in b_lower):
-            diag = QMatrix.diagonal(ctx, [Bb.rows[k][k] for k in range(s)])
+            diag = QMatrix.diagonal(ctx, [Bb[k, k] for k in range(s)])
             return QMatrix.zero(ctx, s, s), diag
         raise UnsupportedShape("unrecognized nilpotent-kind summand")
     raise UnsupportedShape("summand is neither dense-kind nor nilpotent-kind")

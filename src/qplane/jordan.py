@@ -264,7 +264,7 @@ def jordan_data(A: QMatrix, hint_eigenvalues=()) -> JordanSpec:
     ctx = A.ctx
     if n == 0:
         return JordanSpec(ctx, ())
-    hints = [*hint_eigenvalues, *(A.rows[i][i] for i in range(n))]  # cheap extras
+    hints = [*hint_eigenvalues, *(A[i, i] for i in range(n))]  # cheap extras
     roots = _discover_roots(char_poly(A), ctx, hints)
     covered = sum(roots.values())
     if covered != n:

@@ -1,6 +1,7 @@
 """Exact linear algebra over QScalar.
 
-Matrices are immutable values; every operation returns a fresh matrix.
+Matrices are immutable values stored as their nonzero entries; every
+operation returns a fresh matrix.
 Rank, kernel and inverse all come from one sparse Gauss-Jordan elimination
 to the reduced row echelon form.  That form is unique, so kernel bases and
 their order do not depend on how the elimination is carried out: which row
@@ -25,53 +26,61 @@ def _check_entry(ctx: FieldContext, entry):
 
 
 class QMatrix:
-    """A rows x cols grid of QScalar, all sharing one FieldContext."""
+    """An nrows x ncols matrix over one FieldContext, stored as its nonzero
+    entries: one dict per row from column to QScalar, columns ascending, no
+    zero stored.  ``QMatrix.sparse`` builds every derived matrix from
+    (row, column, value) triples and ``nonzeros`` reads them back; ``rows``
+    is the dense view, built on each read."""
 
-    __slots__ = ("ctx", "nrows", "ncols", "rows")
+    __slots__ = ("ctx", "nrows", "ncols", "_rows")
 
     def __init__(self, ctx: FieldContext, rows):
         rows = tuple(map(tuple, rows))
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
+        ncols = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != ncols:
                 raise DimensionMismatch("ragged rows")
             for entry in row:
                 _check_entry(ctx, entry)
-        self.ctx = ctx
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = rows
+        self.ctx, self.nrows, self.ncols = ctx, len(rows), ncols
+        self._rows = tuple({c: x for c, x in enumerate(row) if x} for row in rows)
 
     @staticmethod
     def _build(ctx: FieldContext, rows, ncols: int) -> "QMatrix":
-        """The unchecked constructor, for grids QMatrix assembles itself:
-        rows of ncols QScalars of ctx each.  Unlike ``QMatrix(ctx, rows)``
-        it keeps ncols when there are no rows."""
+        """The unchecked constructor, for rows QMatrix assembles itself:
+        dicts column -> QScalar of ctx, in any column order; zeros are
+        dropped."""
         M = object.__new__(QMatrix)
-        M.ctx = ctx
-        M.rows = tuple(map(tuple, rows))
-        M.nrows = len(M.rows)
-        M.ncols = ncols
+        M.ctx, M.nrows, M.ncols = ctx, len(rows), ncols
+        M._rows = tuple({c: x for c, x in sorted(row.items()) if x} for row in rows)
         return M
 
     def __reduce__(self):
         # __slots__ without __getstate__ does not pickle at protocols 0 and 1
-        return (QMatrix._build, (self.ctx, self.rows, self.ncols))
+        return (QMatrix.sparse, (self.ctx, self.nrows, self.ncols, self.nonzeros()))
+
+    @property
+    def rows(self):
+        """The dense view: nrows tuples of ncols QScalars."""
+        zero, cols = self.ctx.zero(), range(self.ncols)
+        return tuple(tuple(row.get(c, zero) for c in cols) for row in self._rows)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def sparse(ctx: FieldContext, nrows: int, ncols: int, entries) -> "QMatrix":
         """nrows x ncols with the sum of the x given at (r, c) by the
-        (r, c, x) in entries, and the context's zero where none is given;
-        on distinct positions the inverse of ``nonzeros``."""
-        z = ctx.zero()
-        rows = [[z] * ncols for _ in range(nrows)]
+        (r, c, x) in entries, and zero where none is given; on distinct
+        positions the inverse of ``nonzeros``.  A position outside the shape
+        raises IndexError."""
+        rows = [{} for _ in range(nrows)]
         for r, c, x in entries:
             _check_entry(ctx, x)
-            y = rows[r][c]
-            rows[r][c] = y + x if y else x
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise IndexError(f"position ({r}, {c}) outside a {nrows}x{ncols} matrix")
+            row = rows[r]
+            y = row.get(c)
+            row[c] = x if y is None else y + x
         return QMatrix._build(ctx, rows, ncols)
 
     @staticmethod
@@ -97,18 +106,18 @@ class QMatrix:
 
     def __getitem__(self, rc):
         r, c = rc
-        return self.rows[r][c]
+        return self._rows[r].get(range(self.ncols)[c], self.ctx.zero())
 
     def __eq__(self, other):
         return (
             isinstance(other, QMatrix)
             and self.ctx is other.ctx
-            and self.rows == other.rows
             and self.ncols == other.ncols
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.ncols, self.rows))
+        return hash((self.ctx, self.ncols, tuple(tuple(row.items()) for row in self._rows)))
 
     def __repr__(self):
         from .scalars import format_scalar
@@ -118,12 +127,11 @@ class QMatrix:
         return f"QMatrix({self.nrows}x{self.ncols}: {body})"
 
     def nonzeros(self):
-        """The nonzero entries as (r, c, x), row by row."""
-        return [(r, c, x) for r, row in enumerate(self.rows)
-                for c, x in enumerate(row) if not x.is_zero()]
+        """The nonzero entries as (r, c, x), row by row, columns ascending."""
+        return [(r, c, x) for r, row in enumerate(self._rows) for c, x in row.items()]
 
     def is_zero(self) -> bool:
-        return all(entry.is_zero() for row in self.rows for entry in row)
+        return not any(self._rows)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -141,38 +149,33 @@ class QMatrix:
         if not isinstance(other, QMatrix):
             return NotImplemented
         self._check_same_shape(other)
-        return QMatrix._build(self.ctx, [
-            [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        ], self.ncols)
+        return QMatrix.sparse(self.ctx, self.nrows, self.ncols,
+                              self.nonzeros() + other.nonzeros())
 
     def __sub__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
-        self._check_same_shape(other)
-        return QMatrix._build(self.ctx, [
-            [x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        ], self.ncols)
+        return self + -other
 
     def __neg__(self):
-        return QMatrix._build(self.ctx, [[-x for x in row] for row in self.rows], self.ncols)
+        return QMatrix.sparse(self.ctx, self.nrows, self.ncols,
+                              [(r, c, -x) for r, c, x in self.nonzeros()])
 
     def scale(self, scalar) -> "QMatrix":
         if isinstance(scalar, (int, Fraction)):
             scalar = self.ctx.rational(scalar)
-        # scalar * x rejects a foreign context and anything not a field element
-        return QMatrix._build(self.ctx, [[scalar * x for x in row] for row in self.rows],
-                              self.ncols)
+        _check_entry(self.ctx, scalar)  # also when there is no entry to multiply
+        return QMatrix.sparse(self.ctx, self.nrows, self.ncols,
+                              [(r, c, scalar * x) for r, c, x in self.nonzeros()])
 
     def shift(self, scalar) -> "QMatrix":
-        """X + c I for a square X, touching only the diagonal."""
+        """X + c I for a square X."""
         if not self.is_square():
             raise NotSquare("adding a multiple of the identity needs a square matrix")
         if isinstance(scalar, (int, Fraction)):
             scalar = self.ctx.rational(scalar)
-        rows = [list(row) for row in self.rows]
-        for i, row in enumerate(rows):
-            row[i] = row[i] + scalar
-        return QMatrix._build(self.ctx, rows, self.ncols)
+        return QMatrix.sparse(self.ctx, self.nrows, self.ncols,
+                              self.nonzeros() + [(i, i, scalar) for i in range(self.nrows)])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QScalar)):
@@ -184,23 +187,18 @@ class QMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        # row by row over nonzeros on both sides (Gustavson, ACM TOMS 1978):
-        # output row i sums A[i][k] * (nonzero row k of B) over nonzero A[i][k]
-        zero = self.ctx.zero()
-        ncols = other.ncols
-        right = [[(c, y) for c, y in enumerate(row) if not y.is_zero()]
-                 for row in other.rows]
+        # row by row over the stored nonzeros (Gustavson, ACM TOMS 1978):
+        # output row i sums A[i][k] * (row k of B) over the A[i][k] stored
+        right = other._rows
         out = []
-        for row in self.rows:
-            acc = [None] * ncols
-            for k, x in enumerate(row):
-                if x.is_zero():
-                    continue
-                for c, y in right[k]:
-                    s = acc[c]
+        for row in self._rows:
+            acc = {}
+            for k, x in row.items():
+                for c, y in right[k].items():
+                    s = acc.get(c)
                     acc[c] = x * y if s is None else s + x * y
-            out.append([zero if s is None else s for s in acc])
-        return QMatrix._build(self.ctx, out, ncols)
+            out.append(acc)
+        return QMatrix._build(self.ctx, out, other.ncols)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QScalar)):
@@ -222,29 +220,27 @@ class QMatrix:
         return out
 
     def transpose(self) -> "QMatrix":
-        rows = zip(*self.rows) if self.nrows else [()] * self.ncols
-        return QMatrix._build(self.ctx, rows, self.nrows)
+        return QMatrix.sparse(self.ctx, self.ncols, self.nrows,
+                              [(c, r, x) for r, c, x in self.nonzeros()])
 
     def trace(self) -> QScalar:
         if not self.is_square():
             raise NotSquare("trace needs a square matrix")
-        total = self.ctx.zero()
-        for i in range(self.nrows):
-            total = total + self.rows[i][i]
-        return total
+        return sum((row[i] for i, row in enumerate(self._rows) if i in row),
+                   self.ctx.zero())
 
     def map_entries(self, fn) -> "QMatrix":
-        """Apply a scalar function entrywise (e.g. a field automorphism)."""
-        rows = [[fn(x) for x in row] for row in self.rows]
-        for row in rows:
-            for entry in row:
-                _check_entry(self.ctx, entry)
-        return QMatrix._build(self.ctx, rows, self.ncols)
+        """Apply a scalar function to every entry, zeros included (e.g. a
+        field automorphism); it must return QScalars of the same context."""
+        return QMatrix.sparse(self.ctx, self.nrows, self.ncols, [
+            (r, c, fn(x)) for r, row in enumerate(self.rows) for c, x in enumerate(row)])
 
     def submatrix(self, row_range, col_range) -> "QMatrix":
-        col_range = list(col_range)
-        rows = [[self.rows[i][j] for j in col_range] for i in row_range]
-        return QMatrix._build(self.ctx, rows, len(col_range))
+        rows = [self._rows[i] for i in row_range]
+        cols = [range(self.ncols)[j] for j in col_range]
+        return QMatrix.sparse(self.ctx, len(rows), len(cols), [
+            (a, b, row[j]) for a, row in enumerate(rows)
+            for b, j in enumerate(cols) if j in row])
 
 
 def direct_sum(*matrices: QMatrix) -> QMatrix:
@@ -255,17 +251,12 @@ def direct_sum(*matrices: QMatrix) -> QMatrix:
     for m in matrices:
         if m.ctx is not ctx:
             raise MixedContext("direct_sum over mixed field contexts")
-    total_r = sum(m.nrows for m in matrices)
-    total_c = sum(m.ncols for m in matrices)
-    z = ctx.zero()
-    grid = [[z] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
+    entries, r0, c0 = [], 0, 0
     for m in matrices:
-        for i, row in enumerate(m.rows):
-            grid[r0 + i][c0:c0 + m.ncols] = row
+        entries += [(r0 + r, c0 + c, x) for r, c, x in m.nonzeros()]
         r0 += m.nrows
         c0 += m.ncols
-    return QMatrix._build(ctx, grid, total_c)
+    return QMatrix.sparse(ctx, r0, c0, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +328,6 @@ def _rref(rows, ncols, field):
                         where[j].discard(i)
         pivots.append((c, prow))
     return pivots
-
-
-def _sparse_rows(nrows, entries):
-    rows = [{} for _ in range(nrows)]
-    for i, j, x in entries:
-        rows[i][j] = x
-    return rows
 
 
 def _kernel_of(pivots, ncols, ctx):
@@ -518,12 +502,12 @@ def _echelons_mod(entries, nrows, ncols, p, roots):
     dinv = {d: pow(d, -1, p) for d in {x.int_den[0] for _, _, x in entries}}
     for root in roots:
         powers = [pow(root, t, p) for t in range(len(roots))]
-        images = []
+        rows = [{} for _ in range(nrows)]
         for i, j, x in entries:
             v = sum(c * w for c, w in zip(x.int_num, powers)) * dinv[x.int_den[0]] % p
             if v:
-                images.append((i, j, v))
-        yield _rref(_sparse_rows(nrows, images), ncols, field)
+                rows[i][j] = v
+        yield _rref(rows, ncols, field)
 
 
 def _modular(A: QMatrix, entries, want_basis: bool):
@@ -624,12 +608,11 @@ def _use_modular(A: QMatrix, nnz: int) -> bool:
 
 def _echelon(A: QMatrix, want_basis: bool):
     """(rank, reduced-echelon kernel basis or None) of A."""
-    entries = A.nonzeros()
-    if _use_modular(A, len(entries)):
-        got = _modular(A, entries, want_basis)
+    if _use_modular(A, sum(map(len, A._rows))):
+        got = _modular(A, A.nonzeros(), want_basis)
         if got is not None:
             return got
-    pivots = _rref(_sparse_rows(A.nrows, entries), A.ncols, _exact_field(A.ctx))
+    pivots = _rref([dict(row) for row in A._rows], A.ncols, _exact_field(A.ctx))
     return len(pivots), _kernel_of(pivots, A.ncols, A.ctx) if want_basis else None
 
 
@@ -654,15 +637,14 @@ def inverse(A: QMatrix) -> QMatrix:
         raise NotSquare("inverse needs a square matrix")
     n = A.nrows
     ctx = A.ctx
-    rows = _sparse_rows(n, A.nonzeros())
+    rows = [dict(row) for row in A._rows]
     one = ctx.one()
     for i, row in enumerate(rows):
         row[n + i] = one
     pivots = _rref(rows, 2 * n, _exact_field(ctx))
     if [c for c, _ in pivots] != list(range(n)):
         raise SingularConjugator("matrix is singular")
-    zero = ctx.zero()
-    return QMatrix._build(ctx, [[row.get(n + j, zero) for j in range(n)]
+    return QMatrix._build(ctx, [{j - n: x for j, x in row.items() if j >= n}
                                 for _, row in pivots], n)
 
 

@@ -360,6 +360,8 @@ class QScalar:
                 tuple(c.numerator * (m // c.denominator) for c in den))
         else:
             assert len(ints) == ctx._deg
+            if not d:
+                raise DivisionByZero("zero denominator")
             reduced = _lowest(ctx, ints, d)
             self.int_num, self.int_den = reduced.int_num, reduced.int_den
 
@@ -717,7 +719,8 @@ def _parse_poly_sum(scan: _Scanner, ctx: FieldContext) -> QScalar:
             coeff = F1
             exponent = _parse_exponent(scan, ctx)
         else:
-            raise ParseError(f"unexpected character {ch!r}", scan.pos)
+            raise ParseError(f"unexpected character {ch!r}" if ch
+                             else "missing term after the sign", scan.pos)
         term = ctx.q_power(exponent) * coeff if exponent else ctx.rational(coeff)
         total = total + (term if sign > 0 else -term)
 

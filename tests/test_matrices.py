@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from qplane import (DimensionMismatch, FieldContext, MixedContext, NotSquare, QMatrix,
                     QScalar, SingularConjugator, char_poly, conjugate, direct_sum,
-                    eval_poly_at_matrix, inverse, kernel_basis, rank)
+                    eval_poly_at_matrix, inverse, kernel_basis, rank,
+                    substitute_q_inverse)
 from qplane import matrices
 
 C3 = FieldContext.root_of_unity(3)
@@ -196,6 +197,172 @@ def test_matrices_keep_their_shape_when_a_side_is_zero(ctx):
     assert rank(QMatrix.zero(ctx, 3, 0)) == rank(QMatrix.zero(ctx, 0, 3)) == 0
     unit = [tuple(ctx.one() if j == i else ctx.zero() for j in range(3)) for i in range(3)]
     assert kernel_basis(QMatrix.zero(ctx, 0, 3)) == unit
+
+
+# ---------------------------------------------------------------------------
+# the stored nonzeros against a dense reference
+# ---------------------------------------------------------------------------
+
+C5 = FieldContext.root_of_unity(5)
+
+
+def test_sparse_rejects_a_position_outside_the_shape():
+    x = C3.q()
+    for r, c in ((0, -1), (-1, 0), (2, 0), (0, 3), (5, 5)):
+        with pytest.raises(IndexError):
+            QMatrix.sparse(C3, 2, 3, [(r, c, x)])
+    with pytest.raises(IndexError):
+        QMatrix.sparse(C3, 0, 3, [(0, 0, x)])
+
+
+def test_scale_checks_the_scalar_on_an_all_zero_matrix():
+    Z = QMatrix.zero(C3, 2, 2)
+    for other in (C5.q(), GEN.one()):
+        with pytest.raises(MixedContext):
+            Z.scale(other)
+        with pytest.raises(MixedContext):
+            Z * other
+    assert Z.scale(C3.q()) == Z
+
+
+def test_map_entries_applies_fn_to_every_entry_zeros_included():
+    M = QMatrix.sparse(C3, 2, 3, [(0, 1, C3.q()), (1, 2, -C3.one())])
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return x + 1
+
+    out = M.map_entries(fn)
+    assert seen == [x for row in M.rows for x in row]
+    one = C3.one()
+    assert out.rows == ((one, C3.q() + 1, one), (one, one, C3.zero()))
+    assert out.nonzeros() == [(0, 0, one), (0, 1, C3.q() + 1), (0, 2, one), (1, 0, one),
+                              (1, 1, one)]
+
+
+def test_nonzeros_run_row_by_row_with_ascending_columns():
+    q, one = C3.q(), C3.one()
+    triples = [(2, 3, q), (0, 2, one), (2, 0, one), (0, 0, q), (1, 1, one), (2, 1, q)]
+    M = QMatrix.sparse(C3, 3, 4, triples)
+    positions = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 1), (2, 3)]
+    assert [(r, c) for r, c, _ in M.nonzeros()] == positions
+    square = M.submatrix(range(3), [3, 2, 1])
+    assert M.submatrix([2, 0], [-1, 0]).rows == ((q, one), (C3.zero(), q))
+    derived = (M + M, M.transpose(), M.transpose() * M, square, inverse(square.shift(5)),
+               direct_sum(M.transpose(), M), M.map_entries(lambda x: x * q))
+    for D in derived:
+        got = [(r, c) for r, c, _ in D.nonzeros()]
+        assert got == sorted(got)
+
+
+# a dense reference: lists of lists of QScalars and plain loops
+
+def ref_sparse(ctx, nrows, ncols, triples):
+    grid = [[ctx.zero()] * ncols for _ in range(nrows)]
+    for r, c, x in triples:
+        grid[r][c] = grid[r][c] + x
+    return grid
+
+
+def ref_mul(ctx, a, b, ncols):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ctx.zero())
+             for j in range(ncols)] for i in range(len(a))]
+
+
+def as_grid(M):
+    return [list(row) for row in M.rows]
+
+
+@st.composite
+def stored_matrices(draw, ctx, nrows, ncols):
+    """(triples, nrows, ncols): entries from a small pool over ctx, some of
+    them repeated at one position with values that cancel."""
+    q, one = ctx.q(), ctx.one()
+    pool = [one, -one, q, q + 2, one / (q + 3), ctx.rational(Fraction(-3, 2)) * q]
+    triples = []
+    if nrows and ncols:
+        for _ in range(draw(st.integers(0, 2 * nrows * ncols))):
+            r, c = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+            x = draw(st.sampled_from(pool))
+            triples.append((r, c, x))
+            if draw(st.booleans()):
+                triples.append((r, c, -x))  # the position sums to zero
+    return draw(st.permutations(triples))
+
+
+@st.composite
+def storage_cases(draw):
+    ctx = draw(st.sampled_from((C3, C5, GEN)))
+    side = st.integers(0, 4)
+    m, n, k = draw(side), draw(side), draw(side)
+    # a submatrix may repeat rows and columns and give columns from the end
+    rows = draw(st.lists(st.integers(0, m - 1), max_size=4)) if m else []
+    cols = draw(st.lists(st.integers(-n, n - 1), max_size=4)) if n else []
+    return (ctx, m, n, k, draw(stored_matrices(ctx, m, n)),
+            draw(stored_matrices(ctx, m, n)), draw(stored_matrices(ctx, n, k)),
+            draw(stored_matrices(ctx, m, m)), rows, cols)
+
+
+def check_stored(M, grid, nrows, ncols):
+    """M holds exactly grid, stores no zero, and agrees with its copies."""
+    assert (M.nrows, M.ncols) == (nrows, ncols)
+    assert as_grid(M) == grid
+    assert M.nonzeros() == [(r, c, x) for r, row in enumerate(grid)
+                            for c, x in enumerate(row) if not x.is_zero()]
+    assert not any(x.is_zero() for _, _, x in M.nonzeros())
+    twins = [QMatrix.sparse(M.ctx, nrows, ncols, reversed(M.nonzeros())),
+             copy.copy(M), copy.deepcopy(M)]
+    twins += [pickle.loads(pickle.dumps(M, proto))
+              for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    if nrows:
+        twins.append(QMatrix(M.ctx, grid))
+    for twin in twins:
+        assert twin == M and hash(twin) == hash(M) and twin.nonzeros() == M.nonzeros()
+    if nrows and ncols:
+        bumped = QMatrix.sparse(M.ctx, nrows, ncols, M.nonzeros() + [(0, 0, M.ctx.one())])
+        assert bumped != M
+
+
+@given(storage_cases())
+@settings(max_examples=60, deadline=None)
+def test_every_operation_matches_a_dense_reference(case):
+    ctx, m, n, k, ta, tb, tc, ts, rows, cols = case
+    A, B = QMatrix.sparse(ctx, m, n, ta), QMatrix.sparse(ctx, m, n, tb)
+    C, S = QMatrix.sparse(ctx, n, k, tc), QMatrix.sparse(ctx, m, m, ts)
+    a, b = ref_sparse(ctx, m, n, ta), ref_sparse(ctx, m, n, tb)
+    c, s = ref_sparse(ctx, n, k, tc), ref_sparse(ctx, m, m, ts)
+    for M, grid, shape in ((A, a, (m, n)), (B, b, (m, n)), (C, c, (n, k)), (S, s, (m, m))):
+        check_stored(M, grid, *shape)
+    x = ctx.q() - 1
+    zero = ctx.zero()
+    check_stored(A + B, [[u + v for u, v in zip(r1, r2)] for r1, r2 in zip(a, b)], m, n)
+    check_stored(A - B, [[u - v for u, v in zip(r1, r2)] for r1, r2 in zip(a, b)], m, n)
+    check_stored(-A, [[-u for u in row] for row in a], m, n)
+    check_stored(A - A, [[zero] * n for _ in range(m)], m, n)
+    for factor in (x, zero, 3):
+        scaled = [[ctx.rational(factor) * u if isinstance(factor, int) else factor * u
+                   for u in row] for row in a]
+        check_stored(A.scale(factor), scaled, m, n)
+    check_stored(S.shift(x), [[u + x if i == j else u for j, u in enumerate(row)]
+                              for i, row in enumerate(s)], m, m)
+    check_stored(A * C, ref_mul(ctx, a, c, k), m, k)
+    check_stored(A.transpose(), [[a[i][j] for i in range(m)] for j in range(n)], n, m)
+    check_stored(A.submatrix(rows, cols), [[a[i][j] for j in cols] for i in rows],
+                 len(rows), len(cols))
+    dsum = [row + [zero] * k for row in a] + [[zero] * n + row for row in c]
+    check_stored(direct_sum(A, C), dsum, m + n, n + k)
+    flip = substitute_q_inverse
+    check_stored(A.map_entries(lambda u: flip(u) + 1),
+                 [[flip(u) + 1 for u in row] for row in a], m, n)
+    try:
+        inv = inverse(S)
+    except SingularConjugator:
+        assert det_by_laplace(S).is_zero()
+    else:
+        ident = [[ctx.one() if i == j else zero for j in range(m)] for i in range(m)]
+        assert ref_mul(ctx, s, as_grid(inv), m) == ident
+        check_stored(inv, as_grid(inv), m, m)
 
 
 def test_eval_poly_at_matrix_takes_int_coefficients():
@@ -510,8 +677,8 @@ def test_rank_matches_sympy_domain_matrix(A):
 def exact_echelon(A):
     """(rank, kernel basis) by exact elimination over QScalars."""
     ctx = A.ctx
-    pivots = matrices._rref(matrices._sparse_rows(A.nrows, A.nonzeros()), A.ncols,
-                            matrices._exact_field(ctx))
+    rows = [{c: x for c, x in enumerate(row) if x} for row in A.rows]
+    pivots = matrices._rref(rows, A.ncols, matrices._exact_field(ctx))
     return len(pivots), matrices._kernel_of(pivots, A.ncols, ctx)
 
 

@@ -102,6 +102,17 @@ def test_zero_division_raises():
         GEN.zero().inverse()
 
 
+@pytest.mark.parametrize("ell", [1, 3, 5, 8])
+def test_zero_denominator_is_rejected_in_both_fields(ell):
+    ctx = FieldContext.root_of_unity(ell)
+    with pytest.raises(DivisionByZero, match="zero denominator"):
+        QScalar(ctx, [1] + [0] * (ctx._deg - 1), 0)
+    with pytest.raises(DivisionByZero, match="zero denominator"):
+        QScalar(ctx, [0] * ctx._deg, 0)
+    with pytest.raises(DivisionByZero, match="zero denominator"):
+        QScalar(GEN, num=(F1,), den=())
+
+
 def test_mixed_context_rejected():
     with pytest.raises(MixedContext):
         C3.one() + C4.one()
@@ -376,6 +387,20 @@ def test_ratio_parse_errors_count_from_the_input(text, position):
         parse_scalar(text, GEN)
     assert err.value.position == position
     assert str(err.value).endswith(f"(at position {position})")
+
+
+@pytest.mark.parametrize("text, ctx, position", [
+    ("1 +", C3, 3),
+    ("1 -", C3, 3),
+    ("q -  ", GEN, 5),
+    ("(1+q)/(1 +)", GEN, 10),
+    ("(1 -)/(q)", GEN, 4),
+])
+def test_a_sign_without_a_term_reports_the_missing_term(text, ctx, position):
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text, ctx)
+    assert err.value.position == position
+    assert str(err.value) == f"missing term after the sign (at position {position})"
 
 
 def test_ratio_zero_coefficient_denominator_reports_its_position():
