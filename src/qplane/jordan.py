@@ -10,12 +10,13 @@ exponents 0, ..., ell-1 (descending powers of q from a chosen base).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
 from .errors import EigenvaluesNotFound, NotSquare
-from .matrices import QMatrix, char_poly, direct_sum, rank
+from .matrices import QMatrix, char_poly, diagonal_blocks, direct_sum, rank
 from .scalars import FieldContext, QScalar, canonical_key, q_orbit
 
 # ---------------------------------------------------------------------------
@@ -200,20 +201,22 @@ def _residuals(cofactor, ctx):
         yield k, residual
 
 
-def _discover_roots(p, ctx, hints):
-    """{root: multiplicity} for the monic p.  Each candidate is divided out
-    of the cofactor (what is left of p) as often as it divides: zero, the
-    hints, for every root found the members of its q-orbit at the k of the
-    residuals, and c*q^k for the rational roots c of the residual at k.
-    The search stops when the cofactor has degree 0: then every root is
-    found with its multiplicity."""
-    roots = {}
-    cofactor = p
+def _discover_roots(cofactor, ctx, hints, found):
+    """{root: multiplicity}, given the roots already found (with their
+    multiplicities) and the monic cofactor whose roots are the rest.  Each
+    candidate is tried once and divided out of the cofactor as often as it
+    divides: zero, the hints, for every root found the members of its
+    q-orbit at the k of the residuals, and c*q^k for the rational roots c
+    of the residual at k.  The search stops when the cofactor has degree 0:
+    then every root is found with its multiplicity."""
+    roots = dict(found)
+    tried = set()
 
     def try_add(x):
         nonlocal cofactor
-        if x in roots:
+        if x in tried:
             return False
+        tried.add(x)
         count = 0
         while len(cofactor) > 1:
             quot, rem = poly.div_linear(cofactor, x)
@@ -221,7 +224,7 @@ def _discover_roots(p, ctx, hints):
                 break
             cofactor, count = quot, count + 1
         if count:
-            roots[x] = count
+            roots[x] = roots.get(x, 0) + count
         return count > 0
 
     try_add(ctx.zero())
@@ -252,11 +255,12 @@ def jordan_data(A: QMatrix, hint_eigenvalues=()) -> JordanSpec:
     """Recover the Jordan specification of A from exact rank sequences.
 
     The number of blocks of size >= k at eigenvalue lam equals
-    rank((A - lam I)^(k-1)) - rank((A - lam I)^k).  Deflating the char
-    poly gives each eigenvalue with its multiplicity: a simple one is one
-    block of size 1, and the ranks of any other stop once the nullity of
-    (A - lam I)^k reaches the multiplicity.  If the char poly does not split
-    into discoverable roots this raises EigenvaluesNotFound.
+    rank((A - lam I)^(k-1)) - rank((A - lam I)^k).  The 1x1 diagonal
+    blocks of A's block triangular form, and the deflation of the char polys
+    of the larger ones, give each eigenvalue with its multiplicity: a simple
+    one is one block of size 1, and the ranks of any other stop once the
+    nullity of (A - lam I)^k reaches the multiplicity.  If the char poly
+    does not split into discoverable roots this raises EigenvaluesNotFound.
     """
     if not A.is_square():
         raise NotSquare("jordan_data needs a square matrix")
@@ -264,8 +268,15 @@ def jordan_data(A: QMatrix, hint_eigenvalues=()) -> JordanSpec:
     ctx = A.ctx
     if n == 0:
         return JordanSpec(ctx, ())
+    # a 1x1 block [a] of A's block triangular form is the eigenvalue a; the
+    # others are the roots of the char poly of the larger blocks, which is
+    # that of the principal submatrix on their rows and columns
+    blocks = diagonal_blocks(A)
+    found = Counter(A[b[0], b[0]] for b in blocks if len(b) == 1)
+    rest = sorted(i for b in blocks if len(b) > 1 for i in b)
+    cofactor = char_poly(A if len(rest) == n else A.submatrix(rest, rest))
     hints = [*hint_eigenvalues, *(A[i, i] for i in range(n))]  # cheap extras
-    roots = _discover_roots(char_poly(A), ctx, hints)
+    roots = _discover_roots(cofactor, ctx, hints, found)
     covered = sum(roots.values())
     if covered != n:
         raise EigenvaluesNotFound(

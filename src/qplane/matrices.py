@@ -11,9 +11,11 @@ images modulo primes and then proved exact (``_modular``).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
+from . import poly
 from .errors import DimensionMismatch, MixedContext, NotSquare, SingularConjugator
 from .scalars import FieldContext, QScalar, _lowest
 
@@ -658,30 +660,96 @@ def conjugate(g: QMatrix, A: QMatrix) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial
+# block triangular form and the characteristic polynomial
 # ---------------------------------------------------------------------------
 
-def char_poly(A: QMatrix):
-    """Monic characteristic polynomial det(xI - A), little-endian QScalar list.
+def diagonal_blocks(A: QMatrix):
+    """The diagonal blocks of A's block upper triangular form: the strongly
+    connected components of the graph with an edge i -> j for each nonzero
+    A[i, j], as ascending index lists, ordered so that every nonzero entry
+    lies in a block's own rows and columns or runs from an earlier block to
+    a later one.  Then det(xI - A) is the product of the blocks' char polys
+    (Tarjan, SIAM J. Comput. 1972; Duff and Reid, ACM TOMS 1978).
 
-    Faddeev-LeVerrier: exact over any field of characteristic zero (the
-    divisions are by the integers 1..n).
+    Tarjan's depth-first search keeps its path in a list, so a long path
+    such as J_n(0) needs no recursion.  It finishes a component only after every
+    component reachable from it, so the finishing order is reversed.
     """
     if not A.is_square():
+        raise NotSquare("diagonal_blocks needs a square matrix")
+    adjacency = A._rows
+    order = [None] * A.nrows  # discovery index of each visited vertex
+    low = [0] * A.nrows  # least discovery index reachable through stacked vertices
+    stack = []  # visited vertices whose component is not finished yet
+    on_stack = [False] * A.nrows
+    blocks, path = [], []  # path: (vertex, iterator over its successors)
+    seen = 0
+
+    def visit(v):
+        nonlocal seen
+        order[v] = low[v] = seen
+        seen += 1
+        stack.append(v)
+        on_stack[v] = True
+        path.append((v, iter(adjacency[v])))
+
+    for root in range(A.nrows):
+        if order[root] is not None:
+            continue
+        visit(root)
+        while path:
+            v, successors = path[-1]
+            for w in successors:
+                if order[w] is None:
+                    visit(w)
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    block = []
+                    while not block or block[-1] != v:
+                        block.append(stack.pop())
+                        on_stack[block[-1]] = False
+                    blocks.append(sorted(block))
+    blocks.reverse()
+    return blocks
+
+
+def char_poly(A: QMatrix):
+    """Monic characteristic polynomial det(xI - A), little-endian QScalar
+    list: the product over the blocks of ``diagonal_blocks(A)`` of (-a, 1)
+    for a 1x1 block [a] and of Faddeev-LeVerrier on a larger block (on A
+    itself when A is one block)."""
+    if not A.is_square():
         raise NotSquare("char_poly needs a square matrix")
+    parts = []
+    for block in diagonal_blocks(A):
+        if len(block) == 1:
+            parts.append((-A[block[0], block[0]], A.ctx.one()))
+        else:
+            parts.append(_faddeev_leverrier(
+                A if len(block) == A.nrows else A.submatrix(block, block)))
+    return list(functools.reduce(poly.mul, parts or [(A.ctx.one(),)]))
+
+
+def _faddeev_leverrier(A: QMatrix):
+    """det(xI - A) for a square A by Faddeev-LeVerrier, as a tuple: exact
+    over any field of characteristic zero (the divisions are by the
+    integers 1..n)."""
     n = A.nrows
-    one = A.ctx.one()
-    if n == 0:
-        return [one]
     coeffs = [None] * (n + 1)
-    coeffs[n] = one
+    coeffs[n] = A.ctx.one()
     AM = A  # A M_k, with M_1 = I
     for k in range(1, n + 1):
         c = -(AM.trace() / k)
         coeffs[n - k] = c
         if k < n:
             AM = A * AM.shift(c)  # M_(k+1) = A M_k + c I
-    return coeffs
+    return tuple(coeffs)
 
 
 def eval_poly_at_matrix(coeffs, A: QMatrix) -> QMatrix:

@@ -5,8 +5,9 @@ import pytest
 from qplane import (BadIndex, ComponentIndex, FieldContext, INFINITE,
                     JordanSpec, MatrixPair, QMatrix, classify,
                     classify_nilpotent_block, classify_q_class, conjugate,
-                    jordan_block, q_classes, q_layered, qcommutant_basis,
-                    rank, realize)
+                    enumerate_ML, jordan_block, q_classes, q_layered,
+                    qcommutant_basis, rank, realize, sample_point)
+from qplane import matrices
 
 GEN = FieldContext.generic()
 C2 = FieldContext.root_of_unity(2)
@@ -212,3 +213,20 @@ def test_classify_size_conservation():
         spec = JordanSpec(ctx, list(blocks.values()))
         out = classify(spec)
         assert out.n == spec.size
+
+
+def test_classify_reads_sample_points_off_their_diagonal_blocks(monkeypatch):
+    # A of a sample point is diagonal on the dense-kind summands and J_s(0)
+    # on the nilpotent ones: every diagonal block is 1x1, so no char poly
+    # is computed by Faddeev-LeVerrier
+    def no_faddeev(A):
+        raise AssertionError(f"Faddeev-LeVerrier on a {A.nrows}x{A.nrows} block")
+
+    monkeypatch.setattr(matrices, "_faddeev_leverrier", no_faddeev)
+    for ell in (2, 3, 4, 5, INFINITE):
+        for n in range(1, 6):
+            for idx in enumerate_ML(ell, n):
+                assert classify(sample_point(idx)) == idx
+    dense = QMatrix.from_rational_rows(C3, [[0, 2], [1, 3]])
+    with pytest.raises(AssertionError, match="2x2 block"):
+        classify(MatrixPair(dense, QMatrix.zero(C3, 2, 2)))

@@ -9,7 +9,7 @@ from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, QMatrix,
                     QScalar, block_jordan, char_poly, check_partition, conjugate,
                     direct_sum, jordan_block, jordan_data, q_classes, q_equivalent,
                     q_orbit, rank, realize, transpose_partition)
-from qplane import jordan, poly
+from qplane import jordan, matrices, poly
 
 C3 = FieldContext.root_of_unity(3)
 GEN = FieldContext.generic()
@@ -291,6 +291,127 @@ def test_jordan_data_refuses_a_hull_edge_of_fractional_slope():
     assert char_poly(C) == [-q, GEN.zero(), GEN.one()]
     with pytest.raises(EigenvaluesNotFound):
         jordan_data(C)
+
+
+DIFFERENTIAL_CONTEXTS = {"ell3": C3, "ell5": FieldContext.root_of_unity(5), "generic": GEN}
+
+
+@st.composite
+def hidden_block_triangular(draw):
+    """(spec, M): M is a symmetric permutation of a block upper triangular
+    matrix whose spectrum, with its Jordan structure, is spec.
+
+    The diagonal blocks are 1x1 blocks [a] and dense 2x2 or 3x3 blocks
+    (a Jordan matrix under an L*U conjugator).  Blocks that share an
+    eigenvalue, directly or through other blocks, form one group and are
+    not coupled; blocks of different groups have disjoint spectra, so the
+    random entries above them do not change the Jordan form."""
+    name = draw(st.sampled_from(sorted(DIFFERENTIAL_CONTEXTS)))
+    ctx = DIFFERENTIAL_CONTEXTS[name]
+    q = ctx.q()
+    pool = [ctx.zero()] + [ctx.rational(c) * q ** k
+                           for c in (1, -2, Fraction(3, 2)) for k in (0, 1)]
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    pieces = []  # (matrix, [(eigenvalue, Jordan block size)])
+    target = draw(st.integers(1, 7))
+    while sum(M.nrows for M, _ in pieces) < target:
+        size = draw(st.sampled_from((1, 1, 2, 3)))
+        parts = draw(st.sampled_from({1: [(1,)], 2: [(2,), (1, 1)],
+                                      3: [(3,), (2, 1), (1, 1, 1)]}[size]))
+        jordan_blocks = [(draw(st.sampled_from(pool)), part) for part in parts]
+        M = direct_sum(*(jordan_block(ctx, part, lam) for lam, part in jordan_blocks))
+        if size > 1:
+            M = conjugate(unimodular(ctx, size, rng), M)
+        pieces.append((M, jordan_blocks))
+    group = list(range(len(pieces)))  # union-find over shared eigenvalues
+
+    def root(i):
+        while group[i] != i:
+            i = group[i]
+        return i
+
+    for i, (_, bi) in enumerate(pieces):
+        for j, (_, bj) in enumerate(pieces[:i]):
+            if any(x == y for x, _ in bi for y, _ in bj):
+                group[root(i)] = root(j)
+    order = sorted(range(len(pieces)), key=root)
+    groups = [root(i) for i in order]
+    pieces = [pieces[i] for i in order]
+    triples, offsets = [], []
+    n = 0
+    for M, _ in pieces:
+        offsets.append(n)
+        triples += [(n + r, n + c, x) for r, c, x in M.nonzeros()]
+        n += M.nrows
+    for i, (Mi, _) in enumerate(pieces):
+        for j, (Mj, _) in enumerate(pieces[i + 1:], i + 1):
+            if groups[i] != groups[j]:
+                triples += [(offsets[i] + r, offsets[j] + c,
+                             ctx.rational(rng.choice((-1, 0, 1, 2))))
+                            for r in range(Mi.nrows) for c in range(Mj.nrows)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    hidden = QMatrix.sparse(ctx, n, n, [(perm[r], perm[c], x) for r, c, x in triples])
+    spec = {}
+    for _, jordan_blocks in pieces:
+        for lam, part in jordan_blocks:
+            spec.setdefault(lam, []).append(part)
+    return JordanSpec(ctx, [(lam, sorted(parts, reverse=True))
+                            for lam, parts in spec.items()]), hidden
+
+
+@settings(max_examples=60, deadline=None)
+@given(hidden_block_triangular())
+def test_block_triangular_spectra_match_the_whole_matrix(case):
+    spec, A = case
+    assert char_poly(A) == list(matrices._faddeev_leverrier(A))
+    assert jordan_data(A) == spec
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(DIFFERENTIAL_CONTEXTS)),
+       st.lists(st.tuples(st.sampled_from([0, 1, -2, Fraction(3, 2)]), st.integers(0, 2),
+                          st.sampled_from([(1,), (2,), (1, 1), (2, 1), (3,)])),
+                min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_realized_specs_under_a_permutation_match_the_whole_matrix(name, blocks, rng):
+    ctx = DIFFERENTIAL_CONTEXTS[name]
+    spec_blocks = {}
+    for c, k, part in blocks:
+        lam = ctx.zero() if c == 0 else ctx.rational(c) * ctx.q() ** k
+        spec_blocks.setdefault(lam, part)
+    spec = JordanSpec(ctx, spec_blocks.items())
+    A = realize(spec)
+    perm = list(range(A.nrows))
+    rng.shuffle(perm)
+    hidden = QMatrix.sparse(ctx, A.nrows, A.nrows,
+                            [(perm[r], perm[c], x) for r, c, x in A.nonzeros()])
+    assert char_poly(hidden) == list(matrices._faddeev_leverrier(hidden))
+    assert jordan_data(hidden) == spec
+
+
+def _partial_spectra():
+    # the Q(q) companion of (y - (1 + q))(y - (2 + q^2)): neither root is a
+    # rational times a power of q
+    q, one = GEN.q(), GEN.one()
+    r1, r2 = one + q, GEN.rational(2) + q * q
+    companion = QMatrix(GEN, [[GEN.zero(), -(r1 * r2)], [one, r1 + r2]])
+    # over Q(zeta_3): the 2x2 block [[0, 2], [1, 0]] has char poly y^2 - 2,
+    # and 3 sits in a 1x1 block below it
+    c3 = QMatrix.from_rational_rows(C3, [[0, 2, 5], [1, 0, 7], [0, 0, 3]])
+    return [(companion, 0, 2), (c3, 1, 3),
+            (direct_sum(companion, jordan_block(GEN, 2, one)), 2, 4)]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["qq_companion", "ell3_triangular",
+                                                 "companion_plus_J2"])
+def test_jordan_data_reports_how_much_of_a_partial_spectrum_it_resolved(case):
+    A, covered, n = _partial_spectra()[case]
+    with pytest.raises(EigenvaluesNotFound) as err:
+        jordan_data(A)
+    assert str(err.value) == (
+        f"only {covered} of {n} dimensions of the spectrum were resolved "
+        "in the field; pass hint_eigenvalues for the rest")
 
 
 def test_jordan_block_is_the_block_jordan_of_multiplicity_one():

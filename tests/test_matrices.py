@@ -585,6 +585,67 @@ def test_char_poly_requires_square():
         char_poly(QMatrix.zero(C3, 2, 3))
 
 
+def test_char_poly_of_the_empty_matrix_is_one():
+    assert char_poly(QMatrix.zero(GEN, 0, 0)) == [GEN.one()]
+
+
+# ---------------------------------------------------------------------------
+# block triangular form
+# ---------------------------------------------------------------------------
+
+def reaches(pattern, start, inside):
+    """The vertices of `inside` reachable from start along pattern's edges
+    that stay in `inside`."""
+    seen, todo = {start}, [start]
+    while todo:
+        for w in pattern[todo.pop()]:
+            if w in inside and w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+@given(st.integers(1, 12), st.integers(0, 40), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_diagonal_blocks_are_the_strongly_connected_components(n, nnz, rng):
+    triples = [(rng.randrange(n), rng.randrange(n), C3.rational(rng.choice((-1, 1, 2))))
+               for _ in range(nnz)]
+    A = QMatrix.sparse(C3, n, n, triples)
+    pattern = {i: {c for r, c, _ in A.nonzeros() if r == i} for i in range(n)}
+    blocks = matrices.diagonal_blocks(A)
+    # a partition of range(n) into ascending lists
+    assert sorted(i for block in blocks for i in block) == list(range(n))
+    assert all(block == sorted(block) for block in blocks)
+    position = {i: b for b, block in enumerate(blocks) for i in block}
+    for block in blocks:  # strongly connected: all of it reachable from each vertex
+        inside = set(block)
+        assert all(reaches(pattern, i, inside) == inside for i in block)
+    # no nonzero runs from a later block to an earlier one
+    assert all(position[r] <= position[c] for r, c, _ in A.nonzeros())
+
+
+def test_diagonal_blocks_of_long_paths_and_cycles_need_no_recursion():
+    n, one = 3000, C3.one()
+    path = QMatrix.sparse(C3, n, n, [(i, i + 1, one) for i in range(n - 1)])
+    assert matrices.diagonal_blocks(path) == [[i] for i in range(n)]
+    backward = path.transpose()
+    assert matrices.diagonal_blocks(backward) == [[i] for i in reversed(range(n))]
+    cycle = QMatrix.sparse(C3, n, n, [(i, (i + 1) % n, one) for i in range(n)])
+    assert matrices.diagonal_blocks(cycle) == [list(range(n))]
+
+
+def test_char_poly_multiplies_the_char_polys_of_the_diagonal_blocks():
+    # the 2x2 block on {1, 3} feeds the 2x2 block on {0, 2}, which feeds the
+    # 1x1 block on {4}
+    A = QMatrix.from_rational_rows(C3, [[1, 0, 2, 0, 5],
+                                        [6, 0, 0, 3, 0],
+                                        [1, 0, 0, 0, 1],
+                                        [0, 1, 0, 1, 0],
+                                        [0, 0, 0, 0, 4]])
+    assert matrices.diagonal_blocks(A) == [[1, 3], [0, 2], [4]]
+    assert char_poly(A) == list(matrices._faddeev_leverrier(A))
+
+
 @st.composite
 def char_poly_inputs(draw):
     """Square matrices up to 4 x 4 over Q(zeta_3), Q(zeta_5) or Q(q), with
