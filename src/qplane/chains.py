@@ -2,8 +2,9 @@
 
 A q-chain with base a and length k is the multiset {a, a/q, ..., a/q^(k-1)}.
 Every finite multiset of nonzero scalars splits uniquely into q-chains that
-are maximal (no two chains could be merged into a longer one); the greedy
-longest-run-first extraction below produces that decomposition.  The
+are maximal (no two chains could be merged into a longer one); each level of
+a q-class's multiplicities, the exponents held at least h times, splits into
+runs of consecutive exponents, and those runs are that decomposition.  The
 per-length chain counts of a single q-equivalence class depend only on the
 multiplicity vector of the class and are also computed in closed form by
 ``associated_sequence``.
@@ -103,44 +104,41 @@ class ChainDecomposition:
 
 
 def _extract_chains(offsets, ell):
-    """Greedy longest-run-first extraction from an offset multiset.
+    """The maximal chains of an offset multiset as (top offset, length)
+    pairs, longest first, then by top.
 
     Offsets are exponents relative to the class anchor (residues mod ell
-    in the cyclic case).  A chain topped at offset t occupies t, t-1, ...;
-    returns (top offset, length) pairs in extraction order.
+    in the cyclic case).  Level h, the offsets held at least h times,
+    splits into runs t, t-1, ...: each offset whose successor is not in the
+    level tops one.  A level that fills the cycle is one run topped at 0.
     """
+    cyclic = ell is not INFINITE
     mult = {}
     for t in offsets:
         mult[t] = mult.get(t, 0) + 1
     out = []
-    while mult:
-        best = None
-        for t in mult:
-            length = 0
-            if ell is INFINITE:
-                while (t - length) in mult:
-                    length += 1
-            else:
-                while length < ell and ((t - length) % ell) in mult:
-                    length += 1
-            if best is None or length > best[0] or (length == best[0] and t < best[1]):
-                best = (length, t)
-        length, t = best
-        out.append((t, length))
-        for k in range(length):
-            off = (t - k) % ell if ell is not INFINITE else t - k
-            mult[off] -= 1
-            if mult[off] == 0:
-                del mult[off]
+    while mult:  # its keys are level h = 1, 2, ... in turn
+        if cyclic and len(mult) == ell:
+            out.append((0, ell))
+        else:
+            for top in mult:
+                if ((top + 1) % ell if cyclic else top + 1) not in mult:
+                    length = 1
+                    while ((top - length) % ell if cyclic else top - length) in mult:
+                        length += 1
+                    out.append((top, length))
+        mult = {t: c - 1 for t, c in mult.items() if c > 1}
+    out.sort(key=lambda chain: (-chain[1], chain[0]))
     return out
 
 
 def chain_decompose(elements) -> ChainDecomposition:
     """Decompose a multiset of nonzero scalars into maximal q-chains.
 
-    Greedy longest-chain-first per q-equivalence class; among equal-length
-    candidates the smallest top exponent wins.  Raises ZeroElement if the
-    multiset contains zero.
+    The classes come in the canonical order of their smallest members, and
+    each class's chains longest first, then by top exponent; a chain's base
+    is the input member at its top.  Raises ZeroElement if the multiset
+    contains zero.
     """
     elements = list(elements)
     for x in elements:
@@ -160,18 +158,20 @@ def chain_decompose(elements) -> ChainDecomposition:
         key, k = q_orbit(x)
         classes.setdefault(key, []).append((k, x))
     # Anchor each class at its canonically smallest member so the output
-    # does not depend on the input order.
+    # does not depend on the input order.  The member at offset t is
+    # anchor * q^t, so it is the base of every chain topped at t.
     groups = []
     for members in classes.values():
         k0, anchor = min(members, key=lambda member: canonical_key(member[1]))
         offsets = [k - k0 if ell is INFINITE else (k - k0) % ell for k, _ in members]
-        groups.append((anchor, offsets))
+        at = {t: x for t, (_, x) in zip(offsets, members)}
+        groups.append((anchor, at, offsets))
     groups.sort(key=lambda g: canonical_key(g[0]))
 
     chains = []
-    for anchor, offsets in groups:
+    for _, at, offsets in groups:
         for top, length in _extract_chains(offsets, ell):
-            chains.append((anchor * ctx.q_power(top), length))
+            chains.append((at[top], length))
 
     if ell is INFINITE:
         longest = max((length for _, length in chains), default=0)

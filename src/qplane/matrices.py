@@ -438,7 +438,7 @@ def _ratrec(u: int, m: int, bound: int):
     return r1, s1
 
 
-def _certified(A: QMatrix, entries, pivot_cols, basis) -> bool:
+def _certified(A: QMatrix, pivot_cols, basis) -> bool:
     """Whether basis is provably the reduced-echelon kernel basis of A and
     pivot_cols the pivot columns of A, given that they came from images of
     A under ring maps to F_p (defined: no denominator divisible by p) that
@@ -451,30 +451,21 @@ def _certified(A: QMatrix, entries, pivot_cols, basis) -> bool:
     exact rank, so they are all of pivot_cols, and the kernel vectors with
     that shape are unique, hence the reduced-echelon ones.
     """
-    ctx = A.ctx
     pivot_set = set(pivot_cols)
     free = [f for f in range(A.ncols) if f not in pivot_set]
     if len(free) != len(basis):
         return False
-    columns = [[] for _ in range(A.ncols)]
-    for i, j, x in entries:
-        columns[j].append((i, x))
-    one = ctx.one()
-    for f, vec in zip(free, basis):
+    one = A.ctx.one()
+    kernel = []  # the basis vectors as the columns of K, as triples
+    for col, (f, vec) in enumerate(zip(free, basis)):
         if vec[f] != one:
             return False
-        image = {}
         for j, x in enumerate(vec):
-            if x.is_zero():
-                continue
-            if j != f and (j > f or j not in pivot_set):
-                return False
-            for i, a in columns[j]:
-                y = image.get(i)
-                image[i] = a * x if y is None else y + a * x
-        if any(image.values()):
-            return False
-    return True
+            if x:
+                if j != f and (j > f or j not in pivot_set):
+                    return False
+                kernel.append((j, col, x))
+    return (A * QMatrix.sparse(A.ctx, A.ncols, len(basis), kernel)).is_zero()
 
 
 def _prime_budget(A: QMatrix, entries) -> int:
@@ -569,7 +560,7 @@ def _modular(A: QMatrix, entries, want_basis: bool):
             pivots = _rebuild(ctx, cols, slots, residues, modulus)
             if pivots is not None:
                 basis = _kernel_of(pivots, n, ctx)
-                if _certified(A, entries, cols, basis):
+                if _certified(A, cols, basis):
                     return len(cols), basis
     return None
 

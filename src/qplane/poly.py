@@ -113,20 +113,24 @@ def evaluate(a, x):
 def prem(a, b):
     """The pseudo-remainder of a by b in Z[x]: the remainder of
     lc(b)^(deg a - deg b + 1) * a on division by b, which stays integral
-    (a itself when deg a < deg b).  b must be nonzero."""
+    (a itself when deg a < deg b).  b must be nonzero.  a is scaled once,
+    and the quotient lies in Z[x], so each of its coefficients is an exact
+    // lc(b): O(len(a) + (deg a - deg b + 1) len(b)) operations."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
     top = len(b) - 1
+    if len(a) <= top:
+        return a
     lc = b[-1]
-    rem = list(a)
+    power = lc ** (len(a) - top)
+    rem = [x * power for x in a]
     for k in range(len(a) - top - 1, -1, -1):
-        # rem := lc * rem - rem[k + top] x^k b, whose term at k + top cancels
-        f = rem[k + top]
-        rem[:k + top] = [x * lc for x in rem[:k + top]]
+        # rem := rem - f x^k b, whose term at k + top cancels
+        f = rem[k + top] // lc
         if f:
             for j in range(top):
                 rem[k + j] -= f * b[j]
-    return trim(rem[:top]) if len(a) > top else a
+    return trim(rem[:top])
 
 
 def primitive(a):

@@ -277,6 +277,31 @@ def test_commutant_of_a_dense_ten_by_ten_conjugate_stays_fast(tmp_path):
     assert json.loads(done.stdout)["dimension"] == predicted_commutant_dim(spec) == 8
 
 
+def exponent_cliff_pair(n=8, top=10000):
+    """A = diag(q^top, q^(top-1), ...) and (1)/(q^2) on B's superdiagonal,
+    over Q(q): one q-chain of length n at exponents near top."""
+    A = [["0"] * n for _ in range(n)]
+    B = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        A[i][i] = f"q^{top - i}"
+        if i + 1 < n:
+            B[i][i + 1] = "(1)/(q^2)"
+    return {"A": {"rows": n, "cols": n, "entries": A},
+            "B": {"rows": n, "cols": n, "entries": B},
+            "field": {"type": "generic_q"}}
+
+
+def test_classify_with_exponents_near_ten_thousand_answers_in_time(tmp_path):
+    # the pseudo-remainders of the Q(q) gcds once rescaled the whole
+    # remainder at every step, quadratic in the exponent: about 25 s on a
+    # 2-core VM
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(exponent_cliff_pair()))
+    done = run_cli_bounded("classify", "--input", str(path), timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"m": {"8": 1}, "n": 8, "r": {}}
+
+
 def test_enumerate_bounds_its_output_before_building_it():
     # at ell = inf the index count grows about 4x per +4 in n: n = 100
     # would list more than memory holds

@@ -8,7 +8,7 @@ Q(q) scalar arithmetic built on them is checked against sympy.cancel.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qplane import (DivisionByZero, FieldContext, QScalar, format_scalar,
@@ -107,6 +107,10 @@ def assert_ints(*polys):
 
 @settings(max_examples=100, deadline=None)
 @given(int_polys(13), int_polys(13).filter(bool))
+@example((1, 2, 3, 4, 5), (3, -2, 7))  # non-monic
+@example((4, -1, 0, 9), (5, -3))  # a negative leading coefficient
+@example((1,) + (0,) * 199 + (1,), (1, 0, 2))  # long by short, non-monic
+@example((1,) + (0,) * 199 + (1,), (1, 0, 1))  # long by short, monic
 def test_prem_matches_sympy(a, b):
     sympy = pytest.importorskip("sympy")
     r = poly.prem(a, b)
