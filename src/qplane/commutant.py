@@ -125,8 +125,9 @@ def sylvester_operator(L: QMatrix, R: QMatrix, c: QScalar) -> QMatrix:
 
 
 def _unflatten(ctx, vec, nrows, ncols) -> QMatrix:
-    rows = [list(vec[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
-    return QMatrix(ctx, rows)
+    """The nrows x ncols matrix of a row-major vector, from its nonzeros."""
+    return QMatrix.sparse(ctx, nrows, ncols,
+                          [(k // ncols, k % ncols, x) for k, x in enumerate(vec) if x])
 
 
 def qcommutant_basis(A: QMatrix):

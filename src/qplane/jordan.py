@@ -132,7 +132,8 @@ def _divisors(n: int):
 
 
 def rational_roots(coeffs):
-    """All rational roots of a nonzero polynomial with Fraction coefficients."""
+    """All rational roots of a nonzero polynomial with int or Fraction
+    coefficients."""
     coeffs = poly.trim(tuple(coeffs))
     if not coeffs:
         raise ValueError("rational_roots needs a nonzero polynomial")
@@ -149,7 +150,7 @@ def rational_roots(coeffs):
     for p in _divisors(ints[0]):
         for s in _divisors(ints[-1]):
             for cand in (Fraction(p, s), Fraction(-p, s)):
-                if cand not in roots and not poly.evaluate(ints, cand):
+                if cand not in roots and not poly.div_linear(ints, cand)[1]:
                     roots.add(cand)
     return roots
 
@@ -165,16 +166,21 @@ def _residuals(cofactor, ctx):
 
     Q(zeta_ell): k = 0, ..., ell-1, and the residual is the first nonzero
     coordinate projection of cofactor(q^k y), since a rational root kills
-    every coordinate at once.  Q(q): k runs over the integer slopes of the
-    Newton polygon, the lower convex hull of the points (j, val a_j) for the
-    q-adic valuations of the coefficients a_j.  At a root of valuation k the
-    least valuation among the terms a_j (c q^k)^j is reached twice, so -k is
-    the slope of a hull edge, and c is a root of the residual: the lowest
-    Laurent coefficients of the a_j on that edge."""
+    every coordinate at once; it is read off the integer vectors of the
+    coefficients over their common denominator, so it has int coefficients.
+    Q(q): k runs over the integer slopes of the Newton polygon, the lower
+    convex hull of the points (j, val a_j) for the q-adic valuations of the
+    coefficients a_j.  At a root of valuation k the least valuation among
+    the terms a_j (c q^k)^j is reached twice, so -k is the slope of a hull
+    edge, and c is a root of the residual: the lowest Laurent coefficients
+    of the a_j on that edge."""
     if not ctx.is_generic:
+        m = math.lcm(*(c.int_den[0] for c in cofactor))
+        ints = [[x * (m // c.int_den[0]) for x in c.int_num] for c in cofactor]
         for k in range(ctx.ell):
-            scaled = [c * ctx.q_power(k * j) for j, c in enumerate(cofactor)]
-            yield k, next(coord for coord in zip(*(c.coeffs for c in scaled)) if any(coord))
+            # m a_j q^(kj), for the coefficient a_j of y^j
+            scaled = [ctx._conjugate(v, 1, k * j) for j, v in enumerate(ints)]
+            yield k, next(coord for coord in zip(*scaled) if any(coord))
         return
     points = []  # (j, val a_j, lowest Laurent coefficient of a_j)
     for j, a in enumerate(cofactor):

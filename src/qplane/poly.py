@@ -1,16 +1,17 @@
-"""Dense polynomials over an exact field, and over the integers.
+"""Dense polynomials over an exact ring, and over the integers.
 
 A polynomial is a little-endian tuple of coefficients: (c0, c1, ..., cd)
-stands for c0 + c1 x + ... + cd x^d.  The ring operations (``trim``, ``add``,
-``neg``, ``mul``, ``scale``, ``evaluate``) take coefficients of any exact type
-whose zero is falsy: ints (numerators and denominators in Q(q)), Fractions
-(the cyclotomic polynomials, root search) or QScalars (characteristic
-polynomials).  ``div``, ``gcd`` and ``div_linear`` need a field.  The
-integer helpers ``prem``, ``primitive``, ``primitive_gcd`` and ``div_exact``
-work in Z[x] without any division that leaves Z.  A polynomial is trimmed
-when its last coefficient is nonzero, and the zero polynomial is ().  Every
-function here takes trimmed polynomials and returns trimmed tuples; ``trim``
-is the one way in for anything else.
+stands for c0 + c1 x + ... + cd x^d.  ``trim``, ``add`` and ``mul`` take
+coefficients of any exact type whose zero is falsy: ints (numerators and
+denominators in Q(q)) or QScalars (characteristic polynomials).
+``div_linear`` divides by y - x by synthetic division, for x in a field
+that holds the coefficients (a QScalar, or a Fraction over int
+coefficients in the rational root search).  The integer helpers
+``prem``, ``primitive``, ``primitive_gcd`` and ``div_exact`` work in Z[x]
+without any division that leaves Z.  A polynomial is trimmed when its last
+coefficient is nonzero, and the zero polynomial is ().  Every function here
+takes trimmed polynomials and returns trimmed tuples; ``trim`` is the one
+way in for anything else.
 """
 
 import math
@@ -35,10 +36,6 @@ def add(a, b):
     return trim(out)
 
 
-def neg(a):
-    return tuple(-x for x in a)
-
-
 def mul(a, b):
     if not a or not b:
         return ()
@@ -48,41 +45,7 @@ def mul(a, b):
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
-    return tuple(out)  # trimmed: a[-1] * b[-1] is nonzero in a field
-
-
-def scale(a, c):
-    if not c:
-        return ()
-    return tuple(x * c for x in a)
-
-
-def div(a, b):
-    """(quotient, remainder) of a by b; b must be nonzero.
-
-    The leading coefficient of b is inverted once, and the quotient holds
-    the computed coefficients, so no arithmetic builds a zero.
-    """
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    top = len(b) - 1
-    inv = 1 / b[-1]
-    rem = list(a)
-    quot = [None] * max(len(a) - top, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        f = quot[k] = rem[k + top] * inv
-        if f:
-            for j in range(top):
-                rem[k + j] -= f * b[j]
-    # rem[k + top] cancels exactly at every step, so only the low part is left
-    return tuple(quot), trim(rem[:top])
-
-
-def gcd(a, b):
-    """The monic greatest common divisor (() when both are zero)."""
-    while b:
-        a, b = b, div(a, b)[1]
-    return scale(a, 1 / a[-1]) if a else a
+    return tuple(out)  # trimmed: a[-1] * b[-1] != 0, as there are no zero divisors
 
 
 def div_linear(a, x):
@@ -94,16 +57,6 @@ def div_linear(a, x):
         quot[k] = acc
         acc = a[k] + acc * x
     return tuple(quot), acc
-
-
-def evaluate(a, x):
-    """a(x) by Horner's rule."""
-    if not a:
-        return 0 * x
-    acc = a[-1]
-    for k in range(len(a) - 2, -1, -1):
-        acc = acc * x + a[k]
-    return acc
 
 
 # ---------------------------------------------------------------------------

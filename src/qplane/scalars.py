@@ -15,8 +15,13 @@ tuples, so equality is tuple equality:
   indeterminate and the order of q is treated as infinite.  Results are
   reduced by an integer gcd: the content alone when a side is constant, else
   a primitive remainder sequence (``poly.primitive_gcd``) and exact division
-  in Z[q].  ``num``/``den`` give the same value as Fractions with a monic
-  denominator, the form that printing, sorting and hashing read.
+  in Z[q].
+
+Printing, sorting and hashing read the pair too.  ``format_scalar`` and
+``canonical_key`` divide every coefficient by lc(int_den): by d over
+Q(zeta_ell), and over Q(q) to a monic denominator.  A scalar hashes as its
+pair, or as its Fraction when it is rational, so that it hashes equal to
+an equal int or Fraction.
 
 All arithmetic is exact (Python big integers); nothing in this module rounds.
 """
@@ -31,7 +36,6 @@ from . import poly
 from .errors import DivisionByZero, MixedContext, ParseError, ZeroArgument
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 _ONE = (1,)  # the denominator 1, shared rather than a fresh tuple per scalar
 
 INFINITE = math.inf  # the "order of q" in the generic regime
@@ -64,18 +68,17 @@ def _pstr(c, lc=1):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(ell: int):
-    """Little-endian coefficients of Phi_ell over Q.
+    """Little-endian int coefficients of Phi_ell.
 
-    Computed by dividing x^ell - 1 by the cyclotomic polynomials of the
-    proper divisors of ell.
+    Computed by dividing x^ell - 1 in Z[x] by the cyclotomic polynomials of
+    the proper divisors of ell, which are monic, so every quotient is exact.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
-    phi = (-F1,) + (F0,) * (ell - 1) + (F1,)  # x^ell - 1
+    phi = (-1,) + (0,) * (ell - 1) + (1,)  # x^ell - 1
     for d in range(1, ell):
         if ell % d == 0:
-            phi, r = poly.div(phi, cyclotomic_polynomial(d))
-            assert not r
+            phi = poly.div_exact(phi, cyclotomic_polynomial(d))
     return phi
 
 
@@ -106,7 +109,7 @@ class FieldContext:
         self._powers = self._reduction = self._conjugators = ()
         if not self.is_generic:
             # Phi_ell is monic with integer coefficients: x^deg = -low
-            low = [int(c) for c in cyclotomic_polynomial(ell)[:-1]]
+            low = cyclotomic_polynomial(ell)[:-1]
             deg = len(low)
             self._deg = deg
             # x^m mod Phi_ell for m < ell, as sparse (index, coefficient) rows
@@ -336,13 +339,11 @@ class QScalar:
     The value is int_num / int_den, a canonical pair of little-endian int
     tuples (see the module docstring), so equality is tuple equality.
     Root-of-unity regime: int_num is the reduced coefficient vector of
-    length deg(Phi_ell) and int_den is (d,); ``coeffs`` is int_num / d as
-    Fractions.  Generic regime: two coprime integer polynomials in q;
-    ``num``/``den`` are the same fraction as Fraction tuples with a monic
-    denominator.  The constructor takes an int vector ``ints`` over ``d``
-    (Q(zeta_ell)) or ``num``/``den`` as tuples of ints or Fractions (Q(q))
-    and reduces them.  Values are immutable; all arithmetic returns fresh
-    scalars.
+    length deg(Phi_ell) and int_den is (d,).  Generic regime: two coprime
+    integer polynomials in q.  The constructor takes an int vector ``ints``
+    over ``d`` (Q(zeta_ell)) or ``num``/``den`` as tuples of ints or
+    Fractions (Q(q)) and reduces them.  Values are immutable; all
+    arithmetic returns fresh scalars.
     """
 
     __slots__ = ("ctx", "int_num", "int_den")
@@ -368,31 +369,6 @@ class QScalar:
     def __reduce__(self):
         # __slots__ without __getstate__ does not pickle at protocols 0 and 1
         return (_build, (self.ctx, self.int_num, self.int_den))
-
-    @property
-    def num(self):
-        """Generic regime: the numerator as Fractions, scaled so that ``den``
-        is monic."""
-        if not self.ctx.is_generic:
-            return None
-        lc = self.int_den[-1]
-        return tuple(Fraction(c, lc) for c in self.int_num)
-
-    @property
-    def den(self):
-        """Generic regime: the monic denominator as Fractions."""
-        if not self.ctx.is_generic:
-            return None
-        lc = self.int_den[-1]
-        return tuple(Fraction(c, lc) for c in self.int_den)
-
-    @property
-    def coeffs(self):
-        """Root-of-unity regime: the coefficient vector as Fractions."""
-        if self.ctx.is_generic:
-            return None
-        d = self.int_den[0]
-        return tuple(Fraction(x, d) for x in self.int_num)
 
     # -- coercion -----------------------------------------------------------
 
@@ -522,21 +498,18 @@ class QScalar:
 
     def __hash__(self):
         r = self.as_rational()
-        if r is not None:
-            return hash(r)
-        if self.ctx.is_generic:
-            if self.int_den[-1] == 1:  # the view holds the same integers, equal hashes
-                return hash((self.int_num, self.int_den))
-            return hash((self.num, self.den))
-        return hash(self.coeffs)
+        return hash((self.int_num, self.int_den)) if r is None else hash(r)
 
     def __repr__(self):
         return f"<{format_scalar(self)}>"
 
 
-def _frac_key(c: Fraction):
-    # magnitude before sign, so 1 sorts ahead of -1
-    return (abs(c), 0 if c >= 0 else 1)
+def _coeff_keys(ints, lc):
+    """The keys of c / lc for c in ints (lc > 0): magnitude before sign, so
+    1 sorts ahead of -1; the magnitude is a plain int when lc is 1."""
+    if lc == 1:
+        return tuple([(abs(c), 0 if c >= 0 else 1) for c in ints])
+    return tuple([(Fraction(abs(c), lc), 0 if c >= 0 else 1) for c in ints])
 
 
 def canonical_key(a: QScalar):
@@ -544,15 +517,14 @@ def canonical_key(a: QScalar):
 
     Compares the canonical coefficient vectors lexicographically, each
     coefficient by magnitude and then sign; used to fix block orderings and
-    class-base choices.  Over Q(q) the vectors are those of the monic view
-    ``num``/``den``; where the integer denominator is already monic the
-    integer pair holds the same values and is read directly.
+    class-base choices.  Every coefficient of the pair is divided by
+    lc = int_den[-1]: over Q(zeta_ell) that is the denominator d, and over
+    Q(q) it makes the denominator monic.
     """
+    lc = a.int_den[-1]
     if a.ctx.is_generic:
-        if a.int_den[-1] == 1:
-            return (tuple(map(_frac_key, a.int_num)), tuple(map(_frac_key, a.int_den)))
-        return (tuple(map(_frac_key, a.num)), tuple(map(_frac_key, a.den)))
-    return tuple(map(_frac_key, a.coeffs))
+        return (_coeff_keys(a.int_num, lc), _coeff_keys(a.int_den, lc))
+    return _coeff_keys(a.int_num, lc)
 
 
 def substitute_q_inverse(a: QScalar) -> QScalar:
@@ -716,7 +688,7 @@ def _parse_poly_sum(scan: _Scanner, ctx: FieldContext) -> QScalar:
                 scan.pos = save
         elif ch == "q":
             scan.pos += 1
-            coeff = F1
+            coeff = 1
             exponent = _parse_exponent(scan, ctx)
         else:
             raise ParseError(f"unexpected character {ch!r}" if ch

@@ -424,15 +424,15 @@ def test_jordan_block_is_the_block_jordan_of_multiplicity_one():
 def test_jordan_data_runs_no_gcd_over_the_field(monkeypatch):
     # the n = 5 Q(q) spectrum whose squarefree part once took seconds of
     # Euclid over Q(q): deflating the char poly needs no gcd of polynomials
-    # with QScalar coefficients (the Fraction gcds inside Q(q) scalars stay)
-    fraction_gcd = poly.gcd
+    # with QScalar coefficients (the Z[q] gcds inside Q(q) scalars stay)
+    integer_gcd = poly.primitive_gcd
 
     def no_scalar_gcd(a, b):
         if any(isinstance(c, QScalar) for c in (*a, *b)):
             raise AssertionError("gcd over QScalar coefficients")
-        return fraction_gcd(a, b)
+        return integer_gcd(a, b)
 
-    monkeypatch.setattr(poly, "gcd", no_scalar_gcd)
+    monkeypatch.setattr(poly, "primitive_gcd", no_scalar_gcd)
     eight_sevenths = GEN.rational(Fraction(8, 7))
     lams = [GEN.rational(Fraction(3, 2)), GEN.rational(Fraction(5, 2)), GEN.one(),
             eight_sevenths, eight_sevenths / GEN.q()]

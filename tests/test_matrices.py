@@ -665,12 +665,9 @@ def char_poly_inputs(draw):
 def scalar_to_sympy(sympy, a, x):
     """a as a sympy expression in x = q: a polynomial over Q(zeta_ell), a
     quotient of polynomials over Q(q)."""
-    def from_coeffs(coeffs):
-        return sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-                   for i, c in enumerate(coeffs))
-    if a.ctx.is_generic:
-        return from_coeffs(a.num) / from_coeffs(a.den)
-    return from_coeffs(a.coeffs)
+    def from_ints(ints):
+        return sum(sympy.Integer(c) * x ** i for i, c in enumerate(ints))
+    return from_ints(a.int_num) / from_ints(a.int_den)
 
 
 @given(char_poly_inputs())
@@ -725,8 +722,8 @@ def test_rank_matches_sympy_domain_matrix(A):
         zeta = sympy.exp(2 * sympy.pi * sympy.I / A.ctx.ell)
         K = sympy.QQ.algebraic_field(zeta)
         z = K.from_sympy(zeta)
-        entries = [[sum((K.from_sympy(sympy.Rational(c.numerator, c.denominator)) * z ** i
-                         for i, c in enumerate(e.coeffs)), K.zero) for e in row]
+        entries = [[sum((K.from_sympy(sympy.Rational(c, e.int_den[0])) * z ** i
+                         for i, c in enumerate(e.int_num)), K.zero) for e in row]
                    for row in A.rows]
     assert rank(A) == DomainMatrix(entries, (A.nrows, A.ncols), K).rank()
 

@@ -1,10 +1,11 @@
-"""The dense-polynomial layer, over Fractions and over QScalar coefficients.
+"""The dense-polynomial layer, over Q, over Z and over QScalar coefficients.
 
-Over Q the helpers are checked against sympy; over Q(zeta_ell) and Q(q),
-where sympy has no matching domain, against the defining identities.  The
-Q(q) scalar arithmetic built on them is checked against sympy.cancel.
+Over Q and Z the helpers are checked against sympy; over Q(zeta_ell) and
+Q(q), where sympy has no matching domain, against the defining identities.
+The Q(q) scalar arithmetic built on them is checked against sympy.cancel.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,45 +39,27 @@ def from_sympy(p):
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
-@given(fraction_polys, nonzero_fraction_polys)
-def test_div_matches_sympy(a, b):
-    sympy = pytest.importorskip("sympy")
-    quot, rem = sympy.div(to_sympy(sympy, a), to_sympy(sympy, b))
-    assert poly.div(a, b) == (from_sympy(quot), from_sympy(rem))
-
-
-@settings(max_examples=150, deadline=None)
-@given(fraction_polys, fraction_polys, fraction_polys)
-def test_gcd_matches_sympy(a, b, common):
-    sympy = pytest.importorskip("sympy")
-    a, b = poly.mul(a, common), poly.mul(b, common)
-    expected = to_sympy(sympy, a).gcd(to_sympy(sympy, b))
-    assert poly.gcd(a, b) == from_sympy(expected)
-
-
-@settings(max_examples=150, deadline=None)
-@given(fraction_polys, fraction_polys, small)
-def test_ring_operations_match_sympy(a, b, x):
+@given(fraction_polys, fraction_polys)
+def test_ring_operations_match_sympy(a, b):
     sympy = pytest.importorskip("sympy")
     A, B = to_sympy(sympy, a), to_sympy(sympy, b)
     assert poly.add(a, b) == from_sympy(A + B)
-    assert poly.add(a, poly.neg(b)) == from_sympy(A - B)
+    assert poly.add(a, tuple(-x for x in b)) == from_sympy(A - B)
     assert poly.mul(a, b) == from_sympy(A * B)
-    assert poly.scale(a, x) == from_sympy(A * sympy.Rational(x.numerator, x.denominator))
-    assert poly.evaluate(a, x) == A.eval(sympy.Rational(x.numerator, x.denominator))
 
 
 def test_trim_and_division_by_zero():
     assert poly.trim([Fraction(1), Fraction(0), Fraction(0)]) == (Fraction(1),)
     assert poly.trim((0, 0)) == ()
     with pytest.raises(DivisionByZero):
-        poly.div((Fraction(1),), ())
+        poly.div_exact((1,), ())
 
 
 def test_coefficient_tuples_stay_homogeneous():
     a = (Fraction(1), Fraction(0), Fraction(2))
     b = (Fraction(0), Fraction(3))
-    for out in (poly.mul(a, b), *poly.div(a, b), poly.add(a, b)):
+    quot, rem = poly.div_linear(a, Fraction(1, 2))
+    for out in (poly.mul(a, b), quot, (rem,), poly.add(a, b)):
         assert all(type(c) is Fraction for c in out)
 
 
@@ -130,7 +113,7 @@ def test_primitive_gcd_matches_sympy(a, b, common):
         return
     expected = from_zz(zz_poly(sympy, a).gcd(zz_poly(sympy, b)).primitive()[1])
     if expected[-1] < 0:
-        expected = poly.neg(expected)
+        expected = tuple(-c for c in expected)
     assert g == expected
     assert g[-1] > 0 and poly.primitive(g) == g
 
@@ -162,22 +145,6 @@ def test_integer_helpers_on_small_cases():
         poly.div_exact((1, 1), (2,))
 
 
-def test_field_semantics_kept_for_fractions_and_scalars():
-    # div and gcd still divide in the coefficient field: Fractions stay
-    # Fractions, the gcd is monic, and the quotient need not be integral
-    half = Fraction(1, 2)
-    assert poly.div((Fraction(1), Fraction(3)), (Fraction(2),)) == (
-        (half, Fraction(3, 2)), ())
-    g = poly.gcd((Fraction(-2), Fraction(0), Fraction(2)), (Fraction(3), Fraction(3)))
-    assert g == (Fraction(1), Fraction(1)) and all(type(c) is Fraction for c in g)
-    q, one = GEN.q(), GEN.one()
-    two = GEN.rational(2)
-    quot, rem = poly.div((q, two * q), (two,))  # (q + 2q x) / 2
-    assert quot == (q / 2, q) and rem == ()
-    g = poly.gcd(poly.mul((q, one), (one, two)), poly.mul((q, one), (two, q)))
-    assert g == (q, one)
-
-
 # ---------------------------------------------------------------------------
 # over Q(zeta_ell) and Q(q), by identities
 # ---------------------------------------------------------------------------
@@ -199,36 +166,11 @@ def scalar_polys(draw, ctx, max_size):
 
 @st.composite
 def field_and_polys(draw, max_size):
-    """A field and two polynomials over it, the second nonzero.
-
-    The sizes stay small because Euclid over Q(q) swells coefficients:
-    one gcd of a degree-6 polynomial with its derivative took 17 s.
-    """
+    """A field and two polynomials over it, the second nonzero."""
     ctx = draw(st.sampled_from(CONTEXTS))
     a = draw(scalar_polys(ctx, max_size))
     b = draw(scalar_polys(ctx, max_size).filter(bool))
     return ctx, a, b
-
-
-@settings(max_examples=40, deadline=None)
-@given(field_and_polys(max_size=4))
-def test_division_identity_over_scalars(case):
-    _, a, b = case
-    quot, rem = poly.div(a, b)
-    assert len(rem) < len(b)
-    assert poly.add(poly.mul(quot, b), rem) == a
-
-
-@settings(max_examples=40, deadline=None)
-@given(field_and_polys(max_size=3))
-def test_gcd_over_scalars_is_monic_and_divides_both(case):
-    ctx, a, b = case
-    common = poly.trim([ctx.one(), ctx.q()])  # 1 + q x, so the gcd is nontrivial
-    a, b = poly.mul(a, common), poly.mul(b, common)
-    g = poly.gcd(a, b)
-    assert g[-1] == ctx.one()
-    assert len(g) >= 2
-    assert not poly.div(a, g)[1] and not poly.div(b, g)[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,8 +180,10 @@ def test_synthetic_division_matches_long_division(case):
     assume(len(a) >= 2)
     x = b[-1]
     quot, rem = poly.div_linear(a, x)
-    assert (quot, poly.trim((rem,))) == poly.div(a, (-x, ctx.one()))
-    assert rem == poly.evaluate(a, x)
+    assert len(quot) == len(a) - 1
+    # a == quot * (y - x) + rem, and the remainder is a(x)
+    assert a == poly.add(poly.mul(quot, (-x, ctx.one())), poly.trim((rem,)))
+    assert rem == sum((c * x ** k for k, c in enumerate(a)), ctx.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +198,17 @@ def generic_scalars(draw):
 
 
 def generic_to_sympy(sympy, a):
-    return (to_sympy(sympy, a.num, "q").as_expr()
-            / to_sympy(sympy, a.den, "q").as_expr())
+    return (to_sympy(sympy, a.int_num, "q").as_expr()
+            / to_sympy(sympy, a.int_den, "q").as_expr())
 
 
 def assert_canonical_equal(sympy, ours, expected):
-    """ours equals expected as a rational function, and is stored reduced
-    with a monic denominator."""
+    """ours equals expected as a rational function, and is stored reduced:
+    coprime, content 1 and a positive leading denominator coefficient."""
     assert sympy.cancel(generic_to_sympy(sympy, ours) - expected) == 0
-    assert ours.den[-1] == 1
-    num, den = to_sympy(sympy, ours.num), to_sympy(sympy, ours.den)
+    assert ours.int_den[-1] > 0
+    assert math.gcd(*ours.int_num, *ours.int_den) == 1
+    num, den = to_sympy(sympy, ours.int_num), to_sympy(sympy, ours.int_den)
     assert num.is_zero or num.gcd(den).degree() == 0
 
 

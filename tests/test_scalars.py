@@ -13,7 +13,6 @@ from qplane import (DivisionByZero, FieldContext, INFINITE, MixedContext,
                     ParseError, QScalar, ZeroArgument, canonical_key,
                     cyclotomic_polynomial, format_scalar, parse_scalar,
                     q_equivalent, q_orbit, substitute_q_inverse)
-from qplane import poly
 from qplane.scalars import MAX_GENERIC_EXPONENT, _build
 
 C3 = FieldContext.root_of_unity(3)
@@ -62,6 +61,16 @@ def test_cyclotomic_degree_is_euler_totient():
     known_totients = {1: 1, 2: 1, 3: 2, 4: 2, 5: 4, 6: 2, 8: 4, 12: 4}
     for ell, phi in known_totients.items():
         assert len(cyclotomic_polynomial(ell)) - 1 == phi
+
+
+def test_cyclotomic_polynomials_are_integral_and_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for ell in range(1, 61):
+        phi = cyclotomic_polynomial(ell)
+        assert type(phi) is tuple and all(type(c) is int for c in phi)
+        expected = sympy.Poly(sympy.cyclotomic_poly(ell, x), x).all_coeffs()[::-1]
+        assert phi == tuple(int(c) for c in expected)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +296,11 @@ def reference_q_equivalent(a, b):
     ratio = a / b
     ctx = a.ctx
     if ctx.is_generic:
-        if ratio.den == (F1,) and ratio.num[-1] == 1 and not any(ratio.num[:-1]):
-            return len(ratio.num) - 1
-        if ratio.num == (F1,) and not any(ratio.den[:-1]):
-            return -(len(ratio.den) - 1)
+        n, d = ratio.int_num, ratio.int_den
+        if d == (1,) and n[-1] == 1 and not any(n[:-1]):
+            return len(n) - 1
+        if n == (1,) and d[-1] == 1 and not any(d[:-1]):
+            return -(len(d) - 1)
         return None
     power = ctx.one()
     for m in range(ctx.ell):
@@ -506,9 +516,21 @@ def sympy_poly(sympy, vec):
                for k, c in enumerate(vec))
 
 
+def vector(a):
+    """The coefficient vector int_num / d of a Q(zeta_ell) scalar, as Fractions."""
+    (d,) = a.int_den
+    return tuple(Fraction(x, d) for x in a.int_num)
+
+
 def expected_hash(vec):
+    """A rational scalar hashes as its Fraction, any other as its canonical
+    pair: the integer vector over the lcm d of the coefficients' reduced
+    denominators, which leaves gcd(d, *ints) = 1."""
     vec = tuple(vec)
-    return hash(vec[0]) if not any(vec[1:]) else hash(vec)
+    if not any(vec[1:]):
+        return hash(vec[0])
+    d = math.lcm(*(c.denominator for c in vec))
+    return hash((tuple(int(c * d) for c in vec), (d,)))
 
 
 @given(cyclotomic_vectors(3))
@@ -540,8 +562,8 @@ def test_cyclotomic_arithmetic_matches_sympy(case):
     A, B = sympy_poly(sympy, u), sympy_poly(sympy, v)
     product = sympy_vector(sympy, A * B, ell)
     total = sympy_vector(sympy, A + B, ell)
-    assert (a * b).coeffs == product
-    assert (a + b).coeffs == total
+    assert vector(a * b) == product
+    assert vector(a + b) == total
     assert hash(a * b) == expected_hash(product)
     assert hash(a + b) == expected_hash(total)
 
@@ -555,7 +577,7 @@ def test_substitute_q_inverse_matches_sympy(case):
     x = sympy.Symbol("x")
     # x^ell = 1 modulo Phi_ell, so multiplying by it clears the negative powers
     image = sympy_poly(sympy, u).subs(x, 1 / x) * x ** ell
-    assert substitute_q_inverse(element(ctx, u)).coeffs == sympy_vector(sympy, image, ell)
+    assert vector(substitute_q_inverse(element(ctx, u))) == sympy_vector(sympy, image, ell)
 
 
 def reference_format(vec):
@@ -580,7 +602,7 @@ def test_cyclotomic_representation_pins(case):
     ell, (u,) = case
     ctx = FieldContext.root_of_unity(ell)
     a = element(ctx, u)
-    assert a.coeffs == tuple(u)
+    assert vector(a) == tuple(u)
     assert hash(a) == expected_hash(u)
     assert format_scalar(a) == reference_format(u)
     assert canonical_key(a) == tuple((abs(c), 0 if c >= 0 else 1) for c in u)
@@ -667,7 +689,7 @@ def test_pickle_and_copy_round_trip_in_both_fields(ctx, text):
 
 
 # ---------------------------------------------------------------------------
-# Q(q): the canonical integer pair and its Fraction view
+# Q(q): the canonical integer pair
 # ---------------------------------------------------------------------------
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
@@ -683,15 +705,26 @@ def generic_values(draw):
 
 
 def monic_view(n, d):
-    """The Q(q) normal form before integer pairs: Euclid over Q and a monic
-    denominator, from the value n/d as Fraction tuples."""
-    num, den = tuple(map(Fraction, n)), tuple(map(Fraction, d))
-    if not num:
+    """The pair divided by lc(d), as Fraction tuples: the numerator and the
+    monic denominator that printing and sorting read."""
+    lc = d[-1]
+    return tuple(Fraction(c, lc) for c in n), tuple(Fraction(c, lc) for c in d)
+
+
+def sympy_monic_form(sympy, n, d):
+    """The Q(q) normal form by sympy: n/d reduced over Q, with a monic
+    denominator, as Fraction tuples."""
+    if not n:
         return (), (F1,)
-    g = poly.gcd(num, den)
-    num, den = poly.div(num, g)[0], poly.div(den, g)[0]
-    lc = den[-1]
-    return poly.scale(num, 1 / lc), poly.scale(den, 1 / lc)
+    x = sympy.Symbol("x")
+    num = sympy.Poly(n[::-1], x, domain="QQ")
+    den = sympy.Poly(d[::-1], x, domain="QQ")
+    g = num.gcd(den)
+    num, den = num.exquo(g), den.exquo(g)
+    lc = den.LC()
+    num, den = num.quo_ground(lc), den.quo_ground(lc)
+    return tuple(tuple(Fraction(int(c.p), int(c.q)) for c in reversed(part.all_coeffs()))
+                 for part in (num, den))
 
 
 def assert_canonical(a):
@@ -707,15 +740,15 @@ def assert_canonical(a):
         import sympy
     except ImportError:
         sympy = None
+    view = monic_view(n, d)
     if sympy is not None:
         x = sympy.Symbol("x")
         common = sympy.gcd(sympy.Poly(n[::-1], x), sympy.Poly(d[::-1], x))
         assert common.degree() == 0
-    assert (a.num, a.den) == monic_view(n, d)
-    assert all(type(c) is Fraction for c in a.num + a.den)
+        assert view == sympy_monic_form(sympy, n, d)
     # the sort key of the monic view, magnitude before sign
     assert canonical_key(a) == tuple(tuple((abs(c), 0 if c >= 0 else 1) for c in part)
-                                     for part in (a.num, a.den))
+                                     for part in view)
 
 
 @settings(max_examples=120, deadline=None)
@@ -753,9 +786,69 @@ def test_generic_pickle_and_copy_round_trip(num, den):
         assert format_scalar(b) == format_scalar(a)
 
 
-def test_generic_hash_equals_the_fraction_view_hash():
-    # hash((num, den)) of the monic Fraction view, as before integer pairs
-    for num, den in NON_MONIC + [((1, 2), (3, 1)), ((0, 5), (1,))]:
+def test_generic_hash_is_the_pair_hash():
+    # a rational scalar hashes as its Fraction, any other as its pair
+    for num, den in NON_MONIC + [((1, 2), (3, 1)), ((0, 5), (1,)), ((3,), (4,)), ((-6,), (1,))]:
         a = QScalar(GEN, num=num, den=den)
         r = a.as_rational()
-        assert hash(a) == (hash(r) if r is not None else hash((a.num, a.den)))
+        assert hash(a) == (hash(r) if r is not None else hash((a.int_num, a.int_den)))
+
+
+@pytest.mark.parametrize("ctx", [C3, FieldContext.root_of_unity(5), GEN])
+def test_equal_scalars_hash_equal(ctx):
+    values = [parse_scalar(text, ctx) for text in ("0", "1", "-7", "3/4", "-5/12")]
+    for r, a in zip((0, 1, -7, Fraction(3, 4), Fraction(-5, 12)), values):
+        assert a == r and hash(a) == hash(r) == hash(Fraction(r))
+        assert hash(a) == hash(ctx.rational(r)) == hash(a + ctx.q() - ctx.q())
+    x = parse_scalar("(2 + q)/(3 - 2*q^2)" if ctx.is_generic else "2/3 - 5/4*q", ctx)
+    copies = [x * ctx.one(), (x + 1) - 1, 1 / (1 / x), copy.deepcopy(x),
+              pickle.loads(pickle.dumps(x))]
+    for y in copies:
+        assert y == x and hash(y) == hash(x)
+    assert hash(x) == hash((x.int_num, x.int_den))
+    assert len({x, *copies}) == 1
+
+
+def reference_key(a):
+    """canonical_key as it read the Fraction views: each coefficient as a
+    Fraction, over Q(zeta_ell) int_num / d, over Q(q) numerator and
+    denominator scaled to a monic denominator; magnitude before sign."""
+    def frac_key(c):
+        return (abs(c), 0 if c >= 0 else 1)
+    lc = a.int_den[-1]
+    if a.ctx.is_generic:
+        return (tuple(frac_key(Fraction(c, lc)) for c in a.int_num),
+                tuple(frac_key(Fraction(c, lc)) for c in a.int_den))
+    return tuple(frac_key(Fraction(c, lc)) for c in a.int_num)
+
+
+KEY_CONTEXTS = [FieldContext.root_of_unity(ell) for ell in (3, 5, 12)] + [GEN]
+key_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def key_scalars(draw, ctx):
+    """Small scalars with repeats and ties in magnitude: sums of rational
+    multiples of powers of q over Q(zeta_ell) (denominators d != 1), ratios
+    of polynomials with non-monic denominators over Q(q)."""
+    if ctx.is_generic:
+        num = draw(st.lists(key_fractions, max_size=3))
+        den = draw(st.lists(key_fractions, min_size=1, max_size=3).filter(any))
+        return QScalar(ctx, num=num, den=den)
+    out = ctx.zero()
+    for c, k in draw(st.lists(st.tuples(key_fractions, st.integers(-13, 13)), max_size=3)):
+        out = out + ctx.rational(c) * ctx.q_power(k)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_canonical_key_orders_as_the_fraction_view_key(data):
+    ctx = data.draw(st.sampled_from(KEY_CONTEXTS))
+    xs = data.draw(st.lists(key_scalars(ctx), max_size=12))
+    for x in xs:
+        assert canonical_key(x) == reference_key(x)
+    ours = sorted(xs, key=canonical_key)
+    reference = sorted(xs, key=reference_key)
+    assert [(x.int_num, x.int_den) for x in ours] == [
+        (x.int_num, x.int_den) for x in reference]
