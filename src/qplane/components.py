@@ -250,8 +250,7 @@ def _u_block(ctx, size, pool):
     stays inside the coefficient field.
     """
     a = pool.base()
-    q = ctx.q()
-    qinv = q.inverse()
+    qinv = ctx.q_power(-1)
     diag = []
     cur = a
     for _ in range(size):

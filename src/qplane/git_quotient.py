@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .commutant import MatrixPair
 from .components import ComponentIndex, _order
 from .errors import BadIndex, UnsupportedShape
-from .matrices import QMatrix, direct_sum
+from .matrices import QMatrix, diagonal_blocks, direct_sum
 from .scalars import INFINITE
 
 
@@ -130,15 +130,55 @@ def _trace_of_product(nonzeros, Y: QMatrix):
 
 
 def _axis_traces(pows, N: int):
-    """Tr(X^k) for 0 <= k <= N; X^N is read as X^(N-1) X when not built."""
+    """Tr(X^k) for 1 <= k <= N; X^N is read as X^(N-1) X when not built."""
     X = pows[1]
-    out = [X.ctx.rational(X.nrows)]
+    out = []
     for k in range(1, N + 1):
         if k < len(pows):
             out.append(pows[k].trace())
         else:
             out.append(_trace_of_product(pows[k - 1].nonzeros(), X))
     return out
+
+
+def _block_traces(A: QMatrix, B: QMatrix, N: int, lattice):
+    """(i, j, Tr(A^i B^j)) on the axes (exactly one of i, j zero, the other
+    at most N) and at the lattice points, from the powers of A and B."""
+    # the lattice is symmetric in i and j; the axes need powers up to N - 1
+    top = max([N - 1, *lattice])
+    a_pows = _powers(A, top)
+    b_pows = _powers(B, top)
+    for i, t in enumerate(_axis_traces(a_pows, N), 1):
+        yield i, 0, t
+    for j, t in enumerate(_axis_traces(b_pows, N), 1):
+        yield 0, j, t
+    for i, js in lattice.items():
+        nonzeros = a_pows[i].nonzeros()
+        for j in js:
+            yield i, j, _trace_of_product(nonzeros, b_pows[j])
+
+
+def _scalar_traces(a, b, N: int, lattice):
+    """(i, j, a^i b^j) for a 1x1 block (a, b), on the cells where it is not
+    zero: the axes of a nonzero a or b, and the lattice points when both are
+    nonzero, which a b = q b a allows only at q = 1."""
+    a_pows = [a]
+    b_pows = [b]
+    for _ in range(1, N):
+        if a:
+            a_pows.append(a_pows[-1] * a)
+        if b:
+            b_pows.append(b_pows[-1] * b)
+    if a:
+        for i in range(1, N + 1):
+            yield i, 0, a_pows[i - 1]
+    if b:
+        for j in range(1, N + 1):
+            yield 0, j, b_pows[j - 1]
+    if a and b:
+        for i, js in lattice.items():
+            for j in js:
+                yield i, j, a_pows[i - 1] * b_pows[j - 1]
 
 
 def trace_fingerprint(pair: MatrixPair, N=None) -> TraceFingerprint:
@@ -150,6 +190,11 @@ def trace_fingerprint(pair: MatrixPair, N=None) -> TraceFingerprint:
     with ell | i*j (every one at ell = 1, none at ell = inf); the rest are
     exact zeros, since A^i B^j = q^(ij) B^j A^i and Tr(XY) = Tr(YX) give
     (1 - q^(ij)) Tr(A^i B^j) = 0.
+
+    In the order of ``diagonal_blocks(A, B)`` both matrices are block upper
+    triangular with one partition, so every trace is the sum of the traces
+    on the diagonal blocks: a 1x1 block contributes powers of its two
+    entries, a larger one the traces of its principal submatrices' powers.
     """
     if N is None:
         N = pair.size
@@ -162,19 +207,23 @@ def trace_fingerprint(pair: MatrixPair, N=None) -> TraceFingerprint:
             js = [j for j in range(1, N + 1) if i * j % ctx.ell == 0]
             if js:
                 lattice[i] = js
-    # the lattice is symmetric in i and j; the axes need powers up to N - 1
-    top = max([N - 1, *lattice])
-    a_pows = _powers(pair.A, top)
-    b_pows = _powers(pair.B, top)
-    grid = [[ctx.zero()] * (N + 1) for _ in range(N + 1)]
-    grid[0] = _axis_traces(b_pows, N)
-    for i, t in enumerate(_axis_traces(a_pows, N)):
-        grid[i][0] = t
-    for i, js in lattice.items():
-        nonzeros = a_pows[i].nonzeros()
-        for j in js:
-            grid[i][j] = _trace_of_product(nonzeros, b_pows[j])
-    return TraceFingerprint(N, tuple(map(tuple, grid)))
+    A, B = pair.A, pair.B
+    sums = {(0, 0): ctx.rational(pair.size)}
+    for block in diagonal_blocks(A, B):
+        if len(block) == 1:
+            k = block[0]
+            terms = _scalar_traces(A[k, k], B[k, k], N, lattice)
+        elif len(block) == pair.size:
+            terms = _block_traces(A, B, N, lattice)
+        else:
+            terms = _block_traces(A.submatrix(block, block), B.submatrix(block, block),
+                                  N, lattice)
+        for i, j, t in terms:
+            s = sums.get((i, j))
+            sums[i, j] = t if s is None else s + t
+    zero = ctx.zero()
+    grid = tuple(tuple(sums.get((i, j), zero) for j in range(N + 1)) for i in range(N + 1))
+    return TraceFingerprint(N, grid)
 
 
 # ---------------------------------------------------------------------------

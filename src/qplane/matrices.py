@@ -654,21 +654,27 @@ def conjugate(g: QMatrix, A: QMatrix) -> QMatrix:
 # block triangular form and the characteristic polynomial
 # ---------------------------------------------------------------------------
 
-def diagonal_blocks(A: QMatrix):
+def diagonal_blocks(A: QMatrix, *others: QMatrix):
     """The diagonal blocks of A's block upper triangular form: the strongly
     connected components of the graph with an edge i -> j for each nonzero
     A[i, j], as ascending index lists, ordered so that every nonzero entry
     lies in a block's own rows and columns or runs from an earlier block to
     a later one.  Then det(xI - A) is the product of the blocks' char polys
-    (Tarjan, SIAM J. Comput. 1972; Duff and Reid, ACM TOMS 1978).
+    (Tarjan, SIAM J. Comput. 1972; Duff and Reid, ACM TOMS 1978).  Given
+    further matrices of A's size, the graph has an edge for each nonzero of
+    any of them, and all of them are block upper triangular in that order.
 
     Tarjan's depth-first search keeps its path in a list, so a long path
     such as J_n(0) needs no recursion.  It finishes a component only after every
     component reachable from it, so the finishing order is reversed.
     """
-    if not A.is_square():
-        raise NotSquare("diagonal_blocks needs a square matrix")
-    adjacency = A._rows
+    for M in (A, *others):
+        if not M.is_square():
+            raise NotSquare("diagonal_blocks needs a square matrix")
+        if M.nrows != A.nrows:
+            raise DimensionMismatch("diagonal_blocks needs matrices of one size")
+    adjacency = A._rows if not others else [
+        sorted(set().union(*rows)) for rows in zip(*(M._rows for M in (A, *others)))]
     order = [None] * A.nrows  # discovery index of each visited vertex
     low = [0] * A.nrows  # least discovery index reachable through stacked vertices
     stack = []  # visited vertices whose component is not finished yet

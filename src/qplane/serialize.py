@@ -5,6 +5,12 @@ Scalars travel as canonical strings of the scalar grammar, matrices as
 {"field", "A", "B"} with the context stated once at the top.  Component
 indices are dense lists for a finite order and sparse {size: count} maps in
 the infinite regime.
+
+Both directions cost what the nonzeros cost: writing fills the entry grid
+with one zero string and formats only the stored entries; reading parses
+each distinct entry string of a matrix, or of a pair document, once, in
+row-major order so that the first bad entry is the one reported, and builds
+the matrix from its nonzero entries.
 """
 
 from .commutant import MatrixPair
@@ -29,17 +35,23 @@ def ell_from_obj(value):
 
 
 def matrix_to_obj(M: QMatrix, with_field=False):
-    obj = {
-        "rows": M.nrows,
-        "cols": M.ncols,
-        "entries": [[format_scalar(x) for x in row] for row in M.rows],
-    }
+    zero = format_scalar(M.ctx.zero())
+    entries = [[zero] * M.ncols for _ in range(M.nrows)]
+    for r, c, x in M.nonzeros():
+        entries[r][c] = format_scalar(x)
+    obj = {"rows": M.nrows, "cols": M.ncols, "entries": entries}
     if with_field:
         obj["field"] = M.ctx.to_obj()
     return obj
 
 
 def matrix_from_obj(obj, ctx=None) -> QMatrix:
+    return _matrix_from_obj(obj, ctx, {})
+
+
+def _matrix_from_obj(obj, ctx, parsed) -> QMatrix:
+    """matrix_from_obj, with parsed mapping each entry string met so far in
+    the document to its scalar."""
     if not isinstance(obj, dict):
         raise ParseError("matrix must be a JSON object")
     if ctx is None:
@@ -54,10 +66,16 @@ def matrix_from_obj(obj, ctx=None) -> QMatrix:
         raise ParseError("matrix sides must be nonnegative integers")
     if len(entries) != nrows or any(len(row) != ncols for row in entries):
         raise ParseError("entry grid does not match the declared shape")
-    if nrows == 0 or ncols == 0:
-        return QMatrix.zero(ctx, nrows, ncols)
-    rows = [[parse_scalar(text, ctx) for text in row] for row in entries]
-    return QMatrix(ctx, rows)
+    triples = []
+    for r, row in enumerate(entries):
+        for c, text in enumerate(row):
+            # a non-string is never looked up: it may be unhashable
+            x = parsed.get(text) if isinstance(text, str) else None
+            if x is None:
+                x = parsed[text] = parse_scalar(text, ctx)
+            if x:
+                triples.append((r, c, x))
+    return QMatrix.sparse(ctx, nrows, ncols, triples)
 
 
 def pair_to_obj(pair: MatrixPair):
@@ -75,8 +93,9 @@ def pair_from_obj(obj) -> MatrixPair:
         if key not in obj:
             raise ParseError(f"pair object lacks the '{key}' key")
     ctx = FieldContext.from_obj(obj["field"])
-    A = matrix_from_obj(obj["A"], ctx)
-    B = matrix_from_obj(obj["B"], ctx)
+    parsed = {}
+    A = _matrix_from_obj(obj["A"], ctx, parsed)
+    B = _matrix_from_obj(obj["B"], ctx, parsed)
     return MatrixPair(A, B)
 
 

@@ -216,6 +216,21 @@ def test_sample_singleton_nilpotent_stratum():
     assert not pair.B[0, 0].is_zero()
 
 
+def test_sample_point_takes_the_inverse_of_q_as_a_power(monkeypatch):
+    # the Galois-conjugate inverse multiplies all phi(ell) - 1 conjugates:
+    # at ell = 1999 it took most of the time of this sample
+    from qplane.scalars import QScalar
+
+    def refuse(self):
+        raise AssertionError("sample_point ran QScalar.inverse")
+
+    monkeypatch.setattr(QScalar, "inverse", refuse)
+    assert sample_point(ComponentIndex(1999, m=(1,), r=()), seed=0).size == 1
+    for ell in (5, INFINITE):  # A = diag(a, a/q) on a dense summand of size 2
+        A = sample_point(ComponentIndex(ell, m=(0, 1), r=()), seed=0).A
+        assert A[1, 1] * A.ctx.q() == A[0, 0]
+
+
 def test_sample_relation_and_rank_profile():
     rng = random.Random(3)
     seen = 0

@@ -195,6 +195,87 @@ def test_fingerprint_matches_all_entries_and_pins_the_zero_pattern(drawn):
                 assert reference[i][j].is_zero()
 
 
+def whole_matrix_fingerprint(pair, N):
+    """Oracle: the fingerprint grid from the powers of A and B themselves,
+    without the block triangular form: the axes from Tr(X^k) and the
+    lattice ell | i*j from Tr(A^i B^j), every other entry zero."""
+    ctx, n = pair.ctx, pair.size
+    lattice = {}
+    if not ctx.is_generic:
+        for i in range(1, N + 1):
+            js = [j for j in range(1, N + 1) if i * j % ctx.ell == 0]
+            if js:
+                lattice[i] = js
+    top = max([N - 1, *lattice])
+    a_pows, b_pows = [None, pair.A], [None, pair.B]
+    while len(a_pows) <= top:
+        a_pows.append(a_pows[-1] * pair.A)
+        b_pows.append(b_pows[-1] * pair.B)
+    grid = [[ctx.zero()] * (N + 1) for _ in range(N + 1)]
+    grid[0][0] = ctx.rational(n)
+    for k in range(1, N + 1):
+        a_k = a_pows[k] if k < len(a_pows) else a_pows[k - 1] * pair.A
+        b_k = b_pows[k] if k < len(b_pows) else b_pows[k - 1] * pair.B
+        grid[k][0], grid[0][k] = a_k.trace(), b_k.trace()
+    for i, js in lattice.items():
+        for j in js:
+            grid[i][j] = (a_pows[i] * b_pows[j]).trace()
+    return tuple(map(tuple, grid))
+
+
+def simultaneous_permutation(pair, perm):
+    """(P A P^-1, P B P^-1) for the permutation matrix P sending i to perm[i]."""
+    n = pair.size
+
+    def moved(M):
+        return QMatrix.sparse(M.ctx, n, n, [(perm[r], perm[c], x) for r, c, x in M.nonzeros()])
+
+    return MatrixPair(moved(pair.A), moved(pair.B))
+
+
+@st.composite
+def hidden_block_inputs(draw):
+    """Sample points, their semisimplifications and dense L*U conjugates,
+    each hidden under a random simultaneous permutation, so that the
+    diagonal blocks are scattered over the indices."""
+    ell = draw(st.sampled_from([1, 2, 3, 5, INFINITE]))
+    n = draw(st.integers(1, 6))
+    pool = enumerate_ML(ell, n)
+    idx = pool[draw(st.integers(0, len(pool) - 1))]
+    pair = sample_point(idx, seed=draw(st.integers(0, 10 ** 6)))
+    kind = draw(st.sampled_from(["sample", "semisimple", "dense"]))
+    if kind == "semisimple":
+        pair = semisimplify(pair)
+    elif kind == "dense":
+        g = unimodular(pair.ctx, n, random.Random(draw(st.integers(0, 10 ** 6))))
+        pair = MatrixPair(conjugate(g, pair.A), conjugate(g, pair.B))
+    pair = simultaneous_permutation(pair, draw(st.permutations(range(n))))
+    N = draw(st.sampled_from([0, 1, n, n + 2]))
+    return pair, N
+
+
+@given(hidden_block_inputs())
+@settings(max_examples=120, deadline=None)
+def test_blockwise_fingerprint_matches_the_whole_matrix_oracle(drawn):
+    pair, N = drawn
+    assert trace_fingerprint(pair, N).grid == whole_matrix_fingerprint(pair, N)
+
+
+def test_a_one_by_one_block_fills_the_lattice_at_q_equal_one():
+    # at ell = 1 a 1x1 block (a, b) with a, b != 0 satisfies a b = q b a and
+    # adds a^i b^j at every (i, j); it is the only order where it can
+    C1 = FieldContext.root_of_unity(1)
+    pair = MatrixPair(QMatrix.from_rational_rows(C1, [[2, 0, 0], [0, 0, 0], [0, 0, 5]]),
+                      QMatrix.from_rational_rows(C1, [[3, 0, 0], [0, 5, 0], [0, 0, 0]]))
+    fp = trace_fingerprint(pair, N=3)
+    for i in range(4):
+        for j in range(4):
+            # the blocks (2, 3), (0, 5) and (5, 0), with 0^0 = 1
+            assert fp.grid[i][j] == C1.rational(2 ** i * 3 ** j + 0 ** i * 5 ** j
+                                                + 5 ** i * 0 ** j)
+    assert fp.grid == whole_matrix_fingerprint(pair, 3)
+
+
 # ---------------------------------------------------------------------------
 # semisimplification
 # ---------------------------------------------------------------------------

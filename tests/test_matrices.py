@@ -605,14 +605,11 @@ def reaches(pattern, start, inside):
     return seen
 
 
-@given(st.integers(1, 12), st.integers(0, 40), st.randoms(use_true_random=False))
-@settings(max_examples=80, deadline=None)
-def test_diagonal_blocks_are_the_strongly_connected_components(n, nnz, rng):
-    triples = [(rng.randrange(n), rng.randrange(n), C3.rational(rng.choice((-1, 1, 2))))
-               for _ in range(nnz)]
-    A = QMatrix.sparse(C3, n, n, triples)
-    pattern = {i: {c for r, c, _ in A.nonzeros() if r == i} for i in range(n)}
-    blocks = matrices.diagonal_blocks(A)
+def assert_strongly_connected_blocks(blocks, n, matrices_):
+    """blocks partitions range(n) into the strongly connected components of
+    the union of the matrices' nonzero patterns, in block triangular order."""
+    entries = [(r, c) for M in matrices_ for r, c, _ in M.nonzeros()]
+    pattern = {i: {c for r, c in entries if r == i} for i in range(n)}
     # a partition of range(n) into ascending lists
     assert sorted(i for block in blocks for i in block) == list(range(n))
     assert all(block == sorted(block) for block in blocks)
@@ -620,8 +617,34 @@ def test_diagonal_blocks_are_the_strongly_connected_components(n, nnz, rng):
     for block in blocks:  # strongly connected: all of it reachable from each vertex
         inside = set(block)
         assert all(reaches(pattern, i, inside) == inside for i in block)
-    # no nonzero runs from a later block to an earlier one
-    assert all(position[r] <= position[c] for r, c, _ in A.nonzeros())
+    # every nonzero of every matrix lies inside one block or runs from an
+    # earlier block to a later one
+    assert all(position[r] <= position[c] for r, c in entries)
+
+
+@given(st.integers(1, 12), st.integers(0, 40), st.integers(0, 40),
+       st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_diagonal_blocks_are_the_strongly_connected_components(n, nnz, nnz_b, rng):
+    def random_matrix(count):
+        return QMatrix.sparse(C3, n, n, [(rng.randrange(n), rng.randrange(n),
+                                          C3.rational(rng.choice((-1, 1, 2))))
+                                         for _ in range(count)])
+
+    A, B = random_matrix(nnz), random_matrix(nnz_b)
+    assert_strongly_connected_blocks(matrices.diagonal_blocks(A), n, [A])
+    # of a pair: the components of the union of the two patterns
+    blocks = matrices.diagonal_blocks(A, B)
+    assert_strongly_connected_blocks(blocks, n, [A, B])
+    assert sorted(matrices.diagonal_blocks(B, A)) == sorted(blocks)
+    assert matrices.diagonal_blocks(A, A) == matrices.diagonal_blocks(A)
+
+
+def test_diagonal_blocks_of_a_pair_need_square_matrices_of_one_size():
+    with pytest.raises(NotSquare):
+        matrices.diagonal_blocks(QMatrix.zero(C3, 2, 2), QMatrix.zero(C3, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        matrices.diagonal_blocks(QMatrix.zero(C3, 2, 2), QMatrix.zero(C3, 3, 3))
 
 
 def test_diagonal_blocks_of_long_paths_and_cycles_need_no_recursion():

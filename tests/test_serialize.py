@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from qplane import (ComponentIndex, FieldContext, INFINITE, JordanSpec,
-                    MatrixPair, ParseError, QMatrix, RelationViolated,
-                    jordan_block, q_layered, sample_point, trace_fingerprint)
+from qplane import (ComponentIndex, DivisionByZero, FieldContext, INFINITE,
+                    JordanSpec, MatrixPair, ParseError, QMatrix, RelationViolated,
+                    format_scalar, jordan_block, parse_scalar, q_layered,
+                    sample_point, trace_fingerprint)
 from qplane.serialize import (ell_from_obj, ell_to_obj, fingerprint_to_obj,
                               git_index_to_obj, index_from_obj, index_to_obj,
                               matrix_from_obj, matrix_to_obj, pair_from_obj,
@@ -123,3 +124,94 @@ def test_fingerprint_shape():
     assert all(len(row) == 3 for row in obj["T"])
     assert obj["T"][0][0] == "2"
     json.dumps(obj)  # must be JSON-clean
+
+
+# ---------------------------------------------------------------------------
+# ingest: one parse per distinct entry, errors in row-major order
+# ---------------------------------------------------------------------------
+
+def counting_parser(monkeypatch):
+    """Count the parse_scalar calls serialize makes, by entry string."""
+    import qplane.serialize as serialize
+    calls = []
+    parse = serialize.parse_scalar
+
+    def counted(text, ctx):
+        calls.append(text)
+        return parse(text, ctx)
+
+    monkeypatch.setattr(serialize, "parse_scalar", counted)
+    return calls
+
+
+def test_each_distinct_entry_of_a_pair_document_is_parsed_once(monkeypatch):
+    calls = counting_parser(monkeypatch)
+    for idx in (ComponentIndex(3, m=(1, 1, 0), r=(1, 0)),
+                ComponentIndex(INFINITE, m=(1, 1), r=(1,))):
+        obj = json.loads(json.dumps(pair_to_obj(sample_point(idx, seed=4))))
+        texts = [t for key in ("A", "B") for row in obj[key]["entries"] for t in row]
+        del calls[:]
+        pair = pair_from_obj(obj)
+        assert sorted(calls) == sorted(set(texts))
+        assert len(calls) < len(texts)
+        assert pair == sample_point(idx, seed=4)
+
+
+def test_a_non_string_entry_keeps_its_error(monkeypatch):
+    calls = counting_parser(monkeypatch)
+    for bad in (7, None, ["1"], {"q": 1}):
+        obj = {"rows": 2, "cols": 2, "entries": [["1", "q"], ["1", bad]]}
+        del calls[:]
+        with pytest.raises(ParseError, match="^scalar input must be a string$"):
+            matrix_from_obj(obj, C3)
+        assert calls == ["1", "q", bad]
+
+
+def test_a_bad_entry_after_a_valid_repeat_keeps_its_message_and_position():
+    obj = {"rows": 2, "cols": 2, "entries": [["2*q", "1"], ["2*q", "2*x"]]}
+    with pytest.raises(ParseError) as caught:
+        matrix_from_obj(obj, C3)
+    with pytest.raises(ParseError) as direct:
+        parse_scalar("2*x", C3)
+    assert str(caught.value) == str(direct.value) == "expected 'q' after '*' (at position 2)"
+    assert caught.value.position == direct.value.position == 2
+
+
+def test_the_first_bad_entry_in_row_major_order_is_reported():
+    # "q^" is the first bad string met row by row; "1/0" comes later in the
+    # rows although it is in an earlier column
+    entries = [["1", "0", "0"], ["0", "q^", "0"], ["1/0", "0", "q^"]]
+    with pytest.raises(ParseError) as caught:
+        matrix_from_obj({"rows": 3, "cols": 3, "entries": entries}, C3)
+    with pytest.raises(ParseError) as direct:
+        parse_scalar("q^", C3)
+    assert str(caught.value) == str(direct.value)
+    entries[1][1] = "q"
+    with pytest.raises(DivisionByZero):
+        matrix_from_obj({"rows": 3, "cols": 3, "entries": entries}, C3)
+
+
+def test_a_matrix_of_zero_entries_is_the_zero_matrix():
+    zeros = ["0", " 0 ", "0*q", "q - q"]
+    for ctx in (C3, GEN):
+        for rows, cols in ((1, 1), (2, 3), (4, 5)):
+            obj = {"rows": rows, "cols": cols,
+                   "entries": [[zeros[(r + c) % 4] for c in range(cols)] for r in range(rows)]}
+            M = matrix_from_obj(obj, ctx)
+            assert M == QMatrix.zero(ctx, rows, cols)
+            assert M.nonzeros() == []
+            assert matrix_to_obj(M) == {"rows": rows, "cols": cols,
+                                        "entries": [["0"] * cols for _ in range(rows)]}
+
+
+def test_matrix_json_formats_only_the_nonzeros():
+    rng = random.Random(1)
+    for ctx in (C3, GEN):
+        for _ in range(20):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+            M = QMatrix.sparse(ctx, rows, cols, [
+                (rng.randrange(rows), rng.randrange(cols), ctx.q() ** rng.randint(-2, 2))
+                for _ in range(rng.randint(0, 6))] if rows and cols else [])
+            dense = {"rows": rows, "cols": cols,
+                     "entries": [[format_scalar(x) for x in row] for row in M.rows]}
+            assert matrix_to_obj(M) == dense
