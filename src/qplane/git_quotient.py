@@ -1,5 +1,5 @@
 """GIT-quotient bookkeeping: closed-orbit indices, trace invariants, and
-semisimplification of stratum points.
+semisimplification.
 
 Closed orbits in the quotient are labeled by triples (p, m, r) with
 ell*p + m + r = n: p full-cycle summands, m one-dimensional (a, 0) summands
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .commutant import MatrixPair
 from .components import ComponentIndex, _order
 from .errors import BadIndex, UnsupportedShape
-from .matrices import QMatrix, diagonal_blocks, direct_sum
+from .matrices import QMatrix, diagonal_blocks
 from .scalars import INFINITE
 
 
@@ -227,67 +227,42 @@ def trace_fingerprint(pair: MatrixPair, N=None) -> TraceFingerprint:
 
 
 # ---------------------------------------------------------------------------
-# Semisimplification of stratum points
+# Semisimplification
 # ---------------------------------------------------------------------------
 
-def _interval_cuts(A: QMatrix, B: QMatrix):
-    """Positions where both matrices split block-diagonally: c is a cut when
-    no nonzero entry of A or B ties an index below c to one at or above c."""
-    n = A.nrows
-    reach = [0] * n  # reach[i]: the largest j >= i tied to i by an entry
-    for i, j, _ in A.nonzeros() + B.nonzeros():
-        lo = min(i, j)
-        reach[lo] = max(reach[lo], i, j)
-    cuts = [0]
-    far = 0
-    for c in range(1, n):
-        far = max(far, reach[c - 1])
-        if far < c:
-            cuts.append(c)
-    cuts.append(n)
-    return cuts
-
-
-def _semisimplify_block(ctx, Ab: QMatrix, Bb: QMatrix):
-    s = Ab.nrows
-    a_entries = Ab.nonzeros()
-    b_lower = [(i, j) for i, j, _ in Bb.nonzeros() if j <= i]
-    if [(i, j) for i, j, _ in a_entries] == [(k, k) for k in range(s)]:
-        if not b_lower:
-            # dense kind without the wraparound: the orbit closure reaches B = 0
-            return Ab, QMatrix.zero(ctx, s, s)
-        if b_lower == [(s - 1, 0)] and ctx.q_power(s) == ctx.one():
-            # full-cycle kind: the orbit is already closed
-            return Ab, Bb
-        raise UnsupportedShape("unrecognized dense-kind summand")
-    one = ctx.one()
-    if a_entries == [(k, k + 1, one) for k in range(s - 1)]:  # A = J_s(0)
-        if all(i == j for i, j in b_lower):
-            diag = QMatrix.diagonal(ctx, [Bb[k, k] for k in range(s)])
-            return QMatrix.zero(ctx, s, s), diag
-        raise UnsupportedShape("unrecognized nilpotent-kind summand")
-    raise UnsupportedShape("summand is neither dense-kind nor nilpotent-kind")
+def _weighted_cycle(diagonal, cycle, size) -> bool:
+    """Whether one matrix's nonzeros on a block of this size lie on its
+    diagonal and the other's are one in each of its rows and columns."""
+    return all(i == j for i, j, _ in diagonal) and len(cycle) == size \
+        == len({i for i, _, _ in cycle}) == len({j for _, j, _ in cycle})
 
 
 def semisimplify(pair: MatrixPair) -> MatrixPair:
-    """Closed-orbit representative of a direct sum of stratum summands.
+    """Closed-orbit representative: the direct sum of the pair's composition
+    factors (Artin, J. Algebra 1969).
 
-    Splits the pair at every common block boundary, then per summand: dense
-    kind with nilpotent B goes to (A, 0), nilpotent kind goes to
-    (0, diag B), full-cycle kind stays.  Idempotent, and the trace
-    fingerprint of the output equals that of the input.
+    In the order of ``diagonal_blocks(A, B)`` both matrices are block upper
+    triangular with one partition, so the factors are those of the diagonal
+    blocks, each kept as its principal submatrices at its own indices.  A
+    1x1 block is simple.  A larger block needs one matrix diagonal on it and
+    the other a single weighted cycle (strong connectivity makes one nonzero
+    per row and column one cycle), whose power to the cycle's length is a
+    nonzero scalar, so the block is semisimple; any other block raises
+    UnsupportedShape.  Idempotent, and the trace fingerprint is kept.
     """
-    ctx = pair.ctx
-    n = pair.size
-    if n == 0:
-        return pair
-    cuts = _interval_cuts(pair.A, pair.B)
-    a_blocks = []
-    b_blocks = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        Ab = pair.A.submatrix(range(lo, hi), range(lo, hi))
-        Bb = pair.B.submatrix(range(lo, hi), range(lo, hi))
-        sa, sb = _semisimplify_block(ctx, Ab, Bb)
-        a_blocks.append(sa)
-        b_blocks.append(sb)
-    return MatrixPair(direct_sum(*a_blocks), direct_sum(*b_blocks))
+    ctx, n = pair.ctx, pair.size
+    A, B = pair.A, pair.B
+    block_of = [0] * n
+    for k, block in enumerate(diagonal_blocks(A, B)):
+        for i in block:
+            block_of[i] = k
+        if len(block) > 1:
+            a, b = A.submatrix(block, block).nonzeros(), B.submatrix(block, block).nonzeros()
+            if not (_weighted_cycle(a, b, len(block)) or _weighted_cycle(b, a, len(block))):
+                raise UnsupportedShape("a diagonal block is neither 1x1 nor a weighted cycle")
+
+    def within_blocks(M):
+        return QMatrix.sparse(ctx, n, n, [(i, j, x) for i, j, x in M.nonzeros()
+                                          if block_of[i] == block_of[j]])
+
+    return MatrixPair(within_blocks(A), within_blocks(B))

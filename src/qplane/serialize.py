@@ -64,6 +64,8 @@ def _matrix_from_obj(obj, ctx, parsed) -> QMatrix:
         raise ParseError(f"matrix object lacks key {missing}") from None
     if not isinstance(nrows, int) or not isinstance(ncols, int) or nrows < 0 or ncols < 0:
         raise ParseError("matrix sides must be nonnegative integers")
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ParseError("entry grid must be a list of lists")
     if len(entries) != nrows or any(len(row) != ncols for row in entries):
         raise ParseError("entry grid does not match the declared shape")
     triples = []
@@ -155,7 +157,7 @@ def spec_to_obj(spec: JordanSpec):
 
 
 def spec_from_obj(obj, ctx) -> JordanSpec:
-    if not isinstance(obj, dict) or "blocks" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list):
         raise ParseError("Jordan data must be an object with a 'blocks' list")
     blocks = []
     for entry in obj["blocks"]:
@@ -165,6 +167,8 @@ def spec_from_obj(obj, ctx) -> JordanSpec:
             lam_text, parts = entry["eigenvalue"], entry["partition"]
         except KeyError as missing:
             raise ParseError(f"block lacks key {missing}") from None
+        if not isinstance(parts, list):
+            raise ParseError("block 'partition' must be a list")
         if not all(isinstance(p, int) for p in parts):
             raise ParseError("partition parts must be integers")
         blocks.append((parse_scalar(lam_text, ctx), tuple(parts)))

@@ -435,6 +435,17 @@ def test_generic_exponent_above_the_parser_cap_exits_two(capsys, tmp_path):
     assert_clean_exit_two(capsys, ["commutant", "--input", str(path)])
 
 
+def test_an_entry_grid_that_is_not_a_list_of_lists_exits_two(capsys, tmp_path):
+    # each once reached len() or was read character by character
+    for rows, cols, entries in ((1, 1, 5), (1, 1, [7]), (2, 1, "ab")):
+        obj = pair_to_obj(MatrixPair(QMatrix.zero(C3, 1, 1), QMatrix.zero(C3, 1, 1)))
+        obj["A"] = {"rows": rows, "cols": cols, "entries": entries}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(obj))
+        assert main(["classify", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: entry grid must be a list of lists\n"
+
+
 def test_import_loads_only_the_standard_library():
     # the library stays stdlib-only: importing it pulls in no third-party module
     probe = ("import sys; before = set(sys.modules); import qplane, qplane.cli; "

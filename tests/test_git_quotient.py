@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +7,11 @@ from hypothesis import strategies as st
 
 from qplane import (BadIndex, ComponentIndex, FieldContext, GitIndex, INFINITE,
                     MatrixPair, QMatrix, UnsupportedShape, conjugate, count_TPL,
-                    dim_git, direct_sum, enumerate_ML, enumerate_TPL,
-                    git_index_of_stratum, jordan_block, q_layered, rank,
-                    sample_point, semisimplify, trace_fingerprint)
-from qplane.git_quotient import _interval_cuts, _semisimplify_block
+                    dim_git, enumerate_ML, enumerate_TPL,
+                    git_index_of_stratum, jordan_block, jordan_data, q_layered,
+                    rank, sample_point, semisimplify, theta_point,
+                    trace_fingerprint)
+from qplane.matrices import diagonal_blocks
 
 GEN = FieldContext.generic()
 C2 = FieldContext.root_of_unity(2)
@@ -319,70 +321,78 @@ def test_semisimplify_idempotent_and_invariant():
 
 
 def test_semisimplify_rejects_unstructured_input():
-    # a valid pair that is not a stratum direct sum: full 2x2 with B mixing
-    # eigenvector lines after conjugation
+    # a valid pair that is not a stratum direct sum: a 2x2 partial dense
+    # point conjugated by g; the seed-7 g is upper triangular, so the pair
+    # stays triangular and gets the answer of the point itself
     rng = random.Random(7)
     idx = ComponentIndex(3, m=(0, 1, 0), r=(0, 0))
     pair = sample_point(idx, seed=8)
     g = random_invertible(pair.ctx, pair.size, rng)
+    assert g == QMatrix.from_rational_rows(pair.ctx, [[-1, -2], [0, 2]])
+    moved = MatrixPair(conjugate(g, pair.A), conjugate(g, pair.B))
+    assert semisimplify(moved) == semisimplify(pair)
+    # a conjugator with entries on both sides of the diagonal mixes the
+    # eigenvector lines into one block that is no weighted cycle
+    g = unimodular(pair.ctx, pair.size, random.Random(0))
+    assert not g[0, 1].is_zero() and not g[1, 0].is_zero()
     moved = MatrixPair(conjugate(g, pair.A), conjugate(g, pair.B))
     with pytest.raises(UnsupportedShape):
         semisimplify(moved)
 
 
+REFUSAL = "^a diagonal block is neither 1x1 nor a weighted cycle$"
+
+
 def test_semisimplify_block_refusals_keep_their_messages():
-    q, zero = C3.q(), C3.zero()
-    D = QMatrix.diagonal(C3, [C3.one(), q * q])
-    J = jordan_block(C3, 2, zero)
-    lower = QMatrix.from_rational_rows(C3, [[0, 0], [1, 1]])
-    # a wraparound corner closes a cycle only at size ell
-    corner = QMatrix.from_rational_rows(C3, [[0, 1], [1, 0]])
-    for Ab, Bb, message in ((D, lower, "unrecognized dense-kind summand"),
-                            (D, corner, "unrecognized dense-kind summand"),
-                            (J, lower, "unrecognized nilpotent-kind summand"),
-                            (J + D, QMatrix.zero(C3, 2, 2),
-                             "summand is neither dense-kind nor nilpotent-kind")):
-        with pytest.raises(UnsupportedShape, match=f"^{message}$"):
-            _semisimplify_block(C3, Ab, Bb)
+    # at ell = 1, A = I and B is one strongly connected block with two
+    # nonzeros in its first row; jordan_data(B) has J_2(-3/2), so the module
+    # is not semisimple
+    C1 = FieldContext.root_of_unity(1)
+    B = QMatrix.from_rational_rows(C1, [[0, 1, 1], [0, 0, 1], [Fraction(27, 4), 0, 0]])
+    pair = MatrixPair(QMatrix.identity(C1, 3), B)
+    assert (C1.rational(Fraction(-3, 2)), (2,)) in jordan_data(B).blocks
+    with pytest.raises(UnsupportedShape, match=REFUSAL):
+        semisimplify(pair)
+    # a dense L*U conjugate of a full-cycle point: one block, neither
+    # matrix diagonal on it
+    pair = sample_point(ComponentIndex(3, m=(0, 0, 1), r=(0, 0)), seed=2)
+    g = unimodular(C3, 3, random.Random(3))
+    moved = MatrixPair(conjugate(g, pair.A), conjugate(g, pair.B))
+    assert diagonal_blocks(moved.A, moved.B) == [[0, 1, 2]]
+    with pytest.raises(UnsupportedShape, match=REFUSAL):
+        semisimplify(moved)
 
 
-def reference_interval_cuts(A, B):
-    """Reference: c is a cut when every entry of A and B that ties an index
-    below c to one at or above c is zero, checked entry by entry."""
-    n = A.nrows
-    cuts = [0]
-    for c in range(1, n):
-        if all(M.rows[i][j].is_zero() and M.rows[j][i].is_zero()
-               for M in (A, B) for i in range(c) for j in range(c, n)):
-            cuts.append(c)
-    return cuts + [n]
+def test_semisimplify_breaks_an_open_cycle():
+    # at ell = 3, B sends e_0 to 5 e_2, e_2 to e_1 and e_1 to 0, with no
+    # way back: e_1 spans a submodule with no complement, and the
+    # composition factors are the three 1x1 blocks (a, 0)
+    q = C3.q()
+    A = QMatrix.diagonal(C3, [C3.one(), q.inverse(), q.inverse() * q.inverse()])
+    B = QMatrix.sparse(C3, 3, 3, [(1, 2, C3.one()), (2, 0, C3.rational(5))])
+    pair = MatrixPair(A, B)
+    assert semisimplify(pair) == MatrixPair(A, QMatrix.zero(C3, 3, 3))
 
 
 @st.composite
-def block_diagonal_inputs(draw):
-    """Two block-diagonal matrices with common block sizes; a block may be
-    zero, sparse or dense, so the cuts are a superset of the boundaries."""
-    ctx = draw(st.sampled_from([C3, FieldContext.root_of_unity(5), GEN]))
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
-
-    def block(s):
-        pick = st.sampled_from([0] if draw(st.booleans()) else [0, 0, 1, -2])
-        return QMatrix.from_rational_rows(ctx, [[draw(pick) for _ in range(s)]
-                                                for _ in range(s)]).scale(ctx.q())
-
-    A = direct_sum(*[block(s) for s in sizes])
-    B = direct_sum(*[block(s) for s in sizes])
-    return A, B, sizes
+def moved_sample_points(draw):
+    """A sample point at ell 1-5 or inf, and a random permutation of its indices."""
+    ell = draw(st.sampled_from([1, 2, 3, 4, 5, INFINITE]))
+    n = draw(st.integers(1, 6 if ell is not INFINITE else 5))
+    pool = enumerate_ML(ell, n)
+    idx = pool[draw(st.integers(0, len(pool) - 1))]
+    pair = sample_point(idx, seed=draw(st.integers(0, 10 ** 6)))
+    return pair, draw(st.permutations(range(n)))
 
 
-@given(block_diagonal_inputs())
-@settings(max_examples=80, deadline=None)
-def test_interval_cuts_match_the_entrywise_definition(drawn):
-    A, B, sizes = drawn
-    cuts = _interval_cuts(A, B)
-    assert cuts == reference_interval_cuts(A, B)
-    boundaries = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
-    assert set(boundaries) <= set(cuts)
+@given(moved_sample_points())
+@settings(max_examples=120, deadline=None)
+def test_semisimplify_commutes_with_theta_and_with_permutations(drawn):
+    pair, perm = drawn
+    out = semisimplify(pair)
+    assert semisimplify(theta_point(pair)) == theta_point(out)
+    assert semisimplify(simultaneous_permutation(pair, perm)) == \
+        simultaneous_permutation(out, perm)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from qplane import (EigenvaluesNotFound, FieldContext, INFINITE, JordanSpec,
                     MatrixPair, QMatrix, QScalar, canonical_key, chain_decompose,
                     classify, conjugate, enumerate_ML, format_scalar, hom_ext,
                     jordan_data, q_classes, qcommutant_basis, sample_point,
-                    trace_fingerprint)
+                    semisimplify, trace_fingerprint)
 from qplane.serialize import (fingerprint_to_obj, index_to_obj, matrix_to_obj,
                               pair_to_obj, spec_to_obj)
 
@@ -186,6 +186,11 @@ def category_hom_ext(ell):
     return out
 
 
+def category_semisimplify(ell):
+    top = 6 if ell != INFINITE else 5
+    return [pair_to_obj(semisimplify(pair)) for _, _, pair in samples(ell, top)]
+
+
 def category_canonical_key(ell):
     ctx = FieldContext.for_order(ell)
     rng = random.Random(17)
@@ -203,6 +208,7 @@ CATEGORIES = {
     "commutant": category_commutant,
     "hom_ext": category_hom_ext,
     "canonical_key": category_canonical_key,
+    "semisimplify": category_semisimplify,
 }
 
 
@@ -248,6 +254,11 @@ DIGESTS = {  # recorded at e42da4d
     ("canonical_key", 3): "c4d01a8b3437f747e5a013913008c6c8b14b772c6f2826005d084d3406160196",
     ("canonical_key", 5): "1eaac8dd89c70da75c779ec9004db5d051ca5a091ee5ae263677b774b6d82b77",
     ("canonical_key", INFINITE): "407c4748f0bfff6a92b8162b9b80ff82538b7c7a5b86fe9a360a3082e1fa9d31",
+    # recorded at cb92d0c
+    ("semisimplify", 2): "5e75c7e65e6c3b01d9a5b6c63f4c6f5e2df23137a662264361dd669db2c286b7",
+    ("semisimplify", 3): "3cc8795568df2a62b3beec05c4a7171f3e272d42f74137607378fe36d2366bf2",
+    ("semisimplify", 5): "3c171b25f9f934d7220ab907b0248c0d85b15f94be781f6fab5664c42ed7b839",
+    ("semisimplify", INFINITE): "91c9258ebec545ab85afa7dfd8501a1930c258ef23d2904360a8730a92700101",
 }
 
 

@@ -115,6 +115,14 @@ def test_spec_round_trip():
     assert spec_from_obj(json.loads(json.dumps(obj)), C3) == spec
 
 
+def test_spec_containers_must_be_lists():
+    # each once raised "'int' object is not iterable"
+    with pytest.raises(ParseError, match="^Jordan data must be an object with a 'blocks' list$"):
+        spec_from_obj({"blocks": 5}, C3)
+    with pytest.raises(ParseError, match="^block 'partition' must be a list$"):
+        spec_from_obj({"blocks": [{"eigenvalue": "1", "partition": 3}]}, C3)
+
+
 def test_fingerprint_shape():
     pair = sample_point(ComponentIndex(2, m=(0, 1), r=(0,)), seed=0)
     fp = trace_fingerprint(pair, N=2)
