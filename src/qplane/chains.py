@@ -4,10 +4,10 @@ A q-chain with base a and length k is the multiset {a, a/q, ..., a/q^(k-1)}.
 Every finite multiset of nonzero scalars splits uniquely into q-chains that
 are maximal (no two chains could be merged into a longer one); each level of
 a q-class's multiplicities, the exponents held at least h times, splits into
-runs of consecutive exponents, and those runs are that decomposition.  The
-per-length chain counts of a single q-equivalence class depend only on the
-multiplicity vector of the class and are also computed in closed form by
-``associated_sequence``.
+runs of consecutive exponents, and those runs are that decomposition.  One
+stack pass over the sorted exponents of a class finds the runs of every
+level together; ``chain_decompose`` assembles the chains from it, and
+``associated_sequence`` counts them by length for one multiplicity vector.
 """
 
 from dataclasses import dataclass
@@ -40,19 +40,40 @@ def partition_count(t: int) -> int:
     return restricted_partition_count(t, t)
 
 
-def _window_min_sums(counts):
-    """f(i) = sum over the ell = len(counts) start positions of the minimum
-    of the cyclic width-(i+1) window, for i < ell, then f(ell) = ell * min."""
-    ell = len(counts)
-    f = [0] * ell
-    for j in range(ell):
-        # one running minimum per start position: windows grow by one slot
-        low = counts[j]
-        for i in range(ell):
-            low = min(low, counts[(j + i) % ell])
-            f[i] += low
-    f.append(ell * min(counts))
-    return f
+def _maximal_chains(mult, ell):
+    """The maximal chains of the offset multiset {offset: multiplicity > 0}
+    as (top, length, count) triples: count chains cover top, top - 1, ...,
+    top - length + 1 (mod ell when ell is finite).
+
+    A multiset that fills the cycle first gives min(mult) full cycles,
+    topped at 0.  The rest is one stack pass over the sorted offsets, with
+    the run through ell - 1 that goes on at 0 unrolled past its first gap:
+    the stack holds the first offset and height of each open run, heights
+    rising, and an offset lower than the stack top, or a gap, closes each
+    run above it, as many chains as its height exceeds the next one down.
+    """
+    cyclic = ell is not INFINITE
+    chains = []
+    if cyclic and len(mult) == ell:
+        low = min(mult.values())
+        chains.append((0, ell, low))
+        mult = {t: c - low for t, c in mult.items() if c > low}
+    line = sorted(mult.items())
+    if cyclic and line and line[0][0] == 0 and line[-1][0] == ell - 1:
+        gap = next(i for i, (t, _) in enumerate(line) if t != i)
+        line = line[gap:] + [(t + ell, c) for t, c in line[:gap]]
+    stack, prev = [], None
+    for t, c in line + [(INFINITE, 0)]:
+        level = c if t - 1 == prev else 0  # a gap, or the end, closes every run
+        first = t
+        while stack and stack[-1][1] > level:
+            first, height = stack.pop()
+            below = max(level, stack[-1][1]) if stack else level
+            chains.append((prev % ell if cyclic else prev, prev - first + 1, height - below))
+        if not stack or stack[-1][1] < c:
+            stack.append((first if level else t, c))
+        prev = t
+    return chains
 
 
 def associated_sequence(counts, ell):
@@ -64,25 +85,17 @@ def associated_sequence(counts, ell):
     chains of length i in the maximal decomposition; for finite ell the last
     slot counts full cycles.
     """
-    counts = tuple(int(c) for c in counts)
-    if any(c < 0 for c in counts):
-        raise ValueError("multiplicities must be nonnegative")
-    cut = len(counts)
-    if ell is INFINITE:
-        # a linear class is a cyclic one with one empty slot, which no chain
-        # crosses; its full-cycle count (0) is dropped
-        counts += (0,)
-    elif len(counts) != ell:
+    counts = tuple(counts)
+    if any(type(c) is not int or c < 0 for c in counts):
+        raise ValueError("multiplicities must be nonnegative integers")
+    if ell is not INFINITE and len(counts) != ell:
         raise LengthMismatch(
             f"cyclic count vector must have length {ell}, got {len(counts)}"
         )
-    top = len(counts)
-    f = _window_min_sums(counts)
-    m = [0] * top
-    m[top - 1] = min(counts)
-    for i in range(1, top):
-        m[i - 1] = f[i - 1] - 2 * f[i] + f[i + 1]
-    return tuple(m[:cut])
+    m = [0] * len(counts)
+    for _, length, count in _maximal_chains({i: c for i, c in enumerate(counts) if c}, ell):
+        m[length - 1] += count
+    return tuple(m)
 
 
 @dataclass(frozen=True)
@@ -101,35 +114,6 @@ class ChainDecomposition:
     @property
     def size(self) -> int:
         return sum(length for _, length in self.chains)
-
-
-def _extract_chains(offsets, ell):
-    """The maximal chains of an offset multiset as (top offset, length)
-    pairs, longest first, then by top.
-
-    Offsets are exponents relative to the class anchor (residues mod ell
-    in the cyclic case).  Level h, the offsets held at least h times,
-    splits into runs t, t-1, ...: each offset whose successor is not in the
-    level tops one.  A level that fills the cycle is one run topped at 0.
-    """
-    cyclic = ell is not INFINITE
-    mult = {}
-    for t in offsets:
-        mult[t] = mult.get(t, 0) + 1
-    out = []
-    while mult:  # its keys are level h = 1, 2, ... in turn
-        if cyclic and len(mult) == ell:
-            out.append((0, ell))
-        else:
-            for top in mult:
-                if ((top + 1) % ell if cyclic else top + 1) not in mult:
-                    length = 1
-                    while ((top - length) % ell if cyclic else top - length) in mult:
-                        length += 1
-                    out.append((top, length))
-        mult = {t: c - 1 for t, c in mult.items() if c > 1}
-    out.sort(key=lambda chain: (-chain[1], chain[0]))
-    return out
 
 
 def chain_decompose(elements) -> ChainDecomposition:
@@ -163,15 +147,19 @@ def chain_decompose(elements) -> ChainDecomposition:
     groups = []
     for members in classes.values():
         k0, anchor = min(members, key=lambda member: canonical_key(member[1]))
-        offsets = [k - k0 if ell is INFINITE else (k - k0) % ell for k, _ in members]
-        at = {t: x for t, (_, x) in zip(offsets, members)}
-        groups.append((anchor, at, offsets))
+        at, mult = {}, {}
+        for k, x in members:
+            t = k - k0 if ell is INFINITE else (k - k0) % ell
+            at[t] = x
+            mult[t] = mult.get(t, 0) + 1
+        groups.append((anchor, at, mult))
     groups.sort(key=lambda g: canonical_key(g[0]))
 
     chains = []
-    for _, at, offsets in groups:
-        for top, length in _extract_chains(offsets, ell):
-            chains.append((at[top], length))
+    for _, at, mult in groups:
+        for top, length, count in sorted(_maximal_chains(mult, ell),
+                                         key=lambda chain: (-chain[1], chain[0])):
+            chains += [(at[top], length)] * count
 
     if ell is INFINITE:
         longest = max((length for _, length in chains), default=0)

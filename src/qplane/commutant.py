@@ -10,7 +10,8 @@ between two q-commuting pairs via an explicit length-2 complex.
 
 from dataclasses import dataclass
 
-from .errors import LengthMismatch, MixedContext, NotSquare, RelationViolated
+from .errors import (DimensionMismatch, LengthMismatch, MixedContext, NotSquare,
+                     RelationViolated)
 from .matrices import QMatrix, kernel_basis, rank
 from .scalars import QScalar
 
@@ -29,7 +30,7 @@ class MatrixPair:
         if A.nrows != A.ncols or B.nrows != B.ncols:
             raise NotSquare("matrix pair entries must be square")
         if A.nrows != B.nrows:
-            raise RelationViolated(
+            raise DimensionMismatch(
                 f"sizes differ: {A.nrows} vs {B.nrows}"
             )
         q = A.ctx.q()

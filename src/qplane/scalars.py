@@ -238,7 +238,7 @@ class FieldContext:
             return FieldContext.generic()
         if kind == "cyclotomic":
             ell = obj.get("ell")
-            if not isinstance(ell, int) or ell < 1:
+            if type(ell) is not int or ell < 1:
                 raise ParseError("cyclotomic context needs a positive integer 'ell'")
             return FieldContext.root_of_unity(ell)
         raise ParseError(f"unknown field context type {kind!r}")

@@ -29,7 +29,7 @@ def ell_to_obj(ell):
 def ell_from_obj(value):
     if value in ("inf", "infinity", "oo"):
         return INFINITE
-    if isinstance(value, int) and value >= 1:
+    if type(value) is int and value >= 1:
         return value
     raise ParseError(f"not a valid order: {value!r}")
 
@@ -62,7 +62,7 @@ def _matrix_from_obj(obj, ctx, parsed) -> QMatrix:
         nrows, ncols, entries = obj["rows"], obj["cols"], obj["entries"]
     except KeyError as missing:
         raise ParseError(f"matrix object lacks key {missing}") from None
-    if not isinstance(nrows, int) or not isinstance(ncols, int) or nrows < 0 or ncols < 0:
+    if type(nrows) is not int or type(ncols) is not int or nrows < 0 or ncols < 0:
         raise ParseError("matrix sides must be nonnegative integers")
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise ParseError("entry grid must be a list of lists")
@@ -109,7 +109,7 @@ def _counts_to_obj(counts, dense):
 
 def _counts_from_obj(value, what):
     if isinstance(value, list):
-        if not all(isinstance(c, int) for c in value):
+        if not all(type(c) is int for c in value):
             raise ParseError(f"'{what}' entries must be integers")
         return tuple(value)
     if isinstance(value, dict):
@@ -119,7 +119,7 @@ def _counts_from_obj(value, what):
                 size = int(key)
             except (TypeError, ValueError):
                 raise ParseError(f"'{what}' keys must be integer block sizes") from None
-            if size < 1 or not isinstance(c, int):
+            if size < 1 or type(c) is not int:
                 raise ParseError(f"'{what}' must map sizes >= 1 to integer counts")
             counts[size] = c
         top = max(counts, default=0)
@@ -169,7 +169,7 @@ def spec_from_obj(obj, ctx) -> JordanSpec:
             raise ParseError(f"block lacks key {missing}") from None
         if not isinstance(parts, list):
             raise ParseError("block 'partition' must be a list")
-        if not all(isinstance(p, int) for p in parts):
+        if not all(type(p) is int for p in parts):
             raise ParseError("partition parts must be integers")
         blocks.append((parse_scalar(lam_text, ctx), tuple(parts)))
     return JordanSpec(ctx, blocks)

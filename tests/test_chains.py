@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from qplane import (ChainDecomposition, FieldContext, INFINITE, MixedContext,
                     ZeroElement, associated_sequence, chain_decompose, partition_count,
                     restricted_partition_count)
-from qplane.chains import _window_min_sums
 from qplane.scalars import canonical_key, q_orbit
 
 C4 = FieldContext.root_of_unity(4)
@@ -49,20 +48,6 @@ def window_min_identity_holds(counts, ell):
         if lhs != rhs:
             return False
     return True
-
-
-def window_min_sums_cubic(counts):
-    """The direct form of chains._window_min_sums: every window's minimum
-    recomputed from its slots."""
-    ell = len(counts)
-    f = []
-    for i in range(ell):
-        total = 0
-        for j in range(ell):
-            total += min(counts[(j + k) % ell] for k in range(i + 1))
-        f.append(total)
-    f.append(ell * min(counts))
-    return f
 
 
 def brute_force_decompositions(offsets, ell):
@@ -244,14 +229,16 @@ def test_associated_sequence_rotation_invariance():
 def test_window_min_identity_random():
     rng = random.Random(2)
     for _ in range(150):
-        ell = rng.randint(1, 6)
+        ell = rng.randint(1, 12)
         counts = tuple(rng.randint(0, 6) for _ in range(ell))
         assert window_min_identity_holds(counts, ell)
 
 
-@given(st.lists(st.integers(0, 20), min_size=1, max_size=12))
-def test_window_min_sums_match_the_direct_form(counts):
-    assert _window_min_sums(tuple(counts)) == window_min_sums_cubic(tuple(counts))
+def test_associated_sequence_rejects_counts_that_are_not_ints():
+    # int() once read 2.7 as 2 and True as 1
+    for counts in ((2.7, 1), (True, 1), ("2", 1)):
+        with pytest.raises(ValueError):
+            associated_sequence(counts, 2)
 
 
 def test_size_conservation():
@@ -470,3 +457,26 @@ def test_a_thousand_member_class_over_q_of_q_answers_in_time():
             resource.RLIMIT_AS, (2 ** 30, 2 ** 30)))
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1000", "(1000,)"]
+
+
+@pytest.mark.parametrize("counts, expected", [
+    ((1,) + (0,) * 8008, (1,) + (0,) * 8008),
+    # one chain across the wrap point: slots 4005..8008, then 0..4003
+    ((1,) * 4004 + (0,) + (1,) * 4004, (0,) * 8007 + (1, 0)),
+])
+def test_associated_sequence_at_ell_8009_answers_in_time(counts, expected):
+    # sums of cyclic window minima kept one running minimum per start
+    # position: 15-19 s for each on a 2-core VM
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from qplane import associated_sequence; "
+            "counts = tuple(map(int, sys.stdin.read().split(','))); "
+            "print(','.join(map(str, associated_sequence(counts, 8009))))")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        input=",".join(map(str, counts)),
+        timeout=10, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (2 ** 30, 2 ** 30)))
+    assert done.returncode == 0, done.stderr
+    assert tuple(map(int, done.stdout.split(","))) == expected

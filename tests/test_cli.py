@@ -355,7 +355,8 @@ def test_width_one_answers_without_walking_to_n():
 
 
 def test_chains_at_a_thousand_slots_answers_in_time():
-    # one running minimum per window start keeps this quadratic in ell
+    # sums of cyclic window minima, one running minimum per window start,
+    # were quadratic in ell
     counts = [1 + (k * k) % 11 for k in range(1000)]
     done = run_cli_bounded("chains", "--ell", "1000",
                            "--counts", ",".join(map(str, counts)), timeout=10)
@@ -444,6 +445,34 @@ def test_an_entry_grid_that_is_not_a_list_of_lists_exits_two(capsys, tmp_path):
         path.write_text(json.dumps(obj))
         assert main(["classify", "--input", str(path)]) == 2
         assert capsys.readouterr().err == "error: entry grid must be a list of lists\n"
+
+
+def test_a_json_boolean_is_not_an_integer(capsys, tmp_path):
+    # bool is a subclass of int, so each of these once exited 0: a 1x1
+    # matrix, an index m = (1,) and the field ell = 1
+    one_by_one = pair_to_obj(MatrixPair(QMatrix.zero(C3, 1, 1), QMatrix.zero(C3, 1, 1)))
+    pair = dict(one_by_one, A={"rows": True, "cols": True, "entries": [["1"]]})
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))
+    assert_clean_exit_two(capsys, ["classify", "--input", str(path)])
+    pair = dict(one_by_one, field={"type": "cyclotomic", "ell": True})
+    path.write_text(json.dumps(pair))
+    assert_clean_exit_two(capsys, ["classify", "--input", str(path)])
+    for index in ({"m": [True], "r": []}, {"m": {"1": True}, "r": {}}):
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(index))
+        assert_clean_exit_two(capsys, ["sample", "--ell", "2", "--index", str(path)])
+
+
+def test_matrices_of_different_sizes_exit_two(capsys, tmp_path):
+    # a malformed document, not a pair that violates AB = qBA (exit 3)
+    obj = {"field": C3.to_obj(), "A": matrix_to_obj(QMatrix.zero(C3, 1, 1)),
+           "B": matrix_to_obj(QMatrix.zero(C3, 2, 2))}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(obj))
+    for command in ("classify", "invariants"):
+        assert main([command, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: sizes differ: 1 vs 2\n"
 
 
 def test_import_loads_only_the_standard_library():

@@ -123,6 +123,22 @@ def test_spec_containers_must_be_lists():
         spec_from_obj({"blocks": [{"eigenvalue": "1", "partition": 3}]}, C3)
 
 
+def test_a_boolean_is_not_an_integer():
+    # isinstance(True, int) holds, so each of these once read true as 1
+    with pytest.raises(ParseError):
+        ell_from_obj(True)
+    with pytest.raises(ParseError, match="^matrix sides must be nonnegative integers$"):
+        matrix_from_obj({"rows": True, "cols": 1, "entries": [["1"]]}, C3)
+    with pytest.raises(ParseError, match="^cyclotomic context needs a positive integer 'ell'$"):
+        FieldContext.from_obj({"type": "cyclotomic", "ell": True})
+    with pytest.raises(ParseError, match="^'m' entries must be integers$"):
+        index_from_obj({"m": [True, 0], "r": [0]}, 2)
+    with pytest.raises(ParseError, match="^'r' must map sizes >= 1 to integer counts$"):
+        index_from_obj({"m": {}, "r": {"1": True}}, INFINITE)
+    with pytest.raises(ParseError, match="^partition parts must be integers$"):
+        spec_from_obj({"blocks": [{"eigenvalue": "1", "partition": [True]}]}, C3)
+
+
 def test_fingerprint_shape():
     pair = sample_point(ComponentIndex(2, m=(0, 1), r=(0,)), seed=0)
     fp = trace_fingerprint(pair, N=2)
