@@ -25,7 +25,7 @@ from .components import (ComponentIndex, count_ML, dim_component,
                          dim_component_via_CBS, enumerate_ML,
                          parametrization_jacobian_rank, sample_point,
                          theta_index, theta_point)
-from .classify import classify, classify_nilpotent_block, classify_q_class
+from .classify import classify
 from .git_quotient import (GitIndex, TraceFingerprint, count_TPL, dim_git,
                            enumerate_TPL, git_index_of_stratum, semisimplify,
                            trace_fingerprint)

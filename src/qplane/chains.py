@@ -13,7 +13,7 @@ level together; ``chain_decompose`` assembles the chains from it, and
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, MixedContext, ZeroElement
-from .scalars import INFINITE, QScalar, canonical_key, q_orbit
+from .scalars import INFINITE, QScalar, _order, canonical_key, q_orbit
 
 
 def _partition_table(s: int, t: int) -> list:
@@ -85,6 +85,7 @@ def associated_sequence(counts, ell):
     chains of length i in the maximal decomposition; for finite ell the last
     slot counts full cycles.
     """
+    ell = _order(ell)
     counts = tuple(counts)
     if any(type(c) is not int or c < 0 for c in counts):
         raise ValueError("multiplicities must be nonnegative integers")

@@ -1,57 +1,21 @@
 """Locate the component that provably contains a given q-commuting pair.
 
 Only A matters: for every matrix in the q-commutant of A the pair lands in
-the same component, so the classifier works from A's Jordan data.  Nonzero
-eigenvalue classes contribute to m through a column-by-column chain count of
-their transposed partitions; nilpotent Jordan blocks of size s = k*ell + t
-contribute k full cycles to the last m-slot and one size-t entry to r.
+the same component, so the classifier works from A's Jordan data.  It
+counts straight into one index: each column of a nonzero class's transposed
+partitions is one multiplicity vector, and every maximal q-chain of it adds
+one block of its length to m; a nilpotent Jordan block of size
+s = k*ell + t adds k full cycles to the last m-slot and one size-t entry to
+r (all of s goes to r when ell is INFINITE).
 """
 
 from collections import Counter
 
-from .chains import associated_sequence
+from .chains import _maximal_chains
 from .commutant import MatrixPair
 from .components import ComponentIndex
-from .errors import BadIndex
-from .jordan import JordanSpec, QClass, jordan_data, q_classes, transpose_partition
+from .jordan import JordanSpec, jordan_data, q_classes, transpose_partition
 from .scalars import INFINITE
-
-
-def classify_nilpotent_block(s: int, n_mult: int, ell) -> ComponentIndex:
-    """Contribution of n_mult nilpotent Jordan blocks of size s.
-
-    Writes s = k*ell + t with 0 <= t < ell (k = 0 when ell is INFINITE):
-    the quotient goes to the full-cycle slot of m, the remainder to r_t.
-    """
-    if s < 1:
-        raise BadIndex("block size must be at least 1")
-    if n_mult < 0:
-        raise BadIndex("multiplicity must be nonnegative")
-    if ell is INFINITE:
-        r = (0,) * (s - 1) + (n_mult,)
-        return ComponentIndex(INFINITE, (), r)
-    k, t = divmod(s, ell)
-    m = (0,) * (ell - 1) + (n_mult * k,)
-    r = () if t == 0 else (0,) * (t - 1) + (n_mult,)
-    return ComponentIndex(ell, m, r)
-
-
-def classify_q_class(cls: QClass, ell) -> ComponentIndex:
-    """Contribution of one nonzero q-equivalence class of eigenvalues.
-
-    Transposes the aligned partitions, pads them to a common length, and
-    feeds each column through the per-length chain count; the resulting
-    vectors accumulate into m and r stays zero.
-    """
-    if cls.is_nilpotent:
-        raise BadIndex("nonzero class expected; handle the nilpotent class separately")
-    transposed = [transpose_partition(p) for p in cls.partitions]
-    width = max((len(t) for t in transposed), default=0)
-    total = ComponentIndex(ell)
-    for j in range(width):
-        counts = tuple(t[j] if j < len(t) else 0 for t in transposed)
-        total = total + ComponentIndex(ell, associated_sequence(counts, ell), ())
-    return total
 
 
 def classify(pair_or_spec) -> ComponentIndex:
@@ -71,11 +35,22 @@ def classify(pair_or_spec) -> ComponentIndex:
     else:
         raise TypeError("classify expects a MatrixPair or a JordanSpec")
     ell = ctx.ell
-    total = ComponentIndex(ell)
+    m, r = Counter(), Counter()  # block size -> number of blocks
     for cls in q_classes(spec, ctx):
         if cls.is_nilpotent:
-            for s, mult in sorted(Counter(cls.partitions[0]).items()):
-                total = total + classify_nilpotent_block(s, mult, ell)
-        else:
-            total = total + classify_q_class(cls, ell)
-    return total
+            for s in cls.partitions[0]:
+                k, t = (0, s) if ell is INFINITE else divmod(s, ell)
+                if k:
+                    m[ell] += k
+                if t:
+                    r[t] += 1
+            continue
+        columns = {}  # column j -> {slot: height of column j at that slot}
+        for slot, partition in enumerate(cls.partitions):
+            for j, height in enumerate(transpose_partition(partition)):
+                columns.setdefault(j, {})[slot] = height
+        for mult in columns.values():
+            for _, length, count in _maximal_chains(mult, ell):
+                m[length] += count
+    return ComponentIndex(ell, [m[i] for i in range(1, max(m, default=0) + 1)],
+                          [r[i] for i in range(1, max(r, default=0) + 1)])

@@ -22,8 +22,9 @@ from .errors import (EigenvaluesNotFound, ParseError, QPlaneError,
                      RelationViolated)
 from .git_quotient import count_TPL, dim_git, enumerate_TPL, trace_fingerprint
 from .serialize import (ell_from_obj, ell_to_obj, fingerprint_to_obj,
-                        index_from_obj, index_to_obj, matrix_from_obj,
-                        matrix_to_obj, pair_from_obj, pair_to_obj)
+                        git_index_to_obj, index_from_obj, index_to_obj,
+                        matrix_from_obj, matrix_to_obj, pair_from_obj,
+                        pair_to_obj)
 
 DEFAULT_SEED = 0
 MAX_LISTED = 100_000  # n = 24 at ell = inf lists 94235 indices (1.4 s, 44 MB)
@@ -74,10 +75,7 @@ def _cmd_enumerate(args) -> int:
         if count_TPL(ell, args.n) > MAX_LISTED:
             raise OverflowError(f"more than {MAX_LISTED} closed-orbit types at n = {args.n}")
         types = enumerate_TPL(ell, args.n)
-        body = [
-            {"p": t.p, "m": t.m, "r": t.r, "dim": dim_git(t, ell, args.n)}
-            for t in types
-        ]
+        body = [git_index_to_obj(t) | {"dim": dim_git(t, ell, args.n)} for t in types]
         return _emit({"ell": ell_to_obj(ell), "n": args.n, "types": body})
     # count_ML never falls as n grows, and at every ell >= 2 it is past
     # MAX_LISTED by n = 1000, so counting at min(n, 1000) is enough

@@ -16,18 +16,8 @@ from .errors import BadIndex, DegeneratePoint
 from .jordan import jordan_block
 from .matrices import QMatrix, direct_sum, rank
 from .poly import trim
-from .scalars import FieldContext, INFINITE, q_orbit, substitute_q_inverse
+from .scalars import FieldContext, INFINITE, _order, q_orbit, substitute_q_inverse
 from .chains import _partition_table
-
-
-def _order(ell):
-    """ell as an order of q: a positive integer, or INFINITE for anything
-    equal to it; BadIndex otherwise."""
-    if not isinstance(ell, int) and ell == INFINITE:
-        return INFINITE
-    if not isinstance(ell, int) or ell < 1:
-        raise BadIndex("the order must be a positive integer or INFINITE")
-    return ell
 
 
 def _norm(counts) -> int:

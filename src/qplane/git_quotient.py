@@ -11,10 +11,10 @@ that two pairs map to the same quotient point.
 from dataclasses import dataclass
 
 from .commutant import MatrixPair
-from .components import ComponentIndex, _order
+from .components import ComponentIndex
 from .errors import BadIndex, UnsupportedShape
 from .matrices import QMatrix, diagonal_blocks
-from .scalars import INFINITE
+from .scalars import INFINITE, _order
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class GitIndex:
             raise BadIndex("closed-orbit type entries must be nonnegative")
 
     def size(self, ell) -> int:
+        ell = _order(ell)
         if ell is INFINITE:
             if self.p:
                 raise BadIndex("full-cycle summands need a root of unity")

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import poly
-from .errors import DivisionByZero, MixedContext, ParseError, ZeroArgument
+from .errors import BadIndex, DivisionByZero, MixedContext, ParseError, ZeroArgument
 
 F0 = Fraction(0)
 _ONE = (1,)  # the denominator 1, shared rather than a fresh tuple per scalar
@@ -41,6 +41,17 @@ _ONE = (1,)  # the denominator 1, shared rather than a fresh tuple per scalar
 INFINITE = math.inf  # the "order of q" in the generic regime
 
 MAX_GENERIC_EXPONENT = 10_000  # the largest k parse_scalar accepts in q^k over Q(q)
+
+
+def _order(ell):
+    """ell as an order of q: a positive int (not a bool), or INFINITE for
+    anything equal to it; BadIndex otherwise."""
+    if type(ell) is int:
+        if ell >= 1:
+            return ell
+    elif ell == INFINITE:
+        return INFINITE
+    raise BadIndex("the order must be a positive integer or INFINITE")
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +147,9 @@ class FieldContext:
 
     @staticmethod
     def root_of_unity(ell: int) -> "FieldContext":
-        if not isinstance(ell, int) or ell < 1:
+        if type(ell) is not int or ell < 1:
             raise ValueError("root_of_unity needs a positive integer ell")
-        return FieldContext._intern(int(ell))  # int(True) is 1
+        return FieldContext._intern(ell)
 
     @staticmethod
     def generic() -> "FieldContext":
@@ -716,9 +727,4 @@ def parse_scalar(text: str, ctx: FieldContext) -> QScalar:
         if den.is_zero():
             raise DivisionByZero("zero denominator polynomial")
         return num / den
-    scan = _Scanner(text)
-    value = _parse_poly_sum(scan, ctx)
-    scan.skip_ws()
-    if scan.pos != len(text):
-        raise ParseError("trailing characters after scalar", scan.pos)
-    return value
+    return _parse_poly_sum(_Scanner(text), ctx)

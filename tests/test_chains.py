@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qplane import (ChainDecomposition, FieldContext, INFINITE, MixedContext,
+from qplane import (BadIndex, ChainDecomposition, FieldContext, INFINITE, MixedContext,
                     ZeroElement, associated_sequence, chain_decompose, partition_count,
                     restricted_partition_count)
 from qplane.scalars import canonical_key, q_orbit
@@ -239,6 +239,17 @@ def test_associated_sequence_rejects_counts_that_are_not_ints():
     for counts in ((2.7, 1), (True, 1), ("2", 1)):
         with pytest.raises(ValueError):
             associated_sequence(counts, 2)
+
+
+@pytest.mark.parametrize("counts, ell", [
+    ((1,), 1.0),   # once a bare TypeError from indexing a list with a float
+    ((), 0),       # once "min() arg is an empty sequence"
+    ((1,), True),  # once read as ell = 1
+    ((1, 1), "2"),
+])
+def test_associated_sequence_rejects_an_order_that_is_not_one(counts, ell):
+    with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+        associated_sequence(counts, ell)
 
 
 def test_size_conservation():

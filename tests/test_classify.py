@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qplane import (BadIndex, ComponentIndex, FieldContext, INFINITE,
-                    JordanSpec, MatrixPair, QMatrix, classify,
-                    classify_nilpotent_block, classify_q_class, conjugate,
-                    enumerate_ML, jordan_block, q_classes, q_layered,
-                    qcommutant_basis, rank, realize, sample_point)
+from qplane import (ComponentIndex, FieldContext, INFINITE, JordanSpec,
+                    MatrixPair, QMatrix, associated_sequence, classify,
+                    conjugate, enumerate_ML, jordan_block, q_classes,
+                    qcommutant_basis, rank, sample_point, transpose_partition)
 from qplane import matrices
 
 GEN = FieldContext.generic()
@@ -23,55 +25,50 @@ def pair_with_random_commutant_member(A, rng):
 
 
 # ---------------------------------------------------------------------------
-# nilpotent blocks
+# nilpotent blocks: s = k*ell + t gives k full cycles and one r_t
 # ---------------------------------------------------------------------------
 
+def nilpotent(ctx, partition):
+    return classify(JordanSpec(ctx, [(ctx.zero(), partition)]))
+
+
 def test_nilpotent_block_with_wraparound():
-    out = classify_nilpotent_block(4, 1, 3)
-    assert out == ComponentIndex(3, m=(0, 0, 1), r=(1, 0))
+    assert nilpotent(C3, (4,)) == ComponentIndex(3, m=(0, 0, 1), r=(1, 0))
 
 
 def test_nilpotent_block_doubled():
-    out = classify_nilpotent_block(3, 2, 2)
-    assert out == ComponentIndex(2, m=(0, 2), r=(2,))
+    assert nilpotent(C2, (3, 3)) == ComponentIndex(2, m=(0, 2), r=(2,))
 
 
 def test_nilpotent_block_below_ell():
     for ell in (3, 4, 5):
         for s in range(1, ell):
-            out = classify_nilpotent_block(s, 1, ell)
+            out = nilpotent(FieldContext.root_of_unity(ell), (s,))
             assert sum(out.m) == 0
             assert out.r[s - 1] == 1
             assert sum(out.r) == 1
 
 
 def test_nilpotent_block_exact_multiple():
-    out = classify_nilpotent_block(6, 1, 3)
-    assert out == ComponentIndex(3, m=(0, 0, 2), r=(0, 0))
+    assert nilpotent(C3, (6,)) == ComponentIndex(3, m=(0, 0, 2), r=(0, 0))
 
 
 def test_nilpotent_block_infinite_regime():
-    out = classify_nilpotent_block(4, 2, INFINITE)
+    out = nilpotent(GEN, (4, 4))
     assert sum(out.m) == 0
     assert out.r == (0, 0, 0, 2)
 
 
 # ---------------------------------------------------------------------------
-# nonzero q-classes
+# nonzero q-classes: the maximal chains of each column of the transposed
+# partitions
 # ---------------------------------------------------------------------------
-
-def class_of(spec, ctx):
-    classes = [cls for cls in q_classes(spec, ctx) if not cls.is_nilpotent]
-    assert len(classes) == 1
-    return classes[0]
-
 
 def test_full_cycle_of_singletons():
     q = C3.q()
     a = C3.rational(2)
     spec = JordanSpec(C3, [(a, [1]), (a / q, [1]), (a / q ** 2, [1])])
-    out = classify_q_class(class_of(spec, C3), 3)
-    assert out == ComponentIndex(3, m=(0, 0, 1), r=(0, 0))
+    assert classify(spec) == ComponentIndex(3, m=(0, 0, 1), r=(0, 0))
 
 
 def test_diagonalizable_multiplicity_pattern():
@@ -80,7 +77,7 @@ def test_diagonalizable_multiplicity_pattern():
     a = c4.rational(2)
     spec = JordanSpec(c4, [(a, [1] * 3), (a / q, [1] * 2),
                            (a / q ** 2, [1] * 3), (a / q ** 3, [1])])
-    out = classify_q_class(class_of(spec, c4), 4)
+    out = classify(spec)
     assert out.m == (2, 0, 1, 1)
     assert sum(out.r) == 0
 
@@ -89,15 +86,65 @@ def test_two_step_partitions():
     q = C3.q()
     a = C3.rational(2)
     spec = JordanSpec(C3, [(a, [2]), (a / q, [1])])
-    out = classify_q_class(class_of(spec, C3), 3)
-    assert out.m == (1, 1, 0)
+    assert classify(spec).m == (1, 1, 0)
 
 
-def test_classify_q_class_rejects_nilpotent_class():
-    spec = JordanSpec(C3, [(C3.zero(), [2])])
-    cls = q_classes(spec, C3)[0]
-    with pytest.raises(BadIndex):
-        classify_q_class(cls, 3)
+# ---------------------------------------------------------------------------
+# the classifier against the per-column pipeline it replaced
+# ---------------------------------------------------------------------------
+
+def classify_by_column_sums(spec):
+    """classify as a sum of one ComponentIndex per column of each nonzero
+    class (through associated_sequence's dense count vector) and one per
+    distinct nilpotent block size."""
+    ell = spec.ctx.ell
+    total = ComponentIndex(ell)
+    for cls in q_classes(spec, spec.ctx):
+        if cls.is_nilpotent:
+            for s, mult in sorted(Counter(cls.partitions[0]).items()):
+                if ell is INFINITE:
+                    block = ComponentIndex(ell, (), (0,) * (s - 1) + (mult,))
+                else:
+                    k, t = divmod(s, ell)
+                    block = ComponentIndex(ell, (0,) * (ell - 1) + (mult * k,),
+                                           () if t == 0 else (0,) * (t - 1) + (mult,))
+                total = total + block
+            continue
+        transposed = [transpose_partition(p) for p in cls.partitions]
+        width = max((len(t) for t in transposed), default=0)
+        for j in range(width):
+            counts = tuple(t[j] if j < len(t) else 0 for t in transposed)
+            total = total + ComponentIndex(ell, associated_sequence(counts, ell), ())
+    return total
+
+
+@st.composite
+def jordan_specs(draw):
+    """Up to three nonzero classes (bases 2, 3, 5), each a run, a gapped
+    set or a full cycle of exponents, plus an optional nilpotent class;
+    parts run past ell, so nilpotent blocks wrap and columns stack."""
+    ell = draw(st.sampled_from([1, 2, 3, 4, 5, 6, INFINITE]))
+    ctx = FieldContext.for_order(ell)
+    span = 6 if ell is INFINITE else ell
+    partitions = st.lists(st.integers(1, 2 * span + 1), min_size=1, max_size=3).map(
+        lambda parts: sorted(parts, reverse=True))
+    blocks = []
+    for base in draw(st.lists(st.sampled_from([2, 3, 5]), unique=True, max_size=3)):
+        exponents = draw(st.one_of(st.just(range(span)),
+                                   st.sets(st.integers(0, span - 1), min_size=1)))
+        blocks += [(ctx.rational(base) * ctx.q() ** k, draw(partitions))
+                   for k in exponents]
+    if draw(st.booleans()):
+        blocks.append((ctx.zero(), draw(partitions)))
+    return JordanSpec(ctx, blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(jordan_specs())
+def test_classify_matches_the_per_column_sums(spec):
+    out = classify(spec)
+    assert out == classify_by_column_sums(spec)
+    assert out.n == spec.size
 
 
 # ---------------------------------------------------------------------------

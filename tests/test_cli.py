@@ -87,6 +87,18 @@ def test_enumerate_git_types(capsys):
     assert all(t["dim"] == 2 for t in body["types"])
 
 
+def test_enumerate_git_output_is_pinned(capsys):
+    # each type is serialize.git_index_to_obj plus its dimension
+    code, out = run(capsys, "enumerate", "--ell", "3", "--n", "4", "--git")
+    assert code == 0
+    assert out == (
+        '{"ell": 3, "n": 4, "types": [{"dim": 3, "m": 1, "p": 1, "r": 0}, '
+        '{"dim": 3, "m": 0, "p": 1, "r": 1}, {"dim": 4, "m": 4, "p": 0, "r": 0}, '
+        '{"dim": 4, "m": 3, "p": 0, "r": 1}, {"dim": 4, "m": 2, "p": 0, "r": 2}, '
+        '{"dim": 4, "m": 1, "p": 0, "r": 3}, {"dim": 4, "m": 0, "p": 0, "r": 4}]}\n'
+    )
+
+
 def test_enumerate_infinite_order(capsys):
     code, out = run(capsys, "enumerate", "--ell", "inf", "--n", "2")
     assert code == 0

@@ -105,6 +105,16 @@ def test_count_ML_rejects_an_invalid_order(ell):
             count_ML(ell, n)
 
 
+@pytest.mark.parametrize("ell", [True, False])
+def test_a_bool_is_not_an_order_of_an_index(ell):
+    # ComponentIndex(True, (1,), ()) once kept ell = True
+    with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+        ComponentIndex(ell, (1,), ())
+    for f in (enumerate_ML, count_ML):
+        with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+            f(ell, 3)
+
+
 def test_an_order_equal_to_infinite_is_the_infinite_order():
     inf = float("inf")
     assert count_ML(inf, 5) == count_ML(INFINITE, 5) == len(enumerate_ML(inf, 5))

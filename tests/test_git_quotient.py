@@ -97,11 +97,24 @@ def test_enumerate_and_count_TPL_reject_an_invalid_order(ell):
             f(ell, 3)
 
 
+@pytest.mark.parametrize("ell", [True, False, 0, 2.5, "3"])
+def test_a_type_size_rejects_an_invalid_order(ell):
+    # GitIndex(0, 2, 1).size(True) and .size(0) once answered 3
+    with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+        GitIndex(0, 2, 1).size(ell)
+    for f in (enumerate_TPL, count_TPL):
+        with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+            f(ell, 3)
+    with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+        dim_git(GitIndex(0, 2, 1), ell, 3)
+
+
 def test_an_order_equal_to_infinite_is_the_infinite_order_for_types():
     inf = float("inf")
     assert enumerate_TPL(inf, 3) == enumerate_TPL(INFINITE, 3)
     assert count_TPL(inf, 3) == count_TPL(INFINITE, 3) == 4
     assert dim_git(GitIndex(0, 2, 1), inf, 3) == 3
+    assert GitIndex(0, 2, 1).size(inf) == 3
 
 
 def test_index_validation():

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qplane import (DivisionByZero, FieldContext, INFINITE, MixedContext,
+from qplane import (BadIndex, DivisionByZero, FieldContext, INFINITE, MixedContext,
                     ParseError, QScalar, ZeroArgument, canonical_key,
                     cyclotomic_polynomial, format_scalar, parse_scalar,
                     q_equivalent, q_orbit, substitute_q_inverse)
-from qplane.scalars import MAX_GENERIC_EXPONENT, _build
+from qplane.scalars import MAX_GENERIC_EXPONENT, _build, _order
 
 C3 = FieldContext.root_of_unity(3)
 C4 = FieldContext.root_of_unity(4)
@@ -152,11 +152,23 @@ def test_every_factory_returns_the_one_context_of_its_order(ell):
     assert ctx.ell is ell and ctx.is_generic == (ell is INFINITE)
 
 
-def test_bool_order_is_the_order_one_context():
-    ctx = FieldContext.root_of_unity(True)
-    assert ctx is FieldContext.root_of_unity(1) is FieldContext.for_order(True)
-    assert repr(ctx) == "FieldContext(cyclotomic, ell=1)"
-    assert ctx.to_obj() == {"type": "cyclotomic", "ell": 1}
+@pytest.mark.parametrize("factory", [FieldContext.root_of_unity, FieldContext.for_order])
+@pytest.mark.parametrize("ell", [True, False])
+def test_a_bool_is_not_an_order(factory, ell):
+    # root_of_unity(True) was once the ell = 1 context: bool is an int subclass
+    with pytest.raises(ValueError, match="root_of_unity needs a positive integer ell"):
+        factory(ell)
+
+
+@pytest.mark.parametrize("ell", [True, False, 0, -1, 2.5, 1.0, "3", None])
+def test_order_rejects_everything_but_a_positive_int_or_infinite(ell):
+    with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+        _order(ell)
+
+
+def test_order_keeps_a_positive_int_and_maps_infinity_to_infinite():
+    assert _order(1) == 1 and _order(7) == 7
+    assert _order(INFINITE) is INFINITE and _order(float("inf")) is INFINITE
 
 
 def test_context_repr_and_serialization_are_unchanged():
@@ -411,6 +423,21 @@ def test_a_sign_without_a_term_reports_the_missing_term(text, ctx, position):
         parse_scalar(text, ctx)
     assert err.value.position == position
     assert str(err.value) == f"missing term after the sign (at position {position})"
+
+
+@pytest.mark.parametrize("text, position", [
+    ("1 2", 2),
+    ("1 )", 2),
+    ("1/2x", 3),
+    ("2*q^2 3", 6),
+])
+def test_text_after_a_term_is_a_missing_sign(text, position):
+    # the term loop reads to the end of the input, so no other message
+    # ("trailing characters") can report what follows a term
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text, C3)
+    assert err.value.position == position
+    assert str(err.value) == f"expected '+' or '-' between terms (at position {position})"
 
 
 def test_ratio_zero_coefficient_denominator_reports_its_position():
