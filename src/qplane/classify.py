@@ -2,11 +2,12 @@
 
 Only A matters: for every matrix in the q-commutant of A the pair lands in
 the same component, so the classifier works from A's Jordan data.  It
-counts straight into one index: each column of a nonzero class's transposed
-partitions is one multiplicity vector, and every maximal q-chain of it adds
-one block of its length to m; a nilpotent Jordan block of size
-s = k*ell + t adds k full cycles to the last m-slot and one size-t entry to
-r (all of s goes to r when ell is INFINITE).
+counts straight into one index: a class is a ``q_orbit`` key and an
+eigenvalue's offset is its ``q_orbit`` exponent; each column of a class's
+transposed partitions is one multiplicity vector over those offsets, and
+every maximal q-chain of it adds one block of its length to m; a nilpotent
+Jordan block of size s = k*ell + t adds k full cycles to the last m-slot
+and one size-t entry to r (all of s goes to r when ell is INFINITE).
 """
 
 from collections import Counter
@@ -14,8 +15,8 @@ from collections import Counter
 from .chains import _maximal_chains
 from .commutant import MatrixPair
 from .components import ComponentIndex
-from .jordan import JordanSpec, jordan_data, q_classes, transpose_partition
-from .scalars import INFINITE
+from .jordan import JordanSpec, jordan_data, transpose_partition
+from .scalars import INFINITE, q_orbit
 
 
 def classify(pair_or_spec) -> ComponentIndex:
@@ -28,29 +29,27 @@ def classify(pair_or_spec) -> ComponentIndex:
     """
     if isinstance(pair_or_spec, MatrixPair):
         spec = jordan_data(pair_or_spec.A)
-        ctx = pair_or_spec.ctx
     elif isinstance(pair_or_spec, JordanSpec):
         spec = pair_or_spec
-        ctx = pair_or_spec.ctx
     else:
         raise TypeError("classify expects a MatrixPair or a JordanSpec")
-    ell = ctx.ell
+    ell = spec.ctx.ell
     m, r = Counter(), Counter()  # block size -> number of blocks
-    for cls in q_classes(spec, ctx):
-        if cls.is_nilpotent:
-            for s in cls.partitions[0]:
+    columns = {}  # (q-orbit key, column j) -> {offset: height of column j}
+    for eigenvalue, partition in spec.blocks:
+        if eigenvalue.is_zero():
+            for s in partition:
                 k, t = (0, s) if ell is INFINITE else divmod(s, ell)
                 if k:
                     m[ell] += k
                 if t:
                     r[t] += 1
             continue
-        columns = {}  # column j -> {slot: height of column j at that slot}
-        for slot, partition in enumerate(cls.partitions):
-            for j, height in enumerate(transpose_partition(partition)):
-                columns.setdefault(j, {})[slot] = height
-        for mult in columns.values():
-            for _, length, count in _maximal_chains(mult, ell):
-                m[length] += count
+        key, k = q_orbit(eigenvalue)
+        for j, height in enumerate(transpose_partition(partition)):
+            columns.setdefault((key, j), {})[k] = height
+    for mult in columns.values():
+        for _, length, count in _maximal_chains(mult, ell):
+            m[length] += count
     return ComponentIndex(ell, [m[i] for i in range(1, max(m, default=0) + 1)],
                           [r[i] for i in range(1, max(r, default=0) + 1)])

@@ -39,10 +39,9 @@ class ComponentIndex:
     r: tuple
 
     def __init__(self, ell, m=(), r=()):
-        m = tuple(int(c) for c in m)
-        r = tuple(int(c) for c in r)
-        if any(c < 0 for c in m) or any(c < 0 for c in r):
-            raise BadIndex("block counts must be nonnegative")
+        m, r = tuple(m), tuple(r)
+        if any(type(c) is not int or c < 0 for c in m + r):
+            raise BadIndex("block counts must be nonnegative ints")
         ell = _order(ell)
         if ell is INFINITE:
             m, r = trim(m), trim(r)

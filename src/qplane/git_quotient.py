@@ -26,8 +26,8 @@ class GitIndex:
     r: int
 
     def __post_init__(self):
-        if self.p < 0 or self.m < 0 or self.r < 0:
-            raise BadIndex("closed-orbit type entries must be nonnegative")
+        if any(type(v) is not int or v < 0 for v in (self.p, self.m, self.r)):
+            raise BadIndex("closed-orbit type entries must be nonnegative ints")
 
     def size(self, ell) -> int:
         ell = _order(ell)

@@ -4,7 +4,9 @@ A JordanSpec is a multiset of (eigenvalue, partition) pairs; realize() turns
 it into the block-diagonal Jordan matrix and jordan_data() inverts that up
 to similarity, using exact rank sequences.  q_classes() groups a spec's
 eigenvalues into q-equivalence classes with partitions aligned at the
-exponents 0, ..., ell-1 (descending powers of q from a chosen base).
+exponents 0, ..., ell-1 (descending powers of q from a chosen base): it is
+the aligned view for callers, and classify does not use it (it groups by
+``q_orbit`` keys and exponents directly).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .errors import EigenvaluesNotFound, NotSquare
+from .errors import EigenvaluesNotFound, MixedContext, NotSquare
 from .matrices import QMatrix, char_poly, diagonal_blocks, direct_sum, rank
 from .scalars import FieldContext, QScalar, canonical_key, q_orbit
 
@@ -25,7 +27,9 @@ from .scalars import FieldContext, QScalar, canonical_key, q_orbit
 
 
 def check_partition(nu) -> tuple:
-    nu = tuple(int(p) for p in nu)
+    nu = tuple(nu)
+    if any(type(p) is not int for p in nu):
+        raise ValueError(f"partition parts must be ints: {nu}")
     if any(p <= 0 for p in nu):
         raise ValueError(f"partition parts must be positive: {nu}")
     if any(nu[i] < nu[i + 1] for i in range(len(nu) - 1)):
@@ -54,8 +58,9 @@ def transpose_partition(nu):
 class JordanSpec:
     """Multiset of (eigenvalue, partition) pairs, canonically ordered.
 
-    Blocks are sorted by the eigenvalue's canonical key at construction so
-    that equal multisets compare equal.
+    Every eigenvalue is a QScalar of ``ctx``.  Blocks are sorted by the
+    eigenvalue's canonical key at construction so that equal multisets
+    compare equal.
     """
 
     ctx: FieldContext
@@ -65,6 +70,10 @@ class JordanSpec:
         normalized = []
         seen = []
         for eigenvalue, partition in blocks:
+            if not isinstance(eigenvalue, QScalar):
+                raise TypeError("JordanSpec eigenvalues must be QScalars")
+            if eigenvalue.ctx is not ctx:
+                raise MixedContext(f"eigenvalue of {eigenvalue.ctx!r} in a spec over {ctx!r}")
             partition = check_partition(partition)
             if not partition:
                 raise ValueError("empty partition in JordanSpec")
@@ -289,7 +298,7 @@ def jordan_data(A: QMatrix, hint_eigenvalues=()) -> JordanSpec:
             f"only {covered} of {n} dimensions of the spectrum were resolved "
             "in the field; pass hint_eigenvalues for the rest")
     blocks = []
-    for lam in sorted(roots, key=canonical_key):
+    for lam in roots:
         if roots[lam] == 1:
             blocks.append((lam, (1,)))
             continue

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qplane import (FieldContext, JordanSpec, LengthMismatch, MatrixPair,
+from qplane import (FieldContext, HomExtReport, JordanSpec, LengthMismatch, MatrixPair,
                     MixedContext, NotSquare, QMatrix, RelationViolated,
                     block_jordan, conjugate, direct_sum, hom_ext, jordan_block,
                     predicted_commutant_dim, q_layered, q_layered_block,
@@ -165,6 +165,7 @@ def test_zero_pair_is_always_valid():
 # ---------------------------------------------------------------------------
 
 def test_commutant_of_zero_matrix_is_everything():
+    assert qcommutant_basis(QMatrix.zero(GEN, 0, 0)) == []
     for n in (1, 2, 3):
         assert len(qcommutant_basis(QMatrix.zero(GEN, n, n))) == n * n
 
@@ -306,6 +307,9 @@ def test_hom_and_ext_vanish_between_strata():
     assert (report.hom_dim, report.ext1_dim, report.ext2_dim) == (0, 0, 0)
     report = hom_ext(n_type_pair(GEN, 3), d_type_pair(GEN, 2))
     assert (report.hom_dim, report.ext1_dim, report.ext2_dim) == (0, 0, 0)
+    empty = MatrixPair(QMatrix.zero(GEN, 0, 0), QMatrix.zero(GEN, 0, 0))
+    for pair in (empty, d_type_pair(GEN, 2)):
+        assert hom_ext(empty, pair) == hom_ext(pair, empty) == HomExtReport(0, 0, 0, ())
 
 
 def test_self_ext_of_generic_strata_points():

@@ -34,6 +34,15 @@ def test_index_rejects_negative_counts():
         ComponentIndex(2, m=(-1, 0), r=(0,))
 
 
+@pytest.mark.parametrize("m, r", [((2.7, True), ()), ((1,), (True,)), ((1.0,), ()),
+                                  ((Fraction(1),), ()), ((), ("1",))])
+def test_index_refuses_counts_that_are_not_ints(m, r):
+    # ComponentIndex(2, (2.7, True), ()) was once m = (2, 1) through int(c)
+    for ell in (2, INFINITE):
+        with pytest.raises(BadIndex, match="block counts must be nonnegative ints"):
+            ComponentIndex(ell, m, r)
+
+
 def test_index_addition_is_componentwise():
     a = ComponentIndex(2, m=(1, 0), r=(1,))
     b = ComponentIndex(2, m=(0, 2), r=(1,))
@@ -170,6 +179,8 @@ def test_theta_index_example():
     out = theta_index(idx)
     assert out.m == (0, 1, 2)
     assert out.r == (1, 0)
+    out = theta_index(ComponentIndex(INFINITE, (1, 2), (1,)))
+    assert out == ComponentIndex(INFINITE, (1,), (1, 2))
 
 
 def test_theta_index_involution():

@@ -122,6 +122,13 @@ def test_index_validation():
         GitIndex(-1, 0, 0)
 
 
+@pytest.mark.parametrize("entries", [(True, 0.5, 0), (0, 1.0, 0), (0, 0, False), (0, "1", 0)])
+def test_a_type_refuses_entries_that_are_not_ints(entries):
+    # GitIndex(True, 0.5, 0) was once built as given, and its size(3) was 3.5
+    with pytest.raises(BadIndex, match="closed-orbit type entries must be nonnegative ints"):
+        GitIndex(*entries)
+
+
 # ---------------------------------------------------------------------------
 # trace fingerprints
 # ---------------------------------------------------------------------------
@@ -422,6 +429,7 @@ def test_git_index_mixed_example():
     out = git_index_of_stratum(idx)
     assert out == GitIndex(0, 3, 2)
     assert 3 * out.p + out.m + out.r == idx.n == 5
+    assert git_index_of_stratum(ComponentIndex(INFINITE, (1, 2), (1,))) == GitIndex(0, 5, 1)
 
 
 def test_git_index_consistent_with_semisimplify():

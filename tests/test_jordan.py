@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, QMatrix,
-                    QScalar, block_jordan, char_poly, check_partition, conjugate,
+from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, MixedContext,
+                    QMatrix, QScalar, block_jordan, char_poly, check_partition, conjugate,
                     direct_sum, jordan_block, jordan_data, q_classes, q_equivalent,
                     q_orbit, rank, realize, transpose_partition)
 from qplane import jordan, matrices, poly
 
 C3 = FieldContext.root_of_unity(3)
+C5 = FieldContext.root_of_unity(5)
 GEN = FieldContext.generic()
 
 
@@ -47,6 +48,39 @@ def test_check_partition_rejects_bad_input():
     assert check_partition([3, 1, 1]) == (3, 1, 1)
 
 
+@pytest.mark.parametrize("nu", [(2.7, True), (2.5,), (2.0,), (True,), (Fraction(2),), ("2",)])
+def test_check_partition_refuses_parts_that_are_not_ints(nu):
+    # check_partition((2.7, True)) once answered (2, 1) through int(p), and
+    # JordanSpec(C3, [(one, (2.5,))]) kept the block (2,)
+    with pytest.raises(ValueError, match="partition parts must be ints"):
+        check_partition(nu)
+    with pytest.raises(ValueError, match="partition parts must be ints"):
+        JordanSpec(C3, [(C3.one(), nu)])
+
+
+@pytest.mark.parametrize("eigenvalue", [2, Fraction(1, 2), None, "q"])
+def test_jordan_spec_refuses_an_eigenvalue_that_is_not_a_scalar(eigenvalue):
+    # JordanSpec(C3, [(2, (1,))]) once died in canonical_key on int_den
+    with pytest.raises(TypeError, match="JordanSpec eigenvalues must be QScalars"):
+        JordanSpec(C3, [(eigenvalue, (1,))])
+
+
+def test_jordan_spec_refuses_an_eigenvalue_of_another_context():
+    # a Q(zeta_5) q-chain in a spec at ell = 3 once classified as m = (0, 1, 0)
+    chain = [(C5.rational(2), (1,)), (C5.rational(2) * C5.q(), (1,))]
+    for ctx, blocks in ((C3, chain), (C3, chain[:1]), (GEN, [(C3.zero(), (1,))]),
+                        (C3, [(C3.one(), (1,)), (GEN.q(), (1,))])):
+        with pytest.raises(MixedContext):
+            JordanSpec(ctx, blocks)
+
+
+def test_jordan_spec_refuses_an_empty_partition_or_a_repeated_eigenvalue():
+    with pytest.raises(ValueError, match="empty partition in JordanSpec"):
+        JordanSpec(C3, [(C3.one(), ())])
+    with pytest.raises(ValueError, match="repeated eigenvalue in JordanSpec"):
+        JordanSpec(C3, [(C3.one(), (1,)), (C3.rational(2), (2,)), (C3.one(), (1,))])
+
+
 def test_transpose_partition_examples():
     assert transpose_partition([3, 1]) == (2, 1, 1)
     assert transpose_partition([]) == ()
@@ -68,6 +102,11 @@ def test_transpose_partition_involution():
 def test_realize_single_nilpotent_block():
     spec = JordanSpec(C3, [(C3.zero(), [2])])
     assert realize(spec) == jordan_block(C3, 2, C3.zero())
+
+
+def test_realize_of_the_empty_spec_is_the_0x0_matrix():
+    for ctx in (C3, GEN):
+        assert realize(JordanSpec(ctx, ())) == QMatrix.zero(ctx, 0, 0)
 
 
 def test_realize_q_commuting_diagonal():
