@@ -360,14 +360,16 @@ def _kernel_of(pivots, ncols, ctx):
 #
 # Over Q(zeta_ell) the entries of the reduced echelon form stay small while
 # exact elimination builds large intermediate values.  So the form is
-# computed mod 62-bit primes p = 1 (mod ell), where Phi_ell splits into
+# computed mod 30-bit primes p = 1 (mod ell), where Phi_ell splits into
 # linear factors: once per root of Phi_ell mod p, each root giving one ring
-# map Z[zeta][1/d] -> F_p.  Vandermonde interpolation over the roots gives
-# the coefficients of each entry mod p, CRT joins the primes and Wang's
-# rational reconstruction lifts them to Q (Encarnacion, JSC 1995; Monagan,
-# ISSAC 2004).  Nothing is returned unless ``_certified`` proves it exact.
+# map Z[zeta][1/d] -> F_p.  Below 2^30 every residue is one CPython digit,
+# so y + f x mod p costs about a third of its time at 62 bits (CPython 3.11).
+# Vandermonde interpolation over the roots gives the coefficients of each
+# entry mod p, CRT joins the primes and Wang's rational reconstruction
+# lifts them to Q (Encarnacion, JSC 1995; Monagan, ISSAC 2004).  Nothing is
+# returned unless ``_certified`` proves it exact.
 
-_PRIME_TOP = 2 ** 62
+_PRIME_TOP = 2 ** 30
 _PRIMES = {}  # ell -> [(p, roots of Phi_ell mod p, inverse Vandermonde)], grown on use
 
 
@@ -396,7 +398,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _prime(ell: int, k: int):
-    """The k-th largest prime p = 1 (mod ell) below 2^62, the roots of
+    """The k-th largest prime p = 1 (mod ell) below 2^30, the roots of
     Phi_ell mod p, and the inverse of their Vandermonde matrix mod p; None
     when there are fewer than k + 1 such primes."""
     table = _PRIMES.setdefault(ell, [])
@@ -455,17 +457,40 @@ def _certified(A: QMatrix, pivot_cols, basis) -> bool:
     free = [f for f in range(A.ncols) if f not in pivot_set]
     if len(free) != len(basis):
         return False
-    one = A.ctx.one()
-    kernel = []  # the basis vectors as the columns of K, as triples
-    for col, (f, vec) in enumerate(zip(free, basis)):
+    ctx = A.ctx
+    one = ctx.one()
+    vectors = []  # the nonzeros of each basis vector, as {column: int vector}
+    for f, vec in zip(free, basis):
         if vec[f] != one:
             return False
+        nonzeros = []
         for j, x in enumerate(vec):
             if x:
                 if j != f and (j > f or j not in pivot_set):
                     return False
-                kernel.append((j, col, x))
-    return (A * QMatrix.sparse(A.ctx, A.ncols, len(basis), kernel)).is_zero()
+                nonzeros.append((j, x))
+        vectors.append(dict(_integral(nonzeros)))
+    # A v = 0 in Z[zeta], each row of A and each v scaled by the lcm of its
+    # denominators: nonzero rationals, which leave A v = 0 as it is
+    mul = ctx._mul
+    for row in A._rows:
+        row = _integral(row.items())
+        for vec in vectors:
+            acc = [0] * ctx._deg
+            for j, a in row:
+                v = vec.get(j)
+                if v is not None:
+                    acc = [s + t for s, t in zip(acc, mul(a, v))]
+            if any(acc):
+                return False
+    return True
+
+
+def _integral(items):
+    """(key, int vector) for the (key, x) of Q(zeta_ell) scalars in items,
+    each x times the lcm of their denominators."""
+    den = math.lcm(*(x.int_den[0] for _, x in items))
+    return [(j, [c * (den // x.int_den[0]) for c in x.int_num]) for j, x in items]
 
 
 def _prime_budget(A: QMatrix, entries) -> int:
@@ -476,7 +501,8 @@ def _prime_budget(A: QMatrix, entries) -> int:
     (r deg H)^r by Hadamard's bound, H the largest integer coefficient of
     a row rescaled by its denominators, and its inverse brings in the norm,
     a product of deg such embeddings.  Twice those bits, for numerator and
-    denominator, bound the modulus rational reconstruction needs."""
+    denominator, bound the modulus rational reconstruction needs; each
+    prime, above 2^29, brings at least 29 of them."""
     deg = A.ctx._deg
     r = min(A.nrows, A.ncols)
     dens = {}
@@ -485,21 +511,26 @@ def _prime_budget(A: QMatrix, entries) -> int:
     top = max((max(map(abs, x.int_num)).bit_length() + dens[i] for i, _, x in entries),
               default=0)
     bits = 2 * deg * r * (top + (r * deg).bit_length()) + 2
-    return bits // 61 + 2
+    return bits // 29 + 2
 
 
 def _echelons_mod(entries, nrows, ncols, p, roots):
     """The reduced echelon form of A under each ring map zeta -> root mod p,
-    one root at a time, as ``_rref`` returns it."""
+    one root at a time, as ``_rref`` returns it.  Each distinct entry is
+    mapped once per root: a dense operator repeats its values."""
     field = _mod_field(p)
-    dinv = {d: pow(d, -1, p) for d in {x.int_den[0] for _, _, x in entries}}
+    where = {}  # (numerator, denominator) -> the positions holding it
+    for i, j, x in entries:
+        where.setdefault((x.int_num, x.int_den[0]), []).append((i, j))
+    dinv = {d: pow(d, -1, p) for d in {d for _, d in where}}
     for root in roots:
         powers = [pow(root, t, p) for t in range(len(roots))]
         rows = [{} for _ in range(nrows)]
-        for i, j, x in entries:
-            v = sum(c * w for c, w in zip(x.int_num, powers)) * dinv[x.int_den[0]] % p
+        for (num, d), positions in where.items():
+            v = sum(c * w for c, w in zip(num, powers)) * dinv[d] % p
             if v:
-                rows[i][j] = v
+                for i, j in positions:
+                    rows[i][j] = v
         yield _rref(rows, ncols, field)
 
 

@@ -459,8 +459,10 @@ class QScalar:
         ctx = self.ctx
         if ctx.is_generic:  # swapped, the pair stays canonical up to its sign
             return _build(ctx, *_canonical(self.int_den, self.int_num, True))
-        # a^-1 = prod_{sigma != 1} sigma(a) / N(a), with a = int_num / d
         a, (d,) = self.int_num, self.int_den
+        if not any(a[1:]):  # rational: d / a_0, without the norm
+            return _lowest(ctx, [d] + [0] * (ctx._deg - 1), a[0])
+        # a^-1 = prod_{sigma != 1} sigma(a) / N(a), with a = int_num / d
         others = [1] + [0] * (ctx._deg - 1)
         for k in ctx._conjugators:
             others = ctx._mul(others, ctx._conjugate(a, k))

@@ -1,4 +1,6 @@
 import copy
+import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -767,7 +769,7 @@ def exact_echelon(A):
 def modular_inputs(draw):
     """Matrices up to 6 x 7 (sides may be 0) over Q(zeta_ell): sparse, dense,
     or products through a small inner dimension, with entries of a few bits
-    or of over 100 bits, which need more than one 62-bit prime."""
+    or of over 100 bits, which need more than one 30-bit prime."""
     ctx = FieldContext.root_of_unity(draw(st.sampled_from((1, 2, 3, 4, 5, 7, 8, 12))))
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
     kind = draw(st.sampled_from(("sparse", "dense", "low rank")))
@@ -810,7 +812,7 @@ def test_modular_elimination_matches_exact_elimination(A):
 @pytest.mark.parametrize("ell", [1, 3, 5])
 def test_modular_elimination_joins_several_primes_for_large_entries(ell, monkeypatch):
     # 110-bit entries give reduced-echelon entries of hundreds of bits: one
-    # 62-bit prime cannot hold them, and what it reconstructs is wrong
+    # 30-bit prime cannot hold them, and what it reconstructs is wrong
     used = set()
     real = matrices._prime
     monkeypatch.setattr(matrices, "_prime", lambda ell, k: used.add(k) or real(ell, k))
@@ -893,3 +895,79 @@ def test_the_certificate_rejects_each_broken_condition():
     good = [(-one, one, zero), (-one, zero, one)]
     assert matrices._certified(B, [0], good)
     assert not matrices._certified(B, [0], [good[0], (-one - one, one, one)])
+
+
+def test_the_certificate_scales_away_denominators():
+    ctx = FieldContext.root_of_unity(5)
+    q, zero = ctx.q(), ctx.zero()
+
+    def frac(a, b):
+        return ctx.rational(Fraction(a, b))
+
+    A = QMatrix(ctx, [[frac(1, 2), q * frac(1, 3), frac(2, 5), frac(1, 7), q * q],
+                      [frac(3, 4), q * frac(1, 6), zero, frac(5, 3), frac(-2, 9)]])
+    pivots = matrices._rref([dict(row) for row in A._rows], A.ncols, matrices._exact_field(ctx))
+    cols = [c for c, _ in pivots]
+    basis = matrices._kernel_of(pivots, A.ncols, ctx)
+    assert len(basis) == 3 and any(x.int_den != (1,) for v in basis for x in v)
+    assert matrices._certified(A, cols, basis)
+    # rows scaled by rationals have the same kernel
+    scaled_rows = QMatrix(ctx, [[x * frac(4, 3) for x in A.rows[0]],
+                                [x * frac(-1, 10) for x in A.rows[1]]])
+    assert matrices._certified(scaled_rows, cols, basis)
+    for c in (frac(2, 3), frac(-5, 7)):
+        for i, v in enumerate(basis):
+            # the whole vector off by c: its 1 at the free column is c
+            off = basis[:i] + [tuple(x * c for x in v)] + basis[i + 1:]
+            assert not matrices._certified(A, cols, off)
+            # one pivot entry off by c: the shape holds, A v = 0 does not
+            j = next(j for j in cols if v[j])
+            bent = list(v)
+            bent[j] = v[j] * c
+            assert not matrices._certified(A, cols, basis[:i] + [tuple(bent)] + basis[i + 1:])
+
+
+@pytest.mark.parametrize("ell", list(range(1, 13)) + [101])
+def test_each_prime_is_below_2_30_with_the_roots_of_phi(ell):
+    deg = FieldContext.root_of_unity(ell)._deg
+    below = 2 ** 30
+    for k in range(3):
+        p, roots, vinv = matrices._prime(ell, k)
+        assert p < below and (p - 1) % ell == 0
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+        below = p
+        assert len(set(roots)) == len(roots) == deg
+        for r in roots:  # of order exactly ell
+            assert [e for e in range(1, ell + 1) if pow(r, e, p) == 1] == [ell]
+        # vinv inverts the Vandermonde matrix (root e to the power t at (e, t))
+        columns = [[pow(r, s, p) for r in roots] for s in range(deg)]
+        for t, row in enumerate(vinv):
+            for s, column in enumerate(columns):
+                assert sum(map(operator.mul, row, column)) % p == (t == s)
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_an_echelon_form_too_large_for_one_prime_joins_several(ell, monkeypatch):
+    # about 20-bit entries over a rational pivot: each coefficient of the
+    # reduced echelon form has a numerator or denominator between 2^15 and
+    # 2^30, which one 62-bit prime held but one 30-bit prime cannot
+    ctx = FieldContext.root_of_unity(ell)
+    rng = random.Random(ell)
+    used = set()
+    real = matrices._prime
+    monkeypatch.setattr(matrices, "_prime", lambda ell, k: used.add(k) or real(ell, k))
+
+    def big():
+        return rng.choice((-1, 1)) * rng.randint(2 ** 19, 2 ** 20)
+
+    for ncols in (2, 3, 4):
+        pivot = ctx.rational(Fraction(big(), rng.randint(1, 9)))
+        A = QMatrix(ctx, [[pivot] + [QScalar(ctx, [big() for _ in range(ctx._deg)],
+                                             rng.randint(1, 9)) for _ in range(ncols - 1)]])
+        r, basis = exact_echelon(A)
+        height = max(max(abs(f.numerator), f.denominator) for v in basis for x in v
+                     for f in (Fraction(c, x.int_den[0]) for c in x.int_num))
+        assert 2 ** 15 < height < 2 ** 30
+        used.clear()
+        assert matrices._modular(A, A.nonzeros(), True) == (r, basis)
+        assert len(used) > 1

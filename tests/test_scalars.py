@@ -104,6 +104,18 @@ def test_inverse_and_division():
             assert (a / a) == ctx.one()
 
 
+@pytest.mark.parametrize("ell", [1, 2, 3, 5, 7, 8, 12])
+def test_a_rational_inverts_to_its_reciprocal(ell):
+    ctx = FieldContext.root_of_unity(ell)
+    rng = random.Random(ell)
+    for _ in range(40):
+        r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 30)),
+                     rng.randint(1, 10 ** rng.randint(1, 30)))
+        x = ctx.rational(r)
+        assert x.inverse() * x == ctx.one()
+        assert x.inverse() == ctx.rational(1 / r)
+
+
 def test_zero_division_raises():
     with pytest.raises(DivisionByZero):
         C3.one() / C3.zero()
