@@ -11,16 +11,14 @@ from .errors import (BadIndex, DegeneratePoint, DimensionMismatch,
 from .scalars import (FieldContext, INFINITE, QScalar, canonical_key,
                       cyclotomic_polynomial, format_scalar, parse_scalar,
                       q_equivalent, q_orbit, substitute_q_inverse)
-from .matrices import (QMatrix, char_poly, conjugate, direct_sum,
-                       eval_poly_at_matrix, inverse, kernel_basis, rank)
-from .jordan import (JordanSpec, QClass, block_jordan, check_partition,
-                     jordan_block, jordan_data, q_classes, realize,
-                     transpose_partition)
+from .matrices import (QMatrix, char_poly, conjugate, direct_sum, inverse,
+                       kernel_basis, rank)
+from .jordan import (JordanSpec, block_jordan, check_partition, jordan_block,
+                     jordan_data, realize, transpose_partition)
 from .chains import (ChainDecomposition, associated_sequence, chain_decompose,
                      partition_count, restricted_partition_count)
 from .commutant import (HomExtReport, MatrixPair, hom_ext, predicted_commutant_dim,
-                        q_layered, q_layered_block, qcommutant_basis,
-                        sylvester_operator)
+                        q_layered, qcommutant_basis, sylvester_operator)
 from .components import (ComponentIndex, count_ML, dim_component,
                          dim_component_via_CBS, enumerate_ML,
                          parametrization_jacobian_rank, sample_point,

@@ -5,8 +5,10 @@ to standard output.  Exit codes: 0 success, 2 invalid input or flags
 (including input too large for the recursion, index, listing or counting
 limits, or for memory),
 3 the input pair violates AB = qBA, 4 a spectrum could not be resolved in
-the coefficient field.  The default seed is 0, overridden by the
-QPLANE_SEED environment variable, overridden in turn by --seed.
+the coefficient field.  A reader that closes standard output early (as
+``| head`` does) ends the run with 0 and no message.  The default seed is 0,
+overridden by the QPLANE_SEED environment variable, overridden in turn by
+--seed.
 """
 
 import argparse
@@ -54,6 +56,7 @@ def _load_json(path: str):
 def _emit(obj) -> int:
     json.dump(obj, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # here, so that a closed pipe raises inside main
     return 0
 
 
@@ -220,6 +223,13 @@ def main(argv=None) -> int:
         return 2 if exit_err.code else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader stopped reading (`| head`): not an error.  Point stdout
+        # at the null device so that the interpreter's exit flush of what is
+        # left in its buffer stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except RelationViolated as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

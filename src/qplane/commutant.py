@@ -65,48 +65,13 @@ def q_layered(m: int, n: int, v, ctx=None) -> QMatrix:
     for x in v:
         if not isinstance(x, QScalar) or x.ctx is not ctx:
             raise MixedContext("layer vector entries must share one context")
-    return _layered(ctx, m, n, [QMatrix(ctx, [[x]]) for x in v], 1, 1)
-
-
-def q_layered_block(s: int, t: int, blocks, ctx=None) -> QMatrix:
-    """Block analogue of ``q_layered``: scalar slots become uniform blocks.
-
-    blocks is a vector of min(s, t) matrices of one common shape; slot (i, k)
-    of the layered pattern holds q^(i-1) times blocks[k].
-    """
-    if s < 0 or t < 0:
-        raise ValueError("block grid sides must be nonnegative")
-    blocks = list(blocks)
-    low = min(s, t)
-    if len(blocks) != low:
-        raise LengthMismatch(f"block vector needs length {low}, got {len(blocks)}")
-    if ctx is None:
-        if not blocks:
-            raise ValueError("cannot infer the context from an empty vector")
-        ctx = blocks[0].ctx
-    shape = (blocks[0].nrows, blocks[0].ncols) if blocks else (0, 0)
-    for blk in blocks:
-        if not isinstance(blk, QMatrix) or blk.ctx is not ctx:
-            raise MixedContext("blocks must share one context")
-        if (blk.nrows, blk.ncols) != shape:
-            raise LengthMismatch("blocks must all have the same shape")
-    return _layered(ctx, s, t, blocks, *shape)
-
-
-def _layered(ctx, s: int, t: int, blocks, br: int, bc: int) -> QMatrix:
-    """The s x t grid of br x bc blocks whose slot (i, j) holds q^i blocks[k]
-    for j = t - min(s, t) + i + k < t, and zero blocks elsewhere."""
     q = ctx.q()
-    low = len(blocks)
     entries = []
     scale = ctx.one()
-    for i in range(s):
-        for k in range(low - i):
-            j = t - low + i + k
-            entries.extend((i * br + r, j * bc + c, x * scale)
-                           for r, c, x in blocks[k].nonzeros())
+    for i in range(low):
+        entries.extend((i, n - low + i + k, v[k] * scale) for k in range(low - i))
         scale = scale * q
-    return QMatrix.sparse(ctx, s * br, t * bc, entries)
+    return QMatrix.sparse(ctx, m, n, entries)
 
 
 def sylvester_operator(L: QMatrix, R: QMatrix, c: QScalar) -> QMatrix:

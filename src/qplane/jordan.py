@@ -2,11 +2,7 @@
 
 A JordanSpec is a multiset of (eigenvalue, partition) pairs; realize() turns
 it into the block-diagonal Jordan matrix and jordan_data() inverts that up
-to similarity, using exact rank sequences.  q_classes() groups a spec's
-eigenvalues into q-equivalence classes with partitions aligned at the
-exponents 0, ..., ell-1 (descending powers of q from a chosen base): it is
-the aligned view for callers, and classify does not use it (it groups by
-``q_orbit`` keys and exponents directly).
+to similarity, using exact rank sequences.
 """
 
 from __future__ import annotations
@@ -311,80 +307,3 @@ def jordan_data(A: QMatrix, hint_eigenvalues=()) -> JordanSpec:
         steps = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
         blocks.append((lam, transpose_partition(steps)))
     return JordanSpec(ctx, blocks)
-
-
-# ---------------------------------------------------------------------------
-# q-equivalence classes of a spec
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QClass:
-    """One q-equivalence class of eigenvalues with aligned partitions.
-
-    ``base`` is None for the nilpotent class (partitions then has exactly
-    one entry: the partition of the 0-eigenvalue).  Otherwise partitions[i]
-    is the partition attached to base * q^(-i); empty tuples mark absent
-    eigenvalues.  For the root-of-unity regime the alignment always has
-    length ell; for the generic regime it spans the occupied exponent range.
-    """
-
-    base: QScalar | None
-    partitions: tuple
-
-    @property
-    def is_nilpotent(self) -> bool:
-        return self.base is None
-
-
-def q_classes(spec: JordanSpec, ctx: FieldContext):
-    """Group the eigenvalues of `spec` into q-classes, aligned as in the
-    column construction (base at exponent 0, then descending powers)."""
-    nilpotent = None
-    groups = {}  # q-orbit key -> [(exponent over the keyed member, eigenvalue, partition)]
-    for eigenvalue, partition in spec.blocks:
-        if eigenvalue.is_zero():
-            nilpotent = partition
-        else:
-            key, k = q_orbit(eigenvalue)
-            groups.setdefault(key, []).append((k, eigenvalue, partition))
-    classes = sorted((_align_group(group, ctx) for group in groups.values()),
-                     key=lambda cls: canonical_key(cls.base))
-    if nilpotent is not None:
-        classes.append(QClass(base=None, partitions=(nilpotent,)))
-    return classes
-
-
-def _align_group(group, ctx):
-    """Choose a base and produce the aligned partition tuple for one class.
-
-    Base rule: a member whose predecessor slot (base*q) is unoccupied, so
-    the base starts a maximal run; when the class occupies a full cycle
-    every slot is occupied and the member with the lexicographically
-    smallest canonical coefficient vector is used (ties likewise).
-    """
-    ell = ctx.ell
-    if ctx.is_generic:
-        # member = b * q^m, b the member that the orbit key names; base =
-        # the member with the largest exponent
-        top = max(m for m, _, _ in group)
-        span = top - min(m for m, _, _ in group) + 1
-        slots = [()] * span
-        base = None
-        for m, eigenvalue, partition in group:
-            slots[top - m] = partition
-            if m == top:
-                base = eigenvalue
-        return QClass(base=base, partitions=tuple(slots))
-    occupied = {m % ell for m, _, _ in group}
-    candidates = []
-    for m, eigenvalue, partition in group:
-        starts_run = ((m + 1) % ell) not in occupied
-        candidates.append((not starts_run, canonical_key(eigenvalue), m, eigenvalue))
-    candidates.sort()
-    base_exp, base = candidates[0][2], candidates[0][3]
-    slots = [()] * ell
-    for m, eigenvalue, partition in group:
-        # eigenvalue = base * q^(m - base_exp); slot k holds base * q^(-k)
-        slots[(base_exp - m) % ell] = partition
-    return QClass(base=base, partitions=tuple(slots))

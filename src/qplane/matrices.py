@@ -778,13 +778,3 @@ def _faddeev_leverrier(A: QMatrix):
         if k < n:
             AM = A * AM.shift(c)  # M_(k+1) = A M_k + c I
     return tuple(coeffs)
-
-
-def eval_poly_at_matrix(coeffs, A: QMatrix) -> QMatrix:
-    """Evaluate a little-endian QScalar polynomial at a square matrix."""
-    if not A.is_square():
-        raise NotSquare("polynomial evaluation needs a square matrix")
-    out = QMatrix.zero(A.ctx, A.nrows, A.nrows)
-    for c in reversed(list(coeffs)):
-        out = (out * A).shift(c)
-    return out

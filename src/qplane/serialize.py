@@ -17,7 +17,6 @@ from .commutant import MatrixPair
 from .components import ComponentIndex
 from .errors import ParseError
 from .git_quotient import GitIndex, TraceFingerprint
-from .jordan import JordanSpec
 from .matrices import QMatrix
 from .scalars import FieldContext, INFINITE, format_scalar, parse_scalar
 
@@ -145,34 +144,6 @@ def index_from_obj(obj, ell) -> ComponentIndex:
 
 def git_index_to_obj(idx: GitIndex):
     return {"p": idx.p, "m": idx.m, "r": idx.r}
-
-
-def spec_to_obj(spec: JordanSpec):
-    return {
-        "blocks": [
-            {"eigenvalue": format_scalar(lam), "partition": list(parts)}
-            for lam, parts in spec.blocks
-        ]
-    }
-
-
-def spec_from_obj(obj, ctx) -> JordanSpec:
-    if not isinstance(obj, dict) or not isinstance(obj.get("blocks"), list):
-        raise ParseError("Jordan data must be an object with a 'blocks' list")
-    blocks = []
-    for entry in obj["blocks"]:
-        if not isinstance(entry, dict):
-            raise ParseError("each block must be an object")
-        try:
-            lam_text, parts = entry["eigenvalue"], entry["partition"]
-        except KeyError as missing:
-            raise ParseError(f"block lacks key {missing}") from None
-        if not isinstance(parts, list):
-            raise ParseError("block 'partition' must be a list")
-        if not all(type(p) is int for p in parts):
-            raise ParseError("partition parts must be integers")
-        blocks.append((parse_scalar(lam_text, ctx), tuple(parts)))
-    return JordanSpec(ctx, blocks)
 
 
 def fingerprint_to_obj(fp: TraceFingerprint):

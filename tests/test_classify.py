@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from qplane import (ComponentIndex, FieldContext, INFINITE, JordanSpec,
                     MatrixPair, QMatrix, associated_sequence, classify,
-                    conjugate, enumerate_ML, jordan_block, q_classes,
-                    qcommutant_basis, rank, sample_point, transpose_partition)
+                    conjugate, enumerate_ML, jordan_block, qcommutant_basis,
+                    rank, sample_point, transpose_partition)
 from qplane import matrices
 
 GEN = FieldContext.generic()
@@ -93,24 +93,59 @@ def test_two_step_partitions():
 # the classifier against the per-column pipeline it replaced
 # ---------------------------------------------------------------------------
 
+GENERIC_SPAN = 6  # jordan_specs draws exponents 0..5 at ell = inf
+
+
+def aligned_classes(spec):
+    """The nonzero eigenvalues of spec in q-scaling classes, by brute force:
+    a joins the class of base when a * q^k == base for some k in range(ell),
+    or for some |k| < GENERIC_SPAN at ell = inf.  Each class is its list of
+    partitions, where slot k holds the partition of base * q^(-k) (empty if
+    that is no eigenvalue); at ell = inf the slots run from the least k to
+    the greatest."""
+    ctx = spec.ctx
+    q = ctx.q()
+    if ctx.ell is INFINITE:
+        shifts = range(1 - GENERIC_SPAN, GENERIC_SPAN)
+    else:
+        shifts = range(ctx.ell)
+    classes = []  # (base, {k: partition})
+    for eigenvalue, partition in spec.blocks:
+        if eigenvalue.is_zero():
+            continue
+        for base, slots in classes:
+            k = next((k for k in shifts if eigenvalue * q ** k == base), None)
+            if k is not None:
+                slots[k] = partition
+                break
+        else:
+            classes.append((eigenvalue, {0: partition}))
+    aligned = []
+    for _, slots in classes:
+        ks = shifts if ctx.ell is not INFINITE else range(min(slots), max(slots) + 1)
+        aligned.append([slots.get(k, ()) for k in ks])
+    return aligned
+
+
 def classify_by_column_sums(spec):
     """classify as a sum of one ComponentIndex per column of each nonzero
     class (through associated_sequence's dense count vector) and one per
     distinct nilpotent block size."""
     ell = spec.ctx.ell
     total = ComponentIndex(ell)
-    for cls in q_classes(spec, spec.ctx):
-        if cls.is_nilpotent:
-            for s, mult in sorted(Counter(cls.partitions[0]).items()):
-                if ell is INFINITE:
-                    block = ComponentIndex(ell, (), (0,) * (s - 1) + (mult,))
-                else:
-                    k, t = divmod(s, ell)
-                    block = ComponentIndex(ell, (0,) * (ell - 1) + (mult * k,),
-                                           () if t == 0 else (0,) * (t - 1) + (mult,))
-                total = total + block
+    for eigenvalue, partition in spec.blocks:
+        if not eigenvalue.is_zero():
             continue
-        transposed = [transpose_partition(p) for p in cls.partitions]
+        for s, mult in sorted(Counter(partition).items()):
+            if ell is INFINITE:
+                block = ComponentIndex(ell, (), (0,) * (s - 1) + (mult,))
+            else:
+                k, t = divmod(s, ell)
+                block = ComponentIndex(ell, (0,) * (ell - 1) + (mult * k,),
+                                       () if t == 0 else (0,) * (t - 1) + (mult,))
+            total = total + block
+    for partitions in aligned_classes(spec):
+        transposed = [transpose_partition(p) for p in partitions]
         width = max((len(t) for t in transposed), default=0)
         for j in range(width):
             counts = tuple(t[j] if j < len(t) else 0 for t in transposed)
@@ -125,7 +160,7 @@ def jordan_specs(draw):
     parts run past ell, so nilpotent blocks wrap and columns stack."""
     ell = draw(st.sampled_from([1, 2, 3, 4, 5, 6, INFINITE]))
     ctx = FieldContext.for_order(ell)
-    span = 6 if ell is INFINITE else ell
+    span = GENERIC_SPAN if ell is INFINITE else ell
     partitions = st.lists(st.integers(1, 2 * span + 1), min_size=1, max_size=3).map(
         lambda parts: sorted(parts, reverse=True))
     blocks = []

@@ -427,6 +427,25 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
     assert_clean_exit_two(capsys, ["count", "--ell", "3", "--n", "5"])
 
 
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly():
+    # as `qplane enumerate --ell 3 --n 12 | head -c 10`: the reader takes 10
+    # bytes and closes the pipe.  The n = 12 listing is 10753 bytes, which
+    # the pipe may hold whole; the n = 24 one is 98255 bytes, more than a
+    # 64 KiB pipe holds, so a write always meets the closed pipe.  Buffered,
+    # the last write is the flush; unbuffered, every chunk is written as made
+    for n in ("12", "24"):
+        for unbuffered in ("", "1"):
+            env = dict(src_env(), PYTHONUNBUFFERED=unbuffered)
+            child = subprocess.Popen(
+                [sys.executable, "-m", "qplane.cli", "enumerate", "--ell", "3", "--n", n],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            assert child.stdout.read(10) == b'{"componen'
+            child.stdout.close()
+            stderr = child.stderr.read()
+            assert child.wait(timeout=60) == 0, stderr
+            assert stderr == b""
+
+
 def test_sample_draws_bases_past_the_small_rationals(tmp_path):
     # 60 one-by-one summands need 60 pairwise non-q-equivalent bases, more
     # than the 55 rationals num/den with 1 <= num, den <= 9

@@ -6,8 +6,8 @@ import pytest
 from qplane import (FieldContext, HomExtReport, JordanSpec, LengthMismatch, MatrixPair,
                     MixedContext, NotSquare, QMatrix, RelationViolated,
                     block_jordan, conjugate, direct_sum, hom_ext, jordan_block,
-                    predicted_commutant_dim, q_layered, q_layered_block,
-                    qcommutant_basis, rank, realize, sylvester_operator)
+                    predicted_commutant_dim, q_layered, qcommutant_basis, rank,
+                    realize, sylvester_operator)
 
 GEN = FieldContext.generic()
 C2 = FieldContext.root_of_unity(2)
@@ -88,42 +88,32 @@ def test_q_layered_intertwines_jordan_blocks():
         assert lhs == rhs.scale(q)
 
 
-def test_q_layered_is_the_block_version_with_one_by_one_blocks():
+def test_q_layered_places_q_to_the_i_times_v_k_on_shifted_diagonals():
+    # the placement rule written out: entry (i, n - min(m, n) + i + k) is
+    # q^i v_k for i + k < min(m, n), and every other entry is zero
     rng = random.Random(2)
-    q = C3.q()
-    for m, n in [(1, 1), (2, 2), (1, 3), (3, 1), (3, 5), (5, 3), (4, 4)]:
-        v = [C3.rational(rng.randint(-2, 2)) * q ** rng.randint(0, 2) for _ in range(min(m, n))]
-        L = q_layered(m, n, v)
-        assert (L.nrows, L.ncols) == (m, n)
-        assert L == q_layered_block(m, n, [QMatrix(C3, [[x]]) for x in v])
+    for ctx in (C3, GEN):
+        q = ctx.q()
+        for m, n in [(1, 1), (2, 2), (1, 3), (3, 1), (3, 5), (5, 3), (4, 4)]:
+            low = min(m, n)
+            v = [ctx.rational(rng.randint(-2, 2)) * q ** rng.randint(0, 2) for _ in range(low)]
+            rows = [[ctx.zero()] * n for _ in range(m)]
+            for i in range(low):
+                for k in range(low - i):
+                    rows[i][n - low + i + k] = q ** i * v[k]
+            L = q_layered(m, n, v)
+            assert (L.nrows, L.ncols) == (m, n)
+            assert L == QMatrix(ctx, rows)
 
 
 def test_q_layered_keeps_its_degenerate_shapes():
-    # with no layers q_layered keeps its m x n shape; q_layered_block has
-    # no block shape to repeat and gives 0 x 0
+    # with no layers q_layered keeps its m x n shape
     def shape(M):
         return (M.nrows, M.ncols)
 
     for k in range(4):
         assert shape(q_layered(k, 0, [], ctx=GEN)) == (k, 0)
         assert shape(q_layered(0, k, [], ctx=GEN)) == (0, k)
-        assert shape(q_layered_block(k, 0, [], ctx=GEN)) == (0, 0)
-        assert shape(q_layered_block(0, k, [], ctx=GEN)) == (0, 0)
-
-
-def test_q_layered_block_intertwines():
-    rng = random.Random(1)
-    q = C3.q()
-    a = C3.rational(2)
-    for s, t, r1, r2 in [(2, 2, 2, 3), (3, 2, 2, 2), (2, 3, 3, 2)]:
-        blocks = []
-        for _ in range(min(s, t)):
-            blocks.append(QMatrix.from_rational_rows(
-                C3, [[rng.randint(-3, 3) for _ in range(r2)] for _ in range(r1)]))
-        L = q_layered_block(s, t, blocks)
-        lhs = block_jordan(C3, s, r1, a) * L
-        rhs = L * block_jordan(C3, t, r2, a / q)
-        assert lhs == rhs.scale(q)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, MixedContext,
                     QMatrix, QScalar, block_jordan, char_poly, check_partition, conjugate,
-                    direct_sum, jordan_block, jordan_data, q_classes, q_equivalent,
-                    q_orbit, rank, realize, transpose_partition)
+                    direct_sum, jordan_block, jordan_data, q_orbit, rank, realize,
+                    transpose_partition)
 from qplane import jordan, matrices, poly
 
 C3 = FieldContext.root_of_unity(3)
@@ -527,68 +527,3 @@ def test_round_trip_random_specs():
             continue
         spec = JordanSpec(ctx, blocks)
         assert jordan_data(realize(spec)) == spec
-
-
-# ---------------------------------------------------------------------------
-# q_classes
-# ---------------------------------------------------------------------------
-
-def test_q_classes_inequivalent_eigenvalues_split():
-    spec = JordanSpec(C3, [(C3.rational(2), [1]), (C3.rational(3), [1])])
-    classes = q_classes(spec, C3)
-    assert len(classes) == 2
-    assert all(not cls.is_nilpotent for cls in classes)
-
-
-def test_q_classes_orbit_groups_with_nilpotent_tail():
-    q = C3.q()
-    a = C3.rational(2)
-    spec = JordanSpec(C3, [(a, [2]), (a / q, [1]), (C3.zero(), [1])])
-    classes = q_classes(spec, C3)
-    assert len(classes) == 2
-    cls = classes[0]
-    assert cls.base == a
-    assert cls.partitions == ((2,), (1,), ())
-    assert classes[1].is_nilpotent
-    assert classes[1].partitions == ((1,),)
-
-
-def test_q_classes_base_at_order_two():
-    c2 = FieldContext.root_of_unity(2)
-    spec = JordanSpec(c2, [(c2.one(), [1]), (c2.rational(-1), [1])])
-    classes = q_classes(spec, c2)
-    assert len(classes) == 1
-    assert classes[0].base == c2.one()
-    assert classes[0].partitions == ((1,), (1,))
-
-
-def test_q_classes_generic_span():
-    q = GEN.q()
-    three = GEN.rational(3)
-    spec = JordanSpec(GEN, [(three * q ** 5, [1]), (three * q ** 2, [2])])
-    classes = q_classes(spec, GEN)
-    assert len(classes) == 1
-    cls = classes[0]
-    assert cls.base == three * q ** 5
-    assert cls.partitions == ((1,), (), (), (2,))
-
-
-def test_q_classes_bases_pairwise_inequivalent():
-    rng = random.Random(4)
-    for _ in range(20):
-        ell = rng.choice([2, 3, 4, 5])
-        ctx = FieldContext.root_of_unity(ell)
-        q = ctx.q()
-        blocks = {}
-        for _ in range(rng.randint(1, 4)):
-            value = ctx.rational(rng.randint(1, 6)) * q ** rng.randint(0, ell - 1)
-            blocks[value] = [rng.randint(1, 3)]
-        spec = JordanSpec(ctx, list(blocks.items()))
-        classes = q_classes(spec, ctx)
-        bases = [cls.base for cls in classes if not cls.is_nilpotent]
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                assert q_equivalent(bases[i], bases[j]) is None
-        # every input block lands in exactly one class
-        placed = sum(sum(1 for p in cls.partitions if p) for cls in classes)
-        assert placed == len(spec.blocks)

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from qplane import (DimensionMismatch, FieldContext, MixedContext, NotSquare, QMatrix,
                     QScalar, SingularConjugator, char_poly, conjugate, direct_sum,
-                    eval_poly_at_matrix, inverse, kernel_basis, rank,
-                    substitute_q_inverse)
+                    inverse, kernel_basis, rank, substitute_q_inverse)
 from qplane import matrices
 
 C3 = FieldContext.root_of_unity(3)
@@ -365,6 +364,15 @@ def test_every_operation_matches_a_dense_reference(case):
         ident = [[ctx.one() if i == j else zero for j in range(m)] for i in range(m)]
         assert ref_mul(ctx, s, as_grid(inv), m) == ident
         check_stored(inv, as_grid(inv), m, m)
+
+
+def eval_poly_at_matrix(coeffs, A):
+    """The little-endian polynomial coeffs evaluated at the square matrix A,
+    by Horner's rule: the Cayley-Hamilton oracle for char_poly."""
+    out = QMatrix.zero(A.ctx, A.nrows, A.nrows)
+    for c in reversed(list(coeffs)):
+        out = (out * A).shift(c)
+    return out
 
 
 def test_eval_poly_at_matrix_takes_int_coefficients():

@@ -16,13 +16,12 @@ from fractions import Fraction
 
 import pytest
 
-from qplane import (EigenvaluesNotFound, FieldContext, INFINITE, JordanSpec,
-                    MatrixPair, QMatrix, QScalar, canonical_key, chain_decompose,
-                    classify, conjugate, enumerate_ML, format_scalar, hom_ext,
-                    jordan_data, q_classes, qcommutant_basis, sample_point,
-                    semisimplify, trace_fingerprint)
+from qplane import (EigenvaluesNotFound, FieldContext, INFINITE, MatrixPair,
+                    QMatrix, QScalar, canonical_key, chain_decompose, classify,
+                    conjugate, enumerate_ML, format_scalar, hom_ext, jordan_data,
+                    qcommutant_basis, sample_point, semisimplify, trace_fingerprint)
 from qplane.serialize import (fingerprint_to_obj, index_to_obj, matrix_to_obj,
-                              pair_to_obj, spec_to_obj)
+                              pair_to_obj)
 
 ORDERS = (2, 3, 5, INFINITE)
 
@@ -88,16 +87,22 @@ def random_scalar(ctx, rng):
     return out
 
 
+def spec_to_obj(spec):
+    """A JordanSpec as JSON: its blocks in order, each eigenvalue as a
+    canonical scalar string beside its partition."""
+    return {
+        "blocks": [
+            {"eigenvalue": format_scalar(lam), "partition": list(parts)}
+            for lam, parts in spec.blocks
+        ]
+    }
+
+
 def spec_record(A):
     try:
         return spec_to_obj(jordan_data(A))
     except EigenvaluesNotFound as err:
         return f"EigenvaluesNotFound: {err}"
-
-
-def classes_record(spec, ctx):
-    return [[None if cls.base is None else format_scalar(cls.base),
-             [list(p) for p in cls.partitions]] for cls in q_classes(spec, ctx)]
 
 
 def chains_record(elements):
@@ -123,25 +128,6 @@ def category_jordan(ell):
     ctx = FieldContext.for_order(ell)
     mats = [pair.A for pair in dense_pairs(ell, 4)] + companions(ctx)
     return [spec_record(A) for A in mats]
-
-
-def category_q_classes(ell):
-    ctx = FieldContext.for_order(ell)
-    rng = random.Random(11)
-    specs = [jordan_data(pair.A) for _, _, pair in samples(ell, 4)]
-    for _ in range(30):
-        base = ctx.rational(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
-        blocks, used = [], []
-        for _ in range(rng.randint(1, 4)):
-            lam = base * ctx.q_power(rng.randint(-4, 4)) if rng.random() < 0.8 \
-                else ctx.rational(rng.randint(-3, 3))
-            if any(lam == x for x in used):
-                continue
-            used.append(lam)
-            blocks.append((lam, sorted((rng.randint(1, 3) for _ in range(rng.randint(1, 2))),
-                                       reverse=True)))
-        specs.append(JordanSpec(ctx, blocks))
-    return [classes_record(spec, ctx) for spec in specs]
 
 
 def category_chains(ell):
@@ -202,7 +188,6 @@ CATEGORIES = {
     "sample": category_sample,
     "classify": category_classify,
     "jordan_data": category_jordan,
-    "q_classes": category_q_classes,
     "chain_decompose": category_chains,
     "fingerprints": category_fingerprints,
     "commutant": category_commutant,
@@ -230,10 +215,6 @@ DIGESTS = {  # recorded at e42da4d
     ("jordan_data", 3): "d13ee9e9c463e117ab2af04a223add2a694da27b09e9f236ec733672e1bee7f7",
     ("jordan_data", 5): "85fc6f08134e4d1b266e68f6750f6b567d7a9b8ba0205ca94d5003031a0981c1",
     ("jordan_data", INFINITE): "8066842d156cb436fe785f931b60f67fb8e8afe3adf984b99f3eb435b593e94a",
-    ("q_classes", 2): "4ea39e4b3da7910b02807f94f7382058f7ec2919c39e63dd146be5852aa6cdcb",
-    ("q_classes", 3): "44756d7e5bfeb00e90aeb741724225aa50cd99bd75af025963a4e0e6819933cd",
-    ("q_classes", 5): "9cff30dd93bb14c8547c0da91178dbc09e3d45abc731fc9bb5675604c9b187a2",
-    ("q_classes", INFINITE): "0e999a8438239687bf83c3d5246c122c7b29c05c2aa7c45710132e028184b3a0",
     ("chain_decompose", 2): "7083e3099363982bdb6e4d62e9ef8cc7d86cae1e50d2fad5e65f99234993a6fb",
     ("chain_decompose", 3): "f0e1b45ce9f53a1af2f3a62443ff3e9e50ee309cf80fc0633dffe3a8215fd5c9",
     ("chain_decompose", 5): "6a3a25e805a9f595e5aca8d915d01d8a99ea788f4c91be7dacd00436d53c34e6",

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from qplane import (ComponentIndex, DivisionByZero, FieldContext, INFINITE,
-                    JordanSpec, MatrixPair, ParseError, QMatrix, RelationViolated,
-                    format_scalar, jordan_block, parse_scalar, q_layered,
-                    sample_point, trace_fingerprint)
+                    MatrixPair, ParseError, QMatrix, RelationViolated, format_scalar,
+                    jordan_block, parse_scalar, q_layered, sample_point,
+                    trace_fingerprint)
 from qplane.serialize import (ell_from_obj, ell_to_obj, fingerprint_to_obj,
                               git_index_to_obj, index_from_obj, index_to_obj,
                               matrix_from_obj, matrix_to_obj, pair_from_obj,
-                              pair_to_obj, spec_from_obj, spec_to_obj)
+                              pair_to_obj)
 
 GEN = FieldContext.generic()
 C3 = FieldContext.root_of_unity(3)
@@ -105,24 +105,6 @@ def test_git_index_to_obj():
     assert git_index_to_obj(GitIndex(1, 2, 0)) == {"p": 1, "m": 2, "r": 0}
 
 
-def test_spec_round_trip():
-    q = C3.q()
-    spec = JordanSpec(C3, [(C3.rational(2), [2, 1]), (C3.rational(2) / q, [1]),
-                           (C3.zero(), [3])])
-    obj = spec_to_obj(spec)
-    assert set(obj) == {"blocks"}
-    assert all(set(block) == {"eigenvalue", "partition"} for block in obj["blocks"])
-    assert spec_from_obj(json.loads(json.dumps(obj)), C3) == spec
-
-
-def test_spec_containers_must_be_lists():
-    # each once raised "'int' object is not iterable"
-    with pytest.raises(ParseError, match="^Jordan data must be an object with a 'blocks' list$"):
-        spec_from_obj({"blocks": 5}, C3)
-    with pytest.raises(ParseError, match="^block 'partition' must be a list$"):
-        spec_from_obj({"blocks": [{"eigenvalue": "1", "partition": 3}]}, C3)
-
-
 def test_a_boolean_is_not_an_integer():
     # isinstance(True, int) holds, so each of these once read true as 1
     with pytest.raises(ParseError):
@@ -135,8 +117,6 @@ def test_a_boolean_is_not_an_integer():
         index_from_obj({"m": [True, 0], "r": [0]}, 2)
     with pytest.raises(ParseError, match="^'r' must map sizes >= 1 to integer counts$"):
         index_from_obj({"m": {}, "r": {"1": True}}, INFINITE)
-    with pytest.raises(ParseError, match="^partition parts must be integers$"):
-        spec_from_obj({"blocks": [{"eigenvalue": "1", "partition": [True]}]}, C3)
 
 
 def test_fingerprint_shape():
