@@ -54,8 +54,8 @@ def _load_json(path: str):
 
 
 def _emit(obj) -> int:
-    json.dump(obj, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    # one write: json.dump writes each encoder chunk (a system call each, unbuffered)
+    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
     sys.stdout.flush()  # here, so that a closed pipe raises inside main
     return 0
 

@@ -7,14 +7,15 @@ to similarity, using exact rank sequences.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import poly
+from . import matrices, poly
 from .errors import EigenvaluesNotFound, MixedContext, NotSquare
-from .matrices import QMatrix, char_poly, diagonal_blocks, direct_sum, rank
+from .matrices import QMatrix, diagonal_blocks, direct_sum, rank
 from .scalars import FieldContext, QScalar, canonical_key, q_orbit
 
 # ---------------------------------------------------------------------------
@@ -123,40 +124,38 @@ def realize(spec: JordanSpec) -> QMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _divisors(n: int):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
-
-
 def rational_roots(coeffs):
     """All rational roots of a nonzero polynomial with int or Fraction
-    coefficients."""
+    coefficients.  A root a/b of the squarefree integer part s, in lowest
+    terms, has |a|, b <= B = max(|s(0)|, lc(s)).  Modulo the least prime p
+    that does not divide lc(s) and at which every root of s is simple, a/b
+    is one of those roots.  Newton's iteration lifts each past 2 B^2, where
+    Wang's reconstruction leaves one candidate, which a division checks
+    exactly (Loos, SIAM J. Comput. 1983): time polynomial in the bits."""
     coeffs = poly.trim(tuple(coeffs))
     if not coeffs:
         raise ValueError("rational_roots needs a nonzero polynomial")
-    roots = set()
     low = next(i for i, c in enumerate(coeffs) if c)
-    if low:
-        roots.add(Fraction(0))
-        coeffs = coeffs[low:]
-    if len(coeffs) <= 1:
-        return roots
-    # clear denominators
+    roots = {Fraction(0)} if low else set()
     denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
-    for p in _divisors(ints[0]):
-        for s in _divisors(ints[-1]):
-            for cand in (Fraction(p, s), Fraction(-p, s)):
-                if cand not in roots and not poly.div_linear(ints, cand)[1]:
-                    roots.add(cand)
+    f = tuple(int(c * denom_lcm) for c in coeffs[low:])
+    s = poly.div_exact(f, poly.primitive_gcd(f, tuple(j * c for j, c in enumerate(f))[1:]))
+    ds = tuple(j * c for j, c in enumerate(s))[1:]
+    p, bound = 1, max(abs(s[0]), abs(s[-1]))
+    while True:
+        p += 1
+        if s[-1] % p and matrices._is_prime(p):
+            lifts = [x for x in range(p) if not poly.div_linear(s, x)[1] % p]
+            if all(poly.div_linear(ds, x)[1] % p for x in lifts):
+                break
+    m = p
+    while lifts and m <= 2 * bound * bound:
+        m *= m
+        lifts = [(x - poly.div_linear(s, x)[1] * pow(poly.div_linear(ds, x)[1], -1, m)) % m
+                 for x in lifts]
+    for pair in filter(None, (matrices._ratrec(x, m, bound) for x in lifts)):
+        if not poly.div_linear(s, Fraction(*pair))[1]:
+            roots.add(Fraction(*pair))
     return roots
 
 
@@ -262,7 +261,7 @@ def _discover_roots(cofactor, ctx, hints, found):
     return roots
 
 
-def jordan_data(A: QMatrix, hint_eigenvalues=()) -> JordanSpec:
+def jordan_data(A: QMatrix) -> JordanSpec:
     """Recover the Jordan specification of A from exact rank sequences.
 
     The number of blocks of size >= k at eigenvalue lam equals
@@ -280,19 +279,18 @@ def jordan_data(A: QMatrix, hint_eigenvalues=()) -> JordanSpec:
     if n == 0:
         return JordanSpec(ctx, ())
     # a 1x1 block [a] of A's block triangular form is the eigenvalue a; the
-    # others are the roots of the char poly of the larger blocks, which is
-    # that of the principal submatrix on their rows and columns
+    # others are the roots of the product of the larger blocks' char polys,
+    # and the diagonal entries are cheap extra candidates for them
     blocks = diagonal_blocks(A)
     found = Counter(A[b[0], b[0]] for b in blocks if len(b) == 1)
-    rest = sorted(i for b in blocks if len(b) > 1 for i in b)
-    cofactor = char_poly(A if len(rest) == n else A.submatrix(rest, rest))
-    hints = [*hint_eigenvalues, *(A[i, i] for i in range(n))]  # cheap extras
-    roots = _discover_roots(cofactor, ctx, hints, found)
+    cofactor = functools.reduce(poly.mul, [
+        matrices._faddeev_leverrier(A if len(b) == n else A.submatrix(b, b))
+        for b in blocks if len(b) > 1], (ctx.one(),))
+    roots = _discover_roots(cofactor, ctx, [A[i, i] for i in range(n)], found)
     covered = sum(roots.values())
     if covered != n:
         raise EigenvaluesNotFound(
-            f"only {covered} of {n} dimensions of the spectrum were resolved "
-            "in the field; pass hint_eigenvalues for the rest")
+            f"only {covered} of {n} dimensions of the spectrum were resolved in the field")
     blocks = []
     for lam in roots:
         if roots[lam] == 1:

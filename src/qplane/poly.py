@@ -50,7 +50,7 @@ def mul(a, b):
 
 def div_linear(a, x):
     """(quotient, remainder) of a by y - x, by synthetic division; the
-    remainder is the scalar a(x).  a must be nonconstant."""
+    remainder is the scalar a(x), and the quotient () for a constant a != ()."""
     quot = [None] * (len(a) - 1)
     acc = a[-1]
     for k in range(len(a) - 2, -1, -1):

@@ -273,10 +273,8 @@ def _canonical(n, d, coprime=False):
     caller knows n and d share no factor of positive degree."""
     if not n:
         return (), _ONE
-    if not coprime and len(n) > 1 and len(d) > 1:
-        g = poly.primitive_gcd(n, d)
-        if len(g) > 1:
-            n, d = poly.div_exact(n, g), poly.div_exact(d, g)
+    if not coprime:
+        n, d = _cancel(n, d)
     c = math.gcd(*n, *d)
     if d[-1] < 0:
         c = -c

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -127,30 +128,35 @@ def aligned_classes(spec):
     return aligned
 
 
+def add_counts(u, v):
+    """The entrywise sum of two count vectors, the shorter padded with 0."""
+    return tuple(a + b for a, b in zip_longest(u, v, fillvalue=0))
+
+
 def classify_by_column_sums(spec):
-    """classify as a sum of one ComponentIndex per column of each nonzero
-    class (through associated_sequence's dense count vector) and one per
-    distinct nilpotent block size."""
+    """classify as the sum of the count vectors (m, r) of each column of each
+    nonzero class (through associated_sequence's dense count vector) and of
+    each distinct nilpotent block size."""
     ell = spec.ctx.ell
-    total = ComponentIndex(ell)
+    m, r = (), ()
     for eigenvalue, partition in spec.blocks:
         if not eigenvalue.is_zero():
             continue
         for s, mult in sorted(Counter(partition).items()):
             if ell is INFINITE:
-                block = ComponentIndex(ell, (), (0,) * (s - 1) + (mult,))
+                r = add_counts(r, (0,) * (s - 1) + (mult,))
             else:
                 k, t = divmod(s, ell)
-                block = ComponentIndex(ell, (0,) * (ell - 1) + (mult * k,),
-                                       () if t == 0 else (0,) * (t - 1) + (mult,))
-            total = total + block
+                m = add_counts(m, (0,) * (ell - 1) + (mult * k,))
+                if t:
+                    r = add_counts(r, (0,) * (t - 1) + (mult,))
     for partitions in aligned_classes(spec):
         transposed = [transpose_partition(p) for p in partitions]
         width = max((len(t) for t in transposed), default=0)
         for j in range(width):
             counts = tuple(t[j] if j < len(t) else 0 for t in transposed)
-            total = total + ComponentIndex(ell, associated_sequence(counts, ell), ())
-    return total
+            m = add_counts(m, associated_sequence(counts, ell))
+    return ComponentIndex(ell, m, r)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -5,6 +6,8 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from qplane import (FieldContext, JordanSpec, MatrixPair, QMatrix, conjugate,
                     jordan_block, predicted_commutant_dim, q_layered, realize)
@@ -16,6 +19,8 @@ from qplane import ComponentIndex, classify, sample_point
 
 GEN = FieldContext.generic()
 C3 = FieldContext.root_of_unity(3)
+ONE = {"rows": 1, "cols": 1, "entries": [["1"]]}  # a matrix document
+PAIR = {"field": {"type": "cyclotomic", "ell": 3}, "A": ONE, "B": ONE}
 
 
 def src_env():
@@ -246,12 +251,17 @@ def test_chains_rejects_bad_counts(capsys):
     capsys.readouterr()
 
 
-def assert_clean_exit_two(capsys, argv):
+def assert_clean_exit_two(capsys, argv, message=None):
+    """Exit 2 with nothing on stdout and one error line on stderr, which is
+    `error: message` when a message is given."""
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+    assert out == ""
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 def test_enumerate_past_the_recursion_limit_exits_two(capsys):
@@ -312,6 +322,19 @@ def test_classify_with_exponents_near_ten_thousand_answers_in_time(tmp_path):
     done = run_cli_bounded("classify", "--input", str(path), timeout=10)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"m": {"8": 1}, "n": 8, "r": {}}
+
+
+def test_classify_of_a_large_integer_spectrum_answers_in_time(tmp_path):
+    # A = conjugate([[1, 1], [1, 2]], diag(10^12, 10^12 + 1)) at ell 3, as
+    # in the CI step: trial division of its char poly's constant coefficient
+    # gave no answer within 5 s
+    entries = [["999999999999", "1"], ["-2", "1000000000002"]]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(dict(PAIR, A=dict(ONE, rows=2, cols=2, entries=entries),
+                                    B=dict(ONE, rows=2, cols=2, entries=[["0"] * 2] * 2))))
+    done = run_cli_bounded("classify", "--input", str(path), timeout=5)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == '{"m": [2, 0, 0], "n": 2, "r": [0, 0]}\n'
 
 
 def test_enumerate_bounds_its_output_before_building_it():
@@ -504,6 +527,81 @@ def test_matrices_of_different_sizes_exit_two(capsys, tmp_path):
     for command in ("classify", "invariants"):
         assert main([command, "--input", str(path)]) == 2
         assert capsys.readouterr().err == "error: sizes differ: 1 vs 2\n"
+
+
+def matrix_doc(field, text):
+    return {"field": field, "rows": 1, "cols": 1, "entries": [[text]]}
+
+
+REFUSALS = {  # name: (subcommand, its file flag, document, the message)
+    "pair_not_an_object": ("classify", "--input", [1], "pair must be a JSON object"),
+    "pair_without_B": ("classify", "--input", {"field": PAIR["field"], "A": ONE},
+                       "pair object lacks the 'B' key"),
+    "matrix_not_an_object": ("commutant", "--input", [], "matrix must be a JSON object"),
+    "matrix_without_field": ("commutant", "--input", ONE,
+                             "matrix object needs a 'field' key"),
+    "matrix_without_entries": ("commutant", "--input", {"field": {"type": "generic_q"},
+                                                        "rows": 1, "cols": 1},
+                               "matrix object lacks key 'entries'"),
+    "index_not_an_object": ("sample", "--index", [1], "component index must be a JSON object"),
+    "field_without_type": ("classify", "--input", dict(PAIR, field={"ell": 3}),
+                           "field context must be an object with a 'type' key"),
+    "field_of_unknown_type": ("classify", "--input", dict(PAIR, field={"type": "padic"}),
+                              "unknown field context type 'padic'"),
+    "empty_scalar": ("commutant", "--input", matrix_doc(PAIR["field"], ""),
+                     "empty scalar expression (at position 0)"),
+    "leading_plus": ("commutant", "--input", matrix_doc(PAIR["field"], "+1"),
+                     "unexpected leading '+' (at position 0)"),
+    "zero_denominator": ("commutant", "--input", matrix_doc({"type": "generic_q"}, "(1)/(0)"),
+                         "zero denominator polynomial"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_a_malformed_document_is_refused_with_one_line(capsys, tmp_path, name):
+    command, flag, document, message = REFUSALS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    argv = [command, flag, str(path)] + (["--ell", "3"] if command == "sample" else [])
+    assert_clean_exit_two(capsys, argv, message)
+
+
+def test_invalid_json_and_a_non_integer_seed_are_refused_with_one_line(
+        capsys, tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text("{")
+    with pytest.raises(json.JSONDecodeError) as decode_error:
+        json.loads("{")
+    assert_clean_exit_two(capsys, ["classify", "--input", str(path)],
+                          f"{path} is not valid JSON: {decode_error.value}")
+    path.write_text(json.dumps({"m": [1, 0], "r": [0]}))
+    monkeypatch.setenv("QPLANE_SEED", "x")
+    assert_clean_exit_two(capsys, ["sample", "--ell", "3", "--index", str(path)],
+                          "QPLANE_SEED must be an integer, got 'x'")
+
+
+def test_the_document_is_written_in_one_call(monkeypatch):
+    # json.dump wrote the 10753-byte listing in 4745 chunks, each a system
+    # call of its own under PYTHONUNBUFFERED=1
+    class CountingStdout:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    fake = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", fake)
+    assert main(["enumerate", "--ell", "3", "--n", "12"]) == 0
+    assert len(fake.writes) == 1
+    text = fake.writes[0]
+    assert len(text) == 10753 and text.endswith("\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "aad3cb20b926ba3edf3f3d7af30854b0eb8abcc90242231815d84b3673b6b072")
 
 
 def test_import_loads_only_the_standard_library():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -165,13 +169,6 @@ def test_jordan_data_irrational_spectrum_raises():
         jordan_data(A)
 
 
-def test_jordan_data_accepts_hints():
-    A = QMatrix.from_rational_rows(C3, [[0, 2], [1, 0]])
-    # still unfindable even with an unrelated hint
-    with pytest.raises(EigenvaluesNotFound):
-        jordan_data(A, hint_eigenvalues=[C3.rational(7)])
-
-
 def test_jordan_data_mixed_q_orbit():
     q = GEN.q()
     a = GEN.rational(3)
@@ -202,6 +199,97 @@ def test_jordan_data_finds_q_twisted_roots():
     assert any(not A.rows[i][j].is_zero() for i in range(2) for j in range(2) if i != j)
     spec = JordanSpec(C3, [(lam, [1]) for lam in lams])
     assert jordan_data(A) == spec
+
+
+def test_jordan_data_keeps_the_diagonal_hints_of_one_dense_block():
+    # P diag(1 + 2q, 2, 3) P^-1 is one strongly connected block whose
+    # corner entry is 1 + 2q: no rational times a power of q, so no residual
+    # has it, and only the diagonal hint M[0, 0] finds it
+    q, r = C3.q(), C3.rational
+    P = QMatrix.from_rational_rows(C3, [[-2, -2, 0], [1, 0, 1], [-1, 2, -1]])
+    lams = [r(1) + r(2) * q, r(2), r(3)]
+    M = conjugate(P, QMatrix.diagonal(C3, lams))
+    assert matrices.diagonal_blocks(M) == [[0, 1, 2]] and M[0, 0] == lams[0]
+    assert jordan_data(M) == JordanSpec(C3, [(lam, [1]) for lam in lams])
+
+
+def test_jordan_data_decomposes_its_matrix_once(monkeypatch):
+    # the cofactor is the product of the larger blocks' char polys, taken
+    # on the one block triangular form jordan_data already has
+    calls = []
+    original = matrices.diagonal_blocks
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(matrices, "diagonal_blocks", counting)
+    monkeypatch.setattr(jordan, "diagonal_blocks", counting)
+    r = C3.rational
+    dense = conjugate(QMatrix.from_rational_rows(C3, [[1, 1], [1, 2]]),
+                      QMatrix.diagonal(C3, [r(5), r(7)]))
+    A = direct_sum(dense, jordan_block(C3, 2, r(3)), dense)
+    spec = JordanSpec(C3, [(r(3), [2]), (r(5), [1, 1]), (r(7), [1, 1])])
+    assert jordan_data(A) == spec
+    assert len(calls) == 1
+
+
+def sympy_rational_roots(coeffs):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rows = [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
+    return {Fraction(int(r.p), int(r.q))
+            for r in sympy.Poly(rows, x, domain="QQ").ground_roots()}
+
+
+ROOTS = st.one_of(st.just(Fraction(0)), st.integers(-40, 40).map(Fraction),
+                  st.fractions(-20, 20, max_denominator=12),
+                  st.integers(-10 ** 30, 10 ** 30).map(Fraction))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ROOTS, max_size=5), st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+       st.fractions(-9, 9, max_denominator=7).filter(bool), st.booleans())
+def test_rational_roots_match_sympy(roots, extra, lead, repeat):
+    # repeated, zero and Fraction roots, magnitudes up to 10^30, times an
+    # integer factor that usually has no rational root
+    p = (lead,)
+    for root in roots + roots[:2 * repeat]:
+        p = poly.mul(p, (-root, Fraction(1)))
+    extra = poly.trim(tuple(Fraction(c) for c in extra)) or (Fraction(1),)
+    p = poly.mul(p, extra)
+    if all(c.denominator == 1 for c in p):
+        p = tuple(int(c) for c in p)
+    found = jordan.rational_roots(p)
+    assert found == sympy_rational_roots(p)
+    assert found >= set(roots)
+
+
+def test_jordan_data_of_large_integer_spectra_answers_in_time():
+    # conjugate([[1, 1], [1, 2]], diag(10^e, 10^e + 1)) at ell 3: the
+    # diagonal hints are no eigenvalues, and trial division of the constant
+    # coefficient took over a second at e = 7 and did not end at e = 12
+    script = """
+import time
+from qplane import FieldContext, JordanSpec, QMatrix, conjugate, jordan_data
+ctx = FieldContext.root_of_unity(3)
+g = QMatrix.from_rational_rows(ctx, [[1, 1], [1, 2]])
+for e in (12, 40):
+    lams = [ctx.rational(10 ** e), ctx.rational(10 ** e + 1)]
+    A = conjugate(g, QMatrix.diagonal(ctx, lams))
+    start = time.perf_counter()
+    spec = jordan_data(A)
+    print(time.perf_counter() - start)
+    assert spec == JordanSpec(ctx, [(lam, [1]) for lam in lams])
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    seconds = [float(line) for line in done.stdout.split()]
+    assert len(seconds) == 2 and max(seconds) < 1.0, seconds
 
 
 @settings(max_examples=40, deadline=None)
@@ -449,8 +537,7 @@ def test_jordan_data_reports_how_much_of_a_partial_spectrum_it_resolved(case):
     with pytest.raises(EigenvaluesNotFound) as err:
         jordan_data(A)
     assert str(err.value) == (
-        f"only {covered} of {n} dimensions of the spectrum were resolved "
-        "in the field; pass hint_eigenvalues for the rest")
+        f"only {covered} of {n} dimensions of the spectrum were resolved in the field")
 
 
 def test_jordan_block_is_the_block_jordan_of_multiplicity_one():

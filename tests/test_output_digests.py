@@ -211,10 +211,12 @@ DIGESTS = {  # recorded at e42da4d
     ("classify", 3): "ed3940c574acd04fa8523eacaad6b0f2014938e71056813b825b8d06f3b7bc8f",
     ("classify", 5): "27374ea62bf3377b0f8a1f68df84d83cd505f1f74c3a9a899c98ebfcdb105c93",
     ("classify", INFINITE): "77e21aa9ba75d2208b80e5de4bedb714bee48eda14d8d6fc0d1f053d4c28ad88",
-    ("jordan_data", 2): "cf6bdcc0fc98494e1212717846b0811afc59ee7b3674d1dd33fcda8d33c5bfaf",
-    ("jordan_data", 3): "d13ee9e9c463e117ab2af04a223add2a694da27b09e9f236ec733672e1bee7f7",
-    ("jordan_data", 5): "85fc6f08134e4d1b266e68f6750f6b567d7a9b8ba0205ca94d5003031a0981c1",
-    ("jordan_data", INFINITE): "8066842d156cb436fe785f931b60f67fb8e8afe3adf984b99f3eb435b593e94a",
+    # re-recorded when "; pass hint_eigenvalues for the rest" was dropped
+    # from the EigenvaluesNotFound message; nothing else in them changed
+    ("jordan_data", 2): "8892b5a17a9cb9cd129ba8ca532b2f034eff2c34c5e9076d54ac88c8f4becfd7",
+    ("jordan_data", 3): "d676c6d5e1cc3df7946c642abbbd25d0e2f18bca36438302765bd6d2b03d3974",
+    ("jordan_data", 5): "c16687f907fc13821090eb98a8c241a8eb876b7ccc96a355b84d0ce4d86d056a",
+    ("jordan_data", INFINITE): "4c9dbaed2af621702d2d59afce73eb71786e20ce8d7cd4da9276e17fa30771cd",
     ("chain_decompose", 2): "7083e3099363982bdb6e4d62e9ef8cc7d86cae1e50d2fad5e65f99234993a6fb",
     ("chain_decompose", 3): "f0e1b45ce9f53a1af2f3a62443ff3e9e50ee309cf80fc0633dffe3a8215fd5c9",
     ("chain_decompose", 5): "6a3a25e805a9f595e5aca8d915d01d8a99ea788f4c91be7dacd00436d53c34e6",
