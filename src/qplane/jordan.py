@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import matrices, poly
+from . import matrices, modular, poly
 from .errors import EigenvaluesNotFound, MixedContext, NotSquare
 from .matrices import QMatrix, diagonal_blocks, direct_sum, rank
 from .scalars import FieldContext, QScalar, canonical_key, q_orbit
@@ -144,7 +144,7 @@ def rational_roots(coeffs):
     p, bound = 1, max(abs(s[0]), abs(s[-1]))
     while True:
         p += 1
-        if s[-1] % p and matrices._is_prime(p):
+        if s[-1] % p and modular.is_prime(p):
             lifts = [x for x in range(p) if not poly.div_linear(s, x)[1] % p]
             if all(poly.div_linear(ds, x)[1] % p for x in lifts):
                 break
@@ -153,7 +153,7 @@ def rational_roots(coeffs):
         m *= m
         lifts = [(x - poly.div_linear(s, x)[1] * pow(poly.div_linear(ds, x)[1], -1, m)) % m
                  for x in lifts]
-    for pair in filter(None, (matrices._ratrec(x, m, bound) for x in lifts)):
+    for pair in filter(None, (modular.ratrec(x, m, bound) for x in lifts)):
         if not poly.div_linear(s, Fraction(*pair))[1]:
             roots.add(Fraction(*pair))
     return roots

@@ -15,7 +15,7 @@ import functools
 import math
 from fractions import Fraction
 
-from . import poly
+from . import modular, poly
 from .errors import DimensionMismatch, MixedContext, NotSquare, SingularConjugator
 from .scalars import FieldContext, QScalar, _lowest
 
@@ -362,83 +362,11 @@ def _kernel_of(pivots, ncols, ctx):
 # exact elimination builds large intermediate values.  So the form is
 # computed mod 30-bit primes p = 1 (mod ell), where Phi_ell splits into
 # linear factors: once per root of Phi_ell mod p, each root giving one ring
-# map Z[zeta][1/d] -> F_p.  Below 2^30 every residue is one CPython digit,
-# so y + f x mod p costs about a third of its time at 62 bits (CPython 3.11).
-# Vandermonde interpolation over the roots gives the coefficients of each
-# entry mod p, CRT joins the primes and Wang's rational reconstruction
-# lifts them to Q (Encarnacion, JSC 1995; Monagan, ISSAC 2004).  Nothing is
-# returned unless ``_certified`` proves it exact.
-
-_PRIME_TOP = 2 ** 30
-_PRIMES = {}  # ell -> [(p, roots of Phi_ell mod p, inverse Vandermonde)], grown on use
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the primes up to 41 as bases: exact below 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if n < 2:
-        return False
-    for b in bases:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime(ell: int, k: int):
-    """The k-th largest prime p = 1 (mod ell) below 2^30, the roots of
-    Phi_ell mod p, and the inverse of their Vandermonde matrix mod p; None
-    when there are fewer than k + 1 such primes."""
-    table = _PRIMES.setdefault(ell, [])
-    while len(table) <= k:
-        t = ((table[-1][0] if table else _PRIME_TOP) - 2) // ell
-        while t > 0 and not _is_prime(t * ell + 1):
-            t -= 1
-        if t <= 0:
-            return None
-        p = t * ell + 1
-        factors = [r for r in range(2, ell + 1) if ell % r == 0 and _is_prime(r)]
-        g = 2
-        while any(pow(g, (p - 1) // r, p) == 1 for r in factors):
-            g += 1
-        h = pow(g, (p - 1) // ell, p)  # of order exactly ell
-        roots = [pow(h, e, p) for e in range(1, ell + 1) if math.gcd(e, ell) == 1]
-        deg = len(roots)
-        vander = [{**{t: pow(x, t, p) for t in range(deg)}, deg + e: 1}
-                  for e, x in enumerate(roots)]
-        inverse_rows = [[row.get(deg + e, 0) for e in range(deg)]
-                        for _, row in _rref(vander, 2 * deg, _mod_field(p))]
-        table.append((p, roots, inverse_rows))
-    return table[k]
-
-
-def _ratrec(u: int, m: int, bound: int):
-    """Wang's rational reconstruction: (a, b) with a = b u (mod m), |a| and
-    0 < b at most bound, gcd(a, b) = 1; None when there is no such pair.
-    With 2 bound^2 <= m the pair is unique."""
-    r0, r1, s0, s1 = m, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 < 0:
-        r1, s1 = -r1, -s1
-    if s1 > bound or math.gcd(r1, s1) != 1:
-        return None
-    return r1, s1
-
+# map Z[zeta][1/d] -> F_p.  Vandermonde interpolation over the roots gives
+# the coefficients of each entry mod p, CRT joins the primes and Wang's
+# rational reconstruction lifts them to Q (Encarnacion, JSC 1995; Monagan,
+# ISSAC 2004); ``modular`` supplies the primes, their roots and the
+# reconstruction.  Nothing is returned unless ``_certified`` proves it exact.
 
 def _certified(A: QMatrix, pivot_cols, basis) -> bool:
     """Whether basis is provably the reduced-echelon kernel basis of A and
@@ -502,7 +430,7 @@ def _prime_budget(A: QMatrix, entries) -> int:
     a row rescaled by its denominators, and its inverse brings in the norm,
     a product of deg such embeddings.  Twice those bits, for numerator and
     denominator, bound the modulus rational reconstruction needs; each
-    prime, above 2^29, brings at least 29 of them."""
+    prime, above PRIME_TOP / 2, brings at least log2(PRIME_TOP) - 1."""
     deg = A.ctx._deg
     r = min(A.nrows, A.ncols)
     dens = {}
@@ -511,7 +439,7 @@ def _prime_budget(A: QMatrix, entries) -> int:
     top = max((max(map(abs, x.int_num)).bit_length() + dens[i] for i, _, x in entries),
               default=0)
     bits = 2 * deg * r * (top + (r * deg).bit_length()) + 2
-    return bits // 29 + 2
+    return bits // (modular.PRIME_TOP.bit_length() - 2) + 2
 
 
 def _echelons_mod(entries, nrows, ncols, p, roots):
@@ -552,7 +480,7 @@ def _modular(A: QMatrix, entries, want_basis: bool):
     modulus, residues, joined = 1, [], 0
     budget = _prime_budget(A, entries)
     for k in range(budget):
-        table = _prime(ctx.ell, k)
+        table = modular.cyclotomic_prime(ctx.ell, k)
         if table is None:
             break
         p, roots, vinv = table
@@ -604,7 +532,7 @@ def _rebuild(ctx, cols, slots, residues, modulus):
     deg = ctx._deg
     rows = [{} for _ in cols]
     for s, (e, f) in enumerate(slots):
-        fracs = [_ratrec(u, modulus, bound) for u in residues[s * deg:(s + 1) * deg]]
+        fracs = [modular.ratrec(u, modulus, bound) for u in residues[s * deg:(s + 1) * deg]]
         if None in fracs:
             return None
         if any(a for a, _ in fracs):

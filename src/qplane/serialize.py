@@ -137,9 +137,10 @@ def index_to_obj(idx: ComponentIndex):
 def index_from_obj(obj, ell) -> ComponentIndex:
     if not isinstance(obj, dict):
         raise ParseError("component index must be a JSON object")
-    m = _counts_from_obj(obj.get("m", []), "m")
-    r = _counts_from_obj(obj.get("r", []), "r")
-    return ComponentIndex(ell, m, r)
+    for key in ("m", "r"):
+        if key not in obj:
+            raise ParseError(f"component index lacks the '{key}' key")
+    return ComponentIndex(ell, *(_counts_from_obj(obj[key], key) for key in ("m", "r")))
 
 
 def git_index_to_obj(idx: GitIndex):

@@ -544,6 +544,11 @@ REFUSALS = {  # name: (subcommand, its file flag, document, the message)
                                                         "rows": 1, "cols": 1},
                                "matrix object lacks key 'entries'"),
     "index_not_an_object": ("sample", "--index", [1], "component index must be a JSON object"),
+    "index_without_keys": ("sample", "--index", {}, "component index lacks the 'm' key"),
+    "index_with_a_misspelt_key": ("sample", "--index", {"M": [1, 0, 0], "r": [0, 0]},
+                                  "component index lacks the 'm' key"),
+    "index_without_r": ("sample", "--index", {"m": [1, 0, 0]},
+                        "component index lacks the 'r' key"),
     "field_without_type": ("classify", "--input", dict(PAIR, field={"ell": 3}),
                            "field context must be an object with a 'type' key"),
     "field_of_unknown_type": ("classify", "--input", dict(PAIR, field={"type": "padic"}),

@@ -1,6 +1,4 @@
 import copy
-import math
-import operator
 import pickle
 import random
 from fractions import Fraction
@@ -12,7 +10,7 @@ from hypothesis import strategies as st
 from qplane import (DimensionMismatch, FieldContext, MixedContext, NotSquare, QMatrix,
                     QScalar, SingularConjugator, char_poly, conjugate, direct_sum,
                     inverse, kernel_basis, rank, substitute_q_inverse)
-from qplane import matrices
+from qplane import matrices, modular
 
 C3 = FieldContext.root_of_unity(3)
 GEN = FieldContext.generic()
@@ -822,8 +820,8 @@ def test_modular_elimination_joins_several_primes_for_large_entries(ell, monkeyp
     # 110-bit entries give reduced-echelon entries of hundreds of bits: one
     # 30-bit prime cannot hold them, and what it reconstructs is wrong
     used = set()
-    real = matrices._prime
-    monkeypatch.setattr(matrices, "_prime", lambda ell, k: used.add(k) or real(ell, k))
+    real = modular.cyclotomic_prime
+    monkeypatch.setattr(modular, "cyclotomic_prime", lambda ell, k: used.add(k) or real(ell, k))
     for seed, (nrows, ncols) in enumerate(((1, 2), (1, 3), (2, 3), (3, 4))):
         A = large_entry_matrix(ell, nrows, ncols, seed)
         used.clear()
@@ -834,7 +832,7 @@ def test_modular_elimination_joins_several_primes_for_large_entries(ell, monkeyp
 @pytest.mark.parametrize("ell", [1, 2, 3, 5])
 def test_modular_elimination_skips_unlucky_primes(ell, monkeypatch):
     ctx = FieldContext.root_of_unity(ell)
-    p, roots, _ = matrices._prime(ell, 0)
+    p, roots, _ = modular.cyclotomic_prime(ell, 0)
     one = ctx.one()
     # a pivot that vanishes mod the first prime: under its one embedding
     # over Q, or under some but not all embeddings over Q(zeta)
@@ -869,13 +867,13 @@ def test_a_sabotaged_reconstruction_is_rejected_and_falls_back(monkeypatch):
     assert matrices._use_modular(A, len(A.nonzeros()))
     r, basis = exact_echelon(A)
     assert len(basis) == 5
-    real = matrices._ratrec
+    real = modular.ratrec
 
     def off_by_one(u, m, bound):
         got = real(u, m, bound)
         return got and (got[0] + 1, got[1])
 
-    monkeypatch.setattr(matrices, "_ratrec", off_by_one)
+    monkeypatch.setattr(modular, "ratrec", off_by_one)
     assert matrices._modular(A, A.nonzeros(), True) is None
     assert kernel_basis(A) == basis
     assert rank(A) == r == 3
@@ -935,25 +933,6 @@ def test_the_certificate_scales_away_denominators():
             assert not matrices._certified(A, cols, basis[:i] + [tuple(bent)] + basis[i + 1:])
 
 
-@pytest.mark.parametrize("ell", list(range(1, 13)) + [101])
-def test_each_prime_is_below_2_30_with_the_roots_of_phi(ell):
-    deg = FieldContext.root_of_unity(ell)._deg
-    below = 2 ** 30
-    for k in range(3):
-        p, roots, vinv = matrices._prime(ell, k)
-        assert p < below and (p - 1) % ell == 0
-        assert all(p % d for d in range(2, math.isqrt(p) + 1))
-        below = p
-        assert len(set(roots)) == len(roots) == deg
-        for r in roots:  # of order exactly ell
-            assert [e for e in range(1, ell + 1) if pow(r, e, p) == 1] == [ell]
-        # vinv inverts the Vandermonde matrix (root e to the power t at (e, t))
-        columns = [[pow(r, s, p) for r in roots] for s in range(deg)]
-        for t, row in enumerate(vinv):
-            for s, column in enumerate(columns):
-                assert sum(map(operator.mul, row, column)) % p == (t == s)
-
-
 @pytest.mark.parametrize("ell", [1, 3])
 def test_an_echelon_form_too_large_for_one_prime_joins_several(ell, monkeypatch):
     # about 20-bit entries over a rational pivot: each coefficient of the
@@ -962,8 +941,8 @@ def test_an_echelon_form_too_large_for_one_prime_joins_several(ell, monkeypatch)
     ctx = FieldContext.root_of_unity(ell)
     rng = random.Random(ell)
     used = set()
-    real = matrices._prime
-    monkeypatch.setattr(matrices, "_prime", lambda ell, k: used.add(k) or real(ell, k))
+    real = modular.cyclotomic_prime
+    monkeypatch.setattr(modular, "cyclotomic_prime", lambda ell, k: used.add(k) or real(ell, k))
 
     def big():
         return rng.choice((-1, 1)) * rng.randint(2 ** 19, 2 ** 20)

@@ -100,6 +100,13 @@ def test_index_bad_keys_rejected():
         index_from_obj({"m": "nope", "r": []}, 2)
 
 
+def test_an_index_without_m_or_r_is_refused():
+    # both keys were read as empty counts, so {} was the empty index
+    for obj, key in (({}, "m"), ({"M": [1, 0, 0], "r": [0, 0]}, "m"), ({"m": [1, 0, 0]}, "r")):
+        with pytest.raises(ParseError, match=f"^component index lacks the '{key}' key$"):
+            index_from_obj(obj, 3)
+
+
 def test_git_index_to_obj():
     from qplane import GitIndex
     assert git_index_to_obj(GitIndex(1, 2, 0)) == {"p": 1, "m": 2, "r": 0}
