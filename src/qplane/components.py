@@ -346,6 +346,7 @@ def parametrization_jacobian_rank(kind: str, i: int, ell, seed=0) -> int:
     """
     if kind not in ("D", "N"):
         raise ValueError("kind must be 'D' or 'N'")
+    ell = _order(ell)
     if i < 1:
         raise BadIndex("block size must be at least 1")
     if kind == "D" and i > ell:

@@ -130,29 +130,14 @@ def _trace_of_product(nonzeros, Y: QMatrix):
     return Y.ctx.zero() if total is None else total
 
 
-def _axis_traces(pows, N: int):
-    """Tr(X^k) for 1 <= k <= N; X^N is read as X^(N-1) X when not built."""
-    X = pows[1]
-    out = []
-    for k in range(1, N + 1):
-        if k < len(pows):
-            out.append(pows[k].trace())
-        else:
-            out.append(_trace_of_product(pows[k - 1].nonzeros(), X))
-    return out
-
-
 def _block_traces(A: QMatrix, B: QMatrix, N: int, lattice):
     """(i, j, Tr(A^i B^j)) on the axes (exactly one of i, j zero, the other
     at most N) and at the lattice points, from the powers of A and B."""
-    # the lattice is symmetric in i and j; the axes need powers up to N - 1
-    top = max([N - 1, *lattice])
-    a_pows = _powers(A, top)
-    b_pows = _powers(B, top)
-    for i, t in enumerate(_axis_traces(a_pows, N), 1):
-        yield i, 0, t
-    for j, t in enumerate(_axis_traces(b_pows, N), 1):
-        yield 0, j, t
+    a_pows = _powers(A, N)
+    b_pows = _powers(B, N)
+    for k in range(1, N + 1):
+        yield k, 0, a_pows[k].trace()
+        yield 0, k, b_pows[k].trace()
     for i, js in lattice.items():
         nonzeros = a_pows[i].nonzeros()
         for j in js:
@@ -214,8 +199,6 @@ def trace_fingerprint(pair: MatrixPair, N=None) -> TraceFingerprint:
         if len(block) == 1:
             k = block[0]
             terms = _scalar_traces(A[k, k], B[k, k], N, lattice)
-        elif len(block) == pair.size:
-            terms = _block_traces(A, B, N, lattice)
         else:
             terms = _block_traces(A.submatrix(block, block), B.submatrix(block, block),
                                   N, lattice)

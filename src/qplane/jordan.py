@@ -7,7 +7,6 @@ to similarity, using exact rank sequences.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from fractions import Fraction
 
 from . import matrices, modular, poly
 from .errors import EigenvaluesNotFound, MixedContext, NotSquare
-from .matrices import QMatrix, diagonal_blocks, direct_sum, rank
+from .matrices import QMatrix, direct_sum, rank
 from .scalars import FieldContext, QScalar, canonical_key, q_orbit
 
 # ---------------------------------------------------------------------------
@@ -276,17 +275,11 @@ def jordan_data(A: QMatrix) -> JordanSpec:
         raise NotSquare("jordan_data needs a square matrix")
     n = A.nrows
     ctx = A.ctx
-    if n == 0:
-        return JordanSpec(ctx, ())
     # a 1x1 block [a] of A's block triangular form is the eigenvalue a; the
     # others are the roots of the product of the larger blocks' char polys,
     # and the diagonal entries are cheap extra candidates for them
-    blocks = diagonal_blocks(A)
-    found = Counter(A[b[0], b[0]] for b in blocks if len(b) == 1)
-    cofactor = functools.reduce(poly.mul, [
-        matrices._faddeev_leverrier(A if len(b) == n else A.submatrix(b, b))
-        for b in blocks if len(b) > 1], (ctx.one(),))
-    roots = _discover_roots(cofactor, ctx, [A[i, i] for i in range(n)], found)
+    entries, cofactor = matrices._block_char_poly(A)
+    roots = _discover_roots(cofactor, ctx, [A[i, i] for i in range(n)], Counter(entries))
     covered = sum(roots.values())
     if covered != n:
         raise EigenvaluesNotFound(

@@ -677,19 +677,23 @@ def diagonal_blocks(A: QMatrix, *others: QMatrix):
 
 def char_poly(A: QMatrix):
     """Monic characteristic polynomial det(xI - A), little-endian QScalar
-    list: the product over the blocks of ``diagonal_blocks(A)`` of (-a, 1)
-    for a 1x1 block [a] and of Faddeev-LeVerrier on a larger block (on A
-    itself when A is one block)."""
+    list: the product over the blocks of ``diagonal_blocks(A)`` of x - a
+    for a 1x1 block [a] and of a larger block's char poly, from
+    ``_block_char_poly``."""
     if not A.is_square():
         raise NotSquare("char_poly needs a square matrix")
-    parts = []
-    for block in diagonal_blocks(A):
-        if len(block) == 1:
-            parts.append((-A[block[0], block[0]], A.ctx.one()))
-        else:
-            parts.append(_faddeev_leverrier(
-                A if len(block) == A.nrows else A.submatrix(block, block)))
-    return list(functools.reduce(poly.mul, parts or [(A.ctx.one(),)]))
+    entries, product = _block_char_poly(A)
+    return list(functools.reduce(poly.mul, [(-a, A.ctx.one()) for a in entries], product))
+
+
+def _block_char_poly(A: QMatrix):
+    """The entries of the 1x1 blocks of ``diagonal_blocks(A)``, and the
+    product of the larger blocks' char polys by Faddeev-LeVerrier, as a
+    tuple: det(xI - A) is that product times x - a for each entry a."""
+    blocks = diagonal_blocks(A)
+    product = functools.reduce(poly.mul, [_faddeev_leverrier(A.submatrix(b, b))
+                                          for b in blocks if len(b) > 1], (A.ctx.one(),))
+    return [A[b[0], b[0]] for b in blocks if len(b) == 1], product
 
 
 def _faddeev_leverrier(A: QMatrix):

@@ -115,7 +115,6 @@ class FieldContext:
     def __init__(self, ell):
         self.ell = ell
         self.is_generic = ell is INFINITE
-        self._zero = self._one = None  # built on first use; scalars are immutable
         self._deg = 0
         self._powers = self._reduction = self._conjugators = ()
         if not self.is_generic:
@@ -137,6 +136,8 @@ class FieldContext:
             self._reduction = tuple(powers[(deg + k) % ell] for k in range(deg - 1))
             # the nontrivial Galois automorphisms q -> q^k, k a unit mod ell
             self._conjugators = tuple(k for k in range(2, ell) if math.gcd(k, ell) == 1)
+        # shared by every caller: scalars are immutable
+        self._zero, self._one = self.rational(0), self.rational(1)
 
     # -- construction -------------------------------------------------------
 
@@ -206,13 +207,9 @@ class FieldContext:
     # -- scalar factories ---------------------------------------------------
 
     def zero(self) -> "QScalar":
-        if self._zero is None:
-            self._zero = self.rational(0)
         return self._zero
 
     def one(self) -> "QScalar":
-        if self._one is None:
-            self._one = self.rational(1)
         return self._one
 
     def rational(self, value) -> "QScalar":
@@ -475,8 +472,6 @@ class QScalar:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        if other == 1:  # 1 / x: the inverse, without a product by one
-            return self.inverse()
         o = self._coerce(other)
         if o is None:
             return NotImplemented

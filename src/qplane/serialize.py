@@ -18,7 +18,7 @@ from .components import ComponentIndex
 from .errors import ParseError
 from .git_quotient import GitIndex, TraceFingerprint
 from .matrices import QMatrix
-from .scalars import FieldContext, INFINITE, format_scalar, parse_scalar
+from .scalars import FieldContext, INFINITE, _order, format_scalar, parse_scalar
 
 
 def ell_to_obj(ell):
@@ -106,7 +106,10 @@ def _counts_to_obj(counts, dense):
     return {str(i + 1): c for i, c in enumerate(counts) if c}
 
 
-def _counts_from_obj(value, what):
+def _counts_from_obj(value, what, largest):
+    """The count tuple of a dense list or a sparse {size: count} object,
+    whose keys must read as index_to_obj writes them; a size above the
+    largest the order allows is refused before any tuple is built."""
     if isinstance(value, list):
         if not all(type(c) is int for c in value):
             raise ParseError(f"'{what}' entries must be integers")
@@ -117,9 +120,14 @@ def _counts_from_obj(value, what):
             try:
                 size = int(key)
             except (TypeError, ValueError):
-                raise ParseError(f"'{what}' keys must be integer block sizes") from None
-            if size < 1 or type(c) is not int:
+                size = 0
+            if size < 1 or key != str(size):
+                raise ParseError(f"'{what}' keys must be block sizes >= 1 in decimal, got {key!r}")
+            if type(c) is not int:
                 raise ParseError(f"'{what}' must map sizes >= 1 to integer counts")
+            if size > largest:
+                raise ParseError(f"'{what}' has a block size {size} above {largest}, "
+                                 "the largest at this order")
             counts[size] = c
         top = max(counts, default=0)
         return tuple(counts.get(i, 0) for i in range(1, top + 1))
@@ -140,7 +148,9 @@ def index_from_obj(obj, ell) -> ComponentIndex:
     for key in ("m", "r"):
         if key not in obj:
             raise ParseError(f"component index lacks the '{key}' key")
-    return ComponentIndex(ell, *(_counts_from_obj(obj[key], key) for key in ("m", "r")))
+    ell = _order(ell)  # INFINITE - 1 is INFINITE
+    return ComponentIndex(ell, _counts_from_obj(obj["m"], "m", ell),
+                          _counts_from_obj(obj["r"], "r", ell - 1))
 
 
 def git_index_to_obj(idx: GitIndex):

@@ -549,6 +549,16 @@ REFUSALS = {  # name: (subcommand, its file flag, document, the message)
                                   "component index lacks the 'm' key"),
     "index_without_r": ("sample", "--index", {"m": [1, 0, 0]},
                         "component index lacks the 'r' key"),
+    # int() read each of these keys, so "01" overwrote "1" and "1_0" was 10
+    "index_with_a_duplicate_size_key": ("sample", "--index", {"m": {"1": 1, "01": 2}, "r": {}},
+                                        "'m' keys must be block sizes >= 1 in decimal, got '01'"),
+    "index_with_a_signed_key": ("sample", "--index", {"m": {"+1": 1}, "r": {}},
+                                "'m' keys must be block sizes >= 1 in decimal, got '+1'"),
+    "index_with_an_underscored_key": ("sample", "--index", {"m": {}, "r": {"1_0": 1}},
+                                      "'r' keys must be block sizes >= 1 in decimal, got '1_0'"),
+    "index_with_a_block_above_the_order": (
+        "sample", "--index", {"m": {}, "r": {"3": 1}},
+        "'r' has a block size 3 above 2, the largest at this order"),
     "field_without_type": ("classify", "--input", dict(PAIR, field={"ell": 3}),
                            "field context must be an object with a 'type' key"),
     "field_of_unknown_type": ("classify", "--input", dict(PAIR, field={"type": "padic"}),
@@ -569,6 +579,17 @@ def test_a_malformed_document_is_refused_with_one_line(capsys, tmp_path, name):
     path.write_text(json.dumps(document))
     argv = [command, flag, str(path)] + (["--ell", "3"] if command == "sample" else [])
     assert_clean_exit_two(capsys, argv, message)
+
+
+def test_a_sparse_key_above_the_order_is_refused_before_any_counts_are_built(tmp_path):
+    # the dense counts up to the key were built before the order was checked:
+    # 1.9 s for the key 10^7, minutes for 10^9
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps({"m": {"1000000000": 1}, "r": {}}))
+    done = run_cli_bounded("sample", "--ell", "3", "--index", str(path), timeout=5)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: 'm' has a block size 1000000000 above 3, "
+                           "the largest at this order\n")
 
 
 def test_invalid_json_and_a_non_integer_seed_are_refused_with_one_line(

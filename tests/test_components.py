@@ -114,6 +114,14 @@ def test_count_ML_rejects_an_invalid_order(ell):
             count_ML(ell, n)
 
 
+@pytest.mark.parametrize("ell", BAD_ORDERS)
+def test_parametrization_jacobian_rank_rejects_an_invalid_order(ell):
+    # these failed three ways: ValueError, TypeError, or a BadIndex on sizes
+    for kind in ("D", "N"):
+        with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+            parametrization_jacobian_rank(kind, 1, ell)
+
+
 @pytest.mark.parametrize("ell", [True, False])
 def test_a_bool_is_not_an_order_of_an_index(ell):
     # ComponentIndex(True, (1,), ()) once kept ell = True
@@ -122,6 +130,8 @@ def test_a_bool_is_not_an_order_of_an_index(ell):
     for f in (enumerate_ML, count_ML):
         with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
             f(ell, 3)
+    with pytest.raises(BadIndex, match="the order must be a positive integer or INFINITE"):
+        parametrization_jacobian_rank("D", 1, ell)
 
 
 def test_an_order_equal_to_infinite_is_the_infinite_order():

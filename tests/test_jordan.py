@@ -224,7 +224,6 @@ def test_jordan_data_decomposes_its_matrix_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(matrices, "diagonal_blocks", counting)
-    monkeypatch.setattr(jordan, "diagonal_blocks", counting)
     r = C3.rational
     dense = conjugate(QMatrix.from_rational_rows(C3, [[1, 1], [1, 2]]),
                       QMatrix.diagonal(C3, [r(5), r(7)]))

@@ -95,9 +95,22 @@ def test_index_sparse_accepted_for_finite_order():
 
 def test_index_bad_keys_rejected():
     with pytest.raises(ParseError):
-        index_from_obj({"m": {"zero": 1}, "r": {}}, INFINITE)
-    with pytest.raises(ParseError):
         index_from_obj({"m": "nope", "r": []}, 2)
+    # a key must read as index_to_obj writes it: int() read each of these,
+    # so "01" overwrote "1" and "1_0" was size 10
+    for key in ("01", "+1", " 2", "1_0", "0", "-1", "zero", 1):
+        with pytest.raises(ParseError, match="^'m' keys must be block sizes >= 1 in decimal, got"):
+            index_from_obj({"m": {"1": 1, key: 2}, "r": {}}, INFINITE)
+    assert index_from_obj({"m": {"10": 1}, "r": {}}, INFINITE).m == (0,) * 9 + (1,)
+    # at a finite order a size above it is refused before any counts are built
+    for obj, what, size, largest in (({"m": {"4": 1}, "r": {}}, "m", 4, 3),
+                                     ({"m": {}, "r": {"3": 1}}, "r", 3, 2),
+                                     ({"m": {str(10 ** 13): 1}, "r": {}}, "m", 10 ** 13, 3)):
+        with pytest.raises(ParseError, match=f"^'{what}' has a block size {size} above {largest}, "
+                                             "the largest at this order$"):
+            index_from_obj(obj, 3)
+    idx = index_from_obj({"m": {"3": 1}, "r": {"2": 1}}, 3)
+    assert idx == ComponentIndex(3, (0, 0, 1), (0, 1))
 
 
 def test_an_index_without_m_or_r_is_refused():
