@@ -262,36 +262,23 @@ def direct_sum(*matrices: QMatrix) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination: one sparse Gauss-Jordan, over QScalars or over ints mod p
+# elimination: sparse Gauss-Jordan over QScalars, packed Gauss-Jordan mod p
 # ---------------------------------------------------------------------------
 
-def _fma(y, f, x):
-    return y + f * x
-
-
-def _exact_field(ctx):
-    """The field operations ``_rref`` uses, on the QScalars of ctx:
-    (one, negation, inverse, product, fma) with fma(y, f, x) = y + f x."""
-    return ctx.one(), QScalar.__neg__, QScalar.inverse, QScalar.__mul__, _fma
-
-
-def _mod_field(p):
-    """The same operations on the integers 0 .. p-1 modulo the prime p."""
-    return (1, lambda a: p - a, lambda a: pow(a, -1, p),
-            lambda a, b: a * b % p, lambda y, f, x: (y + f * x) % p)
-
-
-def _rref(rows, ncols, field):
-    """Reduce sparse rows (dicts column -> nonzero entry) in place to the
-    reduced row echelon form by Gauss-Jordan; return the pivot rows as
-    (column, row) pairs in column order.
+def _rref(rows, ncols, ctx):
+    """Reduce sparse rows (dicts column -> nonzero QScalar of ctx) in place
+    to the reduced row echelon form by Gauss-Jordan; return the pivot rows
+    as (column, row) pairs in column order.
 
     A column index (column -> rows with a nonzero there) finds the rows to
     clear without scanning zeros.  Of the rows that can pivot a column, the
     one with the fewest nonzeros is taken, which limits fill; the reduced
-    form does not depend on that choice.
+    form does not depend on that choice.  Each distinct pivot value is
+    inverted once per call: a Jordan-form operator repeats a few values on
+    many pivots, and over Q(zeta_ell) an inverse costs a norm.
     """
-    one, neg, inv, mul, fma = field
+    one = ctx.one()
+    inverses = {}  # (int_num, int_den) -> the inverse, for this call only
     where = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j in row:
@@ -307,22 +294,26 @@ def _rref(rows, ncols, field):
         r = min(candidates, key=lambda i: (len(rows[i]), i))
         used[r] = True
         prow = rows[r]
-        s = inv(prow.pop(c))
-        items = [(j, mul(x, s)) for j, x in prow.items()]
+        v = prow.pop(c)
+        key = (v.int_num, v.int_den)
+        s = inverses.get(key)
+        if s is None:
+            s = inverses[key] = v.inverse()
+        items = [(j, x * s) for j, x in prow.items()]
         prow[c] = one
         prow.update(items)
         for i in where[c]:
             if i == r:
                 continue
             row = rows[i]
-            f = neg(row.pop(c))
+            f = -row.pop(c)
             for j, x in items:
                 y = row.get(j)
                 if y is None:
-                    row[j] = mul(f, x)
+                    row[j] = f * x
                     where[j].add(i)
                 else:
-                    y = fma(y, f, x)
+                    y = y + f * x
                     if y:
                         row[j] = y
                     else:
@@ -330,6 +321,61 @@ def _rref(rows, ncols, field):
                         where[j].discard(i)
         pivots.append((c, prow))
     return pivots
+
+
+def _rref_mod(rows, ncols, p):
+    """The reduced row echelon form mod the prime p of sparse rows (dicts
+    column -> residue in 1 .. p-1), as ``_rref`` returns it: the pivot rows
+    as (column, {column: residue}) pairs in column order.
+
+    Each row is packed into one int with a W-bit lane per column, so
+    clearing a column in a row is one multiply-add R + (p - f) P on whole
+    rows, P the pivot row (Dumas, Fousse and Salvy, J. Symb. Comput. 2011).
+    Only a pivot row is reduced mod p, when it is chosen, and every pivot
+    row once more at the end.  A pivot row has lanes below p and is zero
+    left of its column, so each update adds at most (p - 1)^2 to a lane of
+    the row it clears and touches no lane left of the pivot; after k <= rows
+    updates a lane is below (p - 1) + k (p - 1)^2 < 2^W, and no lane carries
+    into the next.
+    """
+    width = 2 * p.bit_length() + len(rows).bit_length() + 1
+    mask = (1 << width) - 1
+    packed = [sum(v << (width * j) for j, v in row.items()) for row in rows]
+    used = [False] * len(rows)
+    pivots = []  # (column, index of its row)
+    for c in range(ncols):
+        if len(pivots) == len(rows):
+            break
+        shift = width * c
+        r = next((i for i, R in enumerate(packed)
+                  if not used[i] and (R >> shift & mask) % p), None)
+        if r is None:
+            continue
+        used[r] = True
+        # the pivot row scaled to 1 at c and reduced; left of c it is 0 mod p
+        R, P = packed[r] >> shift, 0
+        s = pow((R & mask) % p, -1, p)
+        for j in range(ncols - c):
+            P |= (R & mask) * s % p << (width * j)
+            R >>= width
+        P <<= shift
+        packed[r] = P
+        for i, R in enumerate(packed):
+            f = (R >> shift & mask) % p
+            if f and i != r:
+                packed[i] = R + (p - f) * P
+        pivots.append((c, r))
+    echelon = []
+    for c, r in pivots:
+        R, row, j = packed[r] >> (width * c), {}, c
+        while R:
+            v = (R & mask) % p
+            if v:
+                row[j] = v
+            R >>= width
+            j += 1
+        echelon.append((c, row))
+    return echelon
 
 
 def _kernel_of(pivots, ncols, ctx):
@@ -444,9 +490,8 @@ def _prime_budget(A: QMatrix, entries) -> int:
 
 def _echelons_mod(entries, nrows, ncols, p, roots):
     """The reduced echelon form of A under each ring map zeta -> root mod p,
-    one root at a time, as ``_rref`` returns it.  Each distinct entry is
+    one root at a time, as ``_rref_mod`` returns it.  Each distinct entry is
     mapped once per root: a dense operator repeats its values."""
-    field = _mod_field(p)
     where = {}  # (numerator, denominator) -> the positions holding it
     for i, j, x in entries:
         where.setdefault((x.int_num, x.int_den[0]), []).append((i, j))
@@ -459,7 +504,7 @@ def _echelons_mod(entries, nrows, ncols, p, roots):
             if v:
                 for i, j in positions:
                     rows[i][j] = v
-        yield _rref(rows, ncols, field)
+        yield _rref_mod(rows, ncols, p)
 
 
 def _modular(A: QMatrix, entries, want_basis: bool):
@@ -542,8 +587,9 @@ def _rebuild(ctx, cols, slots, residues, modulus):
 
 
 def _use_modular(A: QMatrix, nnz: int) -> bool:
-    """Whether A goes through ``_modular``: over Q(zeta_ell) only, and only
-    with at least 64 nonzeros and at least 4 per row or column.
+    """Whether A goes through ``_modular``: over Q(zeta_ell) only, with at
+    least 4 nonzeros per row or column, and with at least 64 nonzeros or a
+    field of degree at least 6.
 
     Measured at ell = 3 and 5 (2-core VM, CPython 3.11.7), exact time vs
     modular time: Jordan-form q-commutant operators, at most 2.5 nonzeros
@@ -551,10 +597,28 @@ def _use_modular(A: QMatrix, nnz: int) -> bool:
     matrices break even near 45 nonzeros (dense 7 x 7: 0.9 vs 0.7 ms; the
     9 x 9 operator of a dense 3 x 3, 5 per row, 1.5 vs 1.5 ms at ell = 5)
     and gain from 64 on (dense 8 x 8: 1.7 vs 0.8 ms; the 16 x 16 operator
-    of a dense 4 x 4, 7 per row: 7.6 vs 2.2 ms).  Large entries move the
-    break-even up: the primes needed grow with the bits of the echelon form.
+    of a dense 4 x 4, 7 per row: 7.6 vs 2.2 ms).  The degree moves the
+    break-even down, since each exact pivot inverse is a norm, deg - 1
+    products of growing coefficients.  The q-commutant of the dense 3 x 3
+    L U conjugate of the m = (0, 0, 1) sample point (its 9 x 9 operator
+    has 45 nonzeros), in process, building the prime tables included:
+
+        ell    deg   exact     modular
+          5      4   3.0 ms    2.4 ms
+          7      6   5.5 ms    3.1 ms
+         17     16    28 ms    8.6 ms
+         31     30   166 ms     18 ms
+         53     52   2.0 s      42 ms
+        101    100    45 s     0.13 s
+        211    210   (282 s)   0.52 s
+
+    The 282 s at ell 211 is an earlier run of the exact path, not repeated.
+    At deg 4 the gain on 45 nonzeros is a fraction of a millisecond, and
+    such matrices stay exact.
+    Large entries move the break-even up: the primes needed grow with the
+    bits of the echelon form, which this rule does not read.
     """
-    return (not A.ctx.is_generic and nnz >= 64
+    return (not A.ctx.is_generic and (nnz >= 64 or A.ctx._deg >= 6)
             and nnz >= 4 * max(A.nrows, A.ncols))
 
 
@@ -564,7 +628,7 @@ def _echelon(A: QMatrix, want_basis: bool):
         got = _modular(A, A.nonzeros(), want_basis)
         if got is not None:
             return got
-    pivots = _rref([dict(row) for row in A._rows], A.ncols, _exact_field(A.ctx))
+    pivots = _rref([dict(row) for row in A._rows], A.ncols, A.ctx)
     return len(pivots), _kernel_of(pivots, A.ncols, A.ctx) if want_basis else None
 
 
@@ -593,7 +657,7 @@ def inverse(A: QMatrix) -> QMatrix:
     one = ctx.one()
     for i, row in enumerate(rows):
         row[n + i] = one
-    pivots = _rref(rows, 2 * n, _exact_field(ctx))
+    pivots = _rref(rows, 2 * n, ctx)
     if [c for c, _ in pivots] != list(range(n)):
         raise SingularConjugator("matrix is singular")
     return QMatrix._build(ctx, [{j - n: x for j, x in row.items() if j >= n}

@@ -279,24 +279,46 @@ def run_cli_bounded(*argv, timeout=60):
                           timeout=timeout, preexec_fn=limit_memory)
 
 
+def lu_conjugate(A, seed):
+    """g A g^-1 for g = L U, L lower and U upper unitriangular, their entries
+    below and above the diagonal drawn from -1, 1, 2 by random.Random(seed)
+    row by row, L first."""
+    ctx, n = A.ctx, A.nrows
+    r = ctx.rational
+    rng = random.Random(seed)
+    L = QMatrix(ctx, [[r(1) if i == j else r(rng.choice((-1, 1, 2))) if i > j else r(0)
+                       for j in range(n)] for i in range(n)])
+    U = QMatrix(ctx, [[r(1) if i == j else r(rng.choice((-1, 1, 2))) if i < j else r(0)
+                       for j in range(n)] for i in range(n)])
+    return conjugate(L * U, A)
+
+
 def test_commutant_of_a_dense_ten_by_ten_conjugate_stays_fast(tmp_path):
     # exact elimination of its 100 x 100 operator took 13-17 s on a 2-core
     # VM; images mod primes, certified exact, take well under a second
     r, q = C3.rational, C3.q()
     spec = JordanSpec(C3, [(r(7), (2, 1)), (r(7) * q, (1, 1)),
                            (r(11), (2, 1)), (r(11) * q, (1, 1))])
-    rng = random.Random(10)
-    n = 10
-    L = QMatrix(C3, [[r(1) if i == j else r(rng.choice((-1, 1, 2))) if i > j else r(0)
-                      for j in range(n)] for i in range(n)])
-    U = QMatrix(C3, [[r(1) if i == j else r(rng.choice((-1, 1, 2))) if i < j else r(0)
-                      for j in range(n)] for i in range(n)])
-    A = conjugate(L * U, realize(spec))
     path = tmp_path / "dense.json"
-    path.write_text(json.dumps(matrix_to_obj(A, with_field=True)))
+    path.write_text(json.dumps(matrix_to_obj(lu_conjugate(realize(spec), 10), with_field=True)))
     done = run_cli_bounded("commutant", "--input", str(path), timeout=10)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["dimension"] == predicted_commutant_dim(spec) == 8
+
+
+@pytest.mark.parametrize("ell", [101, 211])
+def test_commutant_of_a_dense_three_by_three_conjugate_at_high_order_stays_fast(ell, tmp_path):
+    # the dense conjugate of the m = (0, 0, 1) sample point, as the CI step
+    # builds it: its 9 x 9 operator has 45 nonzeros, and exact elimination,
+    # where each pivot inverse is a norm over Q(zeta_ell), took about 45 s
+    # at ell 101 on a 2-core VM; images mod primes take well under a second
+    m = (0, 0, 1) + (0,) * (ell - 3)
+    A = lu_conjugate(sample_point(ComponentIndex(ell, m, (0,) * (ell - 1)), seed=0).A, 5)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(matrix_to_obj(A, with_field=True)))
+    done = run_cli_bounded("commutant", "--input", str(path), timeout=5)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["dimension"] == 2
 
 
 def exponent_cliff_pair(n=8, top=10000):

@@ -11,6 +11,8 @@ from qplane import (DimensionMismatch, FieldContext, MixedContext, NotSquare, QM
                     QScalar, SingularConjugator, char_poly, conjugate, direct_sum,
                     inverse, kernel_basis, rank, substitute_q_inverse)
 from qplane import matrices, modular
+from qplane.commutant import predicted_commutant_dim, sylvester_operator
+from qplane.jordan import JordanSpec, realize
 
 C3 = FieldContext.root_of_unity(3)
 GEN = FieldContext.generic()
@@ -767,8 +769,65 @@ def exact_echelon(A):
     """(rank, kernel basis) by exact elimination over QScalars."""
     ctx = A.ctx
     rows = [{c: x for c, x in enumerate(row) if x} for row in A.rows]
-    pivots = matrices._rref(rows, A.ncols, matrices._exact_field(ctx))
+    pivots = matrices._rref(rows, A.ncols, ctx)
     return len(pivots), matrices._kernel_of(pivots, A.ncols, ctx)
+
+
+def test_exact_elimination_inverts_each_distinct_pivot_once(monkeypatch):
+    # the q-commutant operator of J_3(7q) + J_2(11) at ell 5 repeats a few
+    # pivot values on many pivots; each is inverted once per elimination
+    ctx = FieldContext.root_of_unity(5)
+    q, r = ctx.q(), ctx.rational
+    spec = JordanSpec(ctx, [(r(7) * q, (3,)), (r(11), (2,))])
+    A = realize(spec)
+    op = sylvester_operator(A, A, q)
+    assert not matrices._use_modular(op, len(op.nonzeros()))
+    inverted = []
+    real = QScalar.inverse
+    monkeypatch.setattr(QScalar, "inverse", lambda x: inverted.append(x) or real(x))
+    basis = kernel_basis(op)
+    # 25 pivots take 4 values: 11 - 11q, -4q, 7q - 7q^2 and 11 - 7q^2
+    assert op.ncols - len(basis) == 25
+    assert len(inverted) == len(set(inverted)) == 4
+    # the certified modular path shares no elimination code with the exact one
+    assert matrices._modular(op, op.nonzeros(), True) == (25, basis)
+    assert len(basis) == predicted_commutant_dim(spec)
+
+
+@st.composite
+def packed_inputs(draw):
+    """(sparse rows of residues, ncols, p): up to 12 x 14, sides may be 0,
+    mod a 30-bit prime of the modular path or a small prime; entries
+    random, of rank at most 2, or all p - 1 and near it, where the
+    unreduced lanes of the packed rows grow fastest."""
+    p = draw(st.sampled_from((2, 7, modular.cyclotomic_prime(3, 0)[0])))
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(("random", "low rank", "all p - 1", "near p - 1")))
+    if kind == "low rank":
+        inner = draw(st.integers(0, 2))
+        left = [[draw(st.integers(0, p - 1)) for _ in range(inner)] for _ in range(nrows)]
+        right = [[draw(st.integers(0, p - 1)) for _ in range(ncols)] for _ in range(inner)]
+        grid = [[sum(a * right[k][j] for k, a in enumerate(row)) % p for j in range(ncols)]
+                for row in left]
+    else:
+        values = {"random": st.integers(0, p - 1), "all p - 1": st.just(p - 1),
+                  "near p - 1": st.sampled_from((1, p - 2, p - 1))}[kind]
+        grid = [[draw(values) for _ in range(ncols)] for _ in range(nrows)]
+    return [{j: v for j, v in enumerate(row) if v} for row in grid], ncols, p
+
+
+@given(packed_inputs())
+@settings(max_examples=150, deadline=None)
+def test_packed_elimination_mod_p_matches_sympy(case):
+    rows, ncols, p = case
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    K = sympy.GF(p)
+    dense = [[K(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    echelon, cols = DomainMatrix(dense, (len(rows), ncols), K).rref()
+    want = [(c, {j: int(x) % p for j, x in enumerate(row) if x})
+            for c, row in zip(cols, echelon.to_list())]
+    assert matrices._rref_mod(rows, ncols, p) == want
 
 
 @st.composite
@@ -912,7 +971,7 @@ def test_the_certificate_scales_away_denominators():
 
     A = QMatrix(ctx, [[frac(1, 2), q * frac(1, 3), frac(2, 5), frac(1, 7), q * q],
                       [frac(3, 4), q * frac(1, 6), zero, frac(5, 3), frac(-2, 9)]])
-    pivots = matrices._rref([dict(row) for row in A._rows], A.ncols, matrices._exact_field(ctx))
+    pivots = matrices._rref([dict(row) for row in A._rows], A.ncols, ctx)
     cols = [c for c, _ in pivots]
     basis = matrices._kernel_of(pivots, A.ncols, ctx)
     assert len(basis) == 3 and any(x.int_den != (1,) for v in basis for x in v)
