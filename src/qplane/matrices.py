@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import modular, poly
 from .errors import DimensionMismatch, MixedContext, NotSquare, SingularConjugator
-from .scalars import FieldContext, QScalar, _lowest
+from .scalars import FieldContext, QScalar
 
 
 def _check_entry(ctx: FieldContext, entry):
@@ -262,7 +262,7 @@ def direct_sum(*matrices: QMatrix) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination: sparse Gauss-Jordan over QScalars, packed Gauss-Jordan mod p
+# elimination: sparse Gauss-Jordan over QScalars
 # ---------------------------------------------------------------------------
 
 def _rref(rows, ncols, ctx):
@@ -323,61 +323,6 @@ def _rref(rows, ncols, ctx):
     return pivots
 
 
-def _rref_mod(rows, ncols, p):
-    """The reduced row echelon form mod the prime p of sparse rows (dicts
-    column -> residue in 1 .. p-1), as ``_rref`` returns it: the pivot rows
-    as (column, {column: residue}) pairs in column order.
-
-    Each row is packed into one int with a W-bit lane per column, so
-    clearing a column in a row is one multiply-add R + (p - f) P on whole
-    rows, P the pivot row (Dumas, Fousse and Salvy, J. Symb. Comput. 2011).
-    Only a pivot row is reduced mod p, when it is chosen, and every pivot
-    row once more at the end.  A pivot row has lanes below p and is zero
-    left of its column, so each update adds at most (p - 1)^2 to a lane of
-    the row it clears and touches no lane left of the pivot; after k <= rows
-    updates a lane is below (p - 1) + k (p - 1)^2 < 2^W, and no lane carries
-    into the next.
-    """
-    width = 2 * p.bit_length() + len(rows).bit_length() + 1
-    mask = (1 << width) - 1
-    packed = [sum(v << (width * j) for j, v in row.items()) for row in rows]
-    used = [False] * len(rows)
-    pivots = []  # (column, index of its row)
-    for c in range(ncols):
-        if len(pivots) == len(rows):
-            break
-        shift = width * c
-        r = next((i for i, R in enumerate(packed)
-                  if not used[i] and (R >> shift & mask) % p), None)
-        if r is None:
-            continue
-        used[r] = True
-        # the pivot row scaled to 1 at c and reduced; left of c it is 0 mod p
-        R, P = packed[r] >> shift, 0
-        s = pow((R & mask) % p, -1, p)
-        for j in range(ncols - c):
-            P |= (R & mask) * s % p << (width * j)
-            R >>= width
-        P <<= shift
-        packed[r] = P
-        for i, R in enumerate(packed):
-            f = (R >> shift & mask) % p
-            if f and i != r:
-                packed[i] = R + (p - f) * P
-        pivots.append((c, r))
-    echelon = []
-    for c, r in pivots:
-        R, row, j = packed[r] >> (width * c), {}, c
-        while R:
-            v = (R & mask) % p
-            if v:
-                row[j] = v
-            R >>= width
-            j += 1
-        echelon.append((c, row))
-    return echelon
-
-
 def _kernel_of(pivots, ncols, ctx):
     """The reduced-echelon kernel basis from pivot rows over QScalars: for
     each free column f in order, 1 at f and -R[i][f] at the pivot column of
@@ -403,16 +348,6 @@ def _kernel_of(pivots, ncols, ctx):
 # ---------------------------------------------------------------------------
 # certified multimodular elimination over Q(zeta_ell)
 # ---------------------------------------------------------------------------
-#
-# Over Q(zeta_ell) the entries of the reduced echelon form stay small while
-# exact elimination builds large intermediate values.  So the form is
-# computed mod 30-bit primes p = 1 (mod ell), where Phi_ell splits into
-# linear factors: once per root of Phi_ell mod p, each root giving one ring
-# map Z[zeta][1/d] -> F_p.  Vandermonde interpolation over the roots gives
-# the coefficients of each entry mod p, CRT joins the primes and Wang's
-# rational reconstruction lifts them to Q (Encarnacion, JSC 1995; Monagan,
-# ISSAC 2004); ``modular`` supplies the primes, their roots and the
-# reconstruction.  Nothing is returned unless ``_certified`` proves it exact.
 
 def _certified(A: QMatrix, pivot_cols, basis) -> bool:
     """Whether basis is provably the reduced-echelon kernel basis of A and
@@ -467,123 +402,17 @@ def _integral(items):
     return [(j, [c * (den // x.int_den[0]) for c in x.int_num]) for j, x in items]
 
 
-def _prime_budget(A: QMatrix, entries) -> int:
-    """How many primes to try before falling back to exact elimination.
-
-    A reduced-echelon entry is a ratio of two r x r minors, r = min(rows,
-    cols).  Rescaled to Z[zeta], each minor has embeddings below
-    (r deg H)^r by Hadamard's bound, H the largest integer coefficient of
-    a row rescaled by its denominators, and its inverse brings in the norm,
-    a product of deg such embeddings.  Twice those bits, for numerator and
-    denominator, bound the modulus rational reconstruction needs; each
-    prime, above PRIME_TOP / 2, brings at least log2(PRIME_TOP) - 1."""
-    deg = A.ctx._deg
-    r = min(A.nrows, A.ncols)
-    dens = {}
-    for i, _, x in entries:
-        dens[i] = dens.get(i, 0) + x.int_den[0].bit_length()
-    top = max((max(map(abs, x.int_num)).bit_length() + dens[i] for i, _, x in entries),
-              default=0)
-    bits = 2 * deg * r * (top + (r * deg).bit_length()) + 2
-    return bits // (modular.PRIME_TOP.bit_length() - 2) + 2
-
-
-def _echelons_mod(entries, nrows, ncols, p, roots):
-    """The reduced echelon form of A under each ring map zeta -> root mod p,
-    one root at a time, as ``_rref_mod`` returns it.  Each distinct entry is
-    mapped once per root: a dense operator repeats its values."""
-    where = {}  # (numerator, denominator) -> the positions holding it
-    for i, j, x in entries:
-        where.setdefault((x.int_num, x.int_den[0]), []).append((i, j))
-    dinv = {d: pow(d, -1, p) for d in {d for _, d in where}}
-    for root in roots:
-        powers = [pow(root, t, p) for t in range(len(roots))]
-        rows = [{} for _ in range(nrows)]
-        for (num, d), positions in where.items():
-            v = sum(c * w for c, w in zip(num, powers)) * dinv[d] % p
-            if v:
-                for i, j in positions:
-                    rows[i][j] = v
-        yield _rref_mod(rows, ncols, p)
-
-
 def _modular(A: QMatrix, entries, want_basis: bool):
-    """(rank, kernel basis or None) of A over Q(zeta_ell), from images mod
-    primes and certified exact; None to fall back to the exact path.
-
-    With want_basis false and rank_p = rows or cols under one ring map, the
-    rank is proved by rank_p <= rank <= min(rows, cols) and no basis is
-    built.  Otherwise every entry of the reduced echelon form right of its
-    pivot (a slot) is interpolated over the roots and joined across primes
-    by CRT, as long as the primes give the same pivot columns; a prime with
-    more pivots, or the same number further left, replaces those before it,
-    since mod p the pivots can only fall behind the exact ones.
-    """
-    ctx = A.ctx
-    m, n = A.nrows, A.ncols
-    best = None  # (-rank, pivot columns) of the primes joined in modulus
-    modulus, residues, joined = 1, [], 0
-    budget = _prime_budget(A, entries)
-    for k in range(budget):
-        table = modular.cyclotomic_prime(ctx.ell, k)
-        if table is None:
-            break
-        p, roots, vinv = table
-        if any(x.int_den[0] % p == 0 for _, _, x in entries):
-            continue  # no ring map to F_p: a denominator vanishes
-        echelons = []
-        for pivots in _echelons_mod(entries, m, n, p, roots):
-            if not want_basis and len(pivots) == min(m, n):
-                return len(pivots), None
-            echelons.append(pivots)
-            if [c for c, _ in pivots] != [c for c, _ in echelons[0]]:
-                break  # the embeddings disagree on the pivots
-        else:
-            cols = [c for c, _ in echelons[0]]
-            pivot_set = set(cols)
-            slots = [(e, f) for e, c in enumerate(cols) for f in range(c + 1, n)
-                     if f not in pivot_set]
-            vals = []
-            for e, f in slots:
-                at = [ech[e][1].get(f, 0) for ech in echelons]
-                vals.extend(sum(a * b for a, b in zip(row, at)) % p for row in vinv)
-            key = (-len(cols), cols)
-            if best is None or key < best:
-                best, modulus, residues, joined = key, p, vals, 1
-            elif key == best:
-                step = pow(modulus, -1, p)
-                residues = [u + modulus * ((v - u) * step % p) for u, v in zip(residues, vals)]
-                modulus *= p
-                joined += 1
-            else:
-                continue
-            # a failed reconstruction costs as much as one that succeeds, so
-            # reconstruct only at 1, 2, 4, ... joined primes and at the last
-            if joined & (joined - 1) and k < budget - 1:
-                continue
-            pivots = _rebuild(ctx, cols, slots, residues, modulus)
-            if pivots is not None:
-                basis = _kernel_of(pivots, n, ctx)
-                if _certified(A, cols, basis):
-                    return len(cols), basis
+    """(rank, kernel basis or None) of A over Q(zeta_ell): the first candidate
+    from images mod primes that ``_certified`` proves exact, or the rank of
+    an image of full rank; None to fall back to the exact path."""
+    for cols, pivots in modular.echelons(A.ctx, entries, A.nrows, A.ncols, want_basis):
+        if pivots is None:
+            return len(cols), None
+        basis = _kernel_of(pivots, A.ncols, A.ctx)
+        if _certified(A, cols, basis):
+            return len(cols), basis
     return None
-
-
-def _rebuild(ctx, cols, slots, residues, modulus):
-    """Pivot rows (column, {slot column: entry}) whose entries have the
-    rational reconstructions of residues mod modulus as coefficients; None
-    when one does not exist."""
-    bound = math.isqrt(modulus // 2)
-    deg = ctx._deg
-    rows = [{} for _ in cols]
-    for s, (e, f) in enumerate(slots):
-        fracs = [modular.ratrec(u, modulus, bound) for u in residues[s * deg:(s + 1) * deg]]
-        if None in fracs:
-            return None
-        if any(a for a, _ in fracs):
-            den = math.lcm(*(b for _, b in fracs))
-            rows[e][f] = _lowest(ctx, [a * (den // b) for a, b in fracs], den)
-    return list(zip(cols, rows))
 
 
 def _use_modular(A: QMatrix, nnz: int) -> bool:

@@ -1,15 +1,25 @@
-"""Primes p = 1 (mod ell) below 2^30 with the roots of Phi_ell mod p, and
-rational reconstruction: the number theory under the certified modular
-elimination (``matrices._modular``) and the p-adic rational-root search
-(``jordan.rational_roots``).  Below 2^30 every residue is one CPython
-digit, so ``(y + f x) % p`` costs about a third of its time at 62 bits."""
+"""The mod-p half of the certified multimodular elimination over
+Q(zeta_ell), and the number theory under it and under the p-adic
+rational-root search (``jordan.rational_roots``).
+
+Over Q(zeta_ell) the entries of the reduced echelon form stay small while
+exact elimination builds large intermediate values.  So ``echelons``
+computes the form mod primes p = 1 (mod ell) below PRIME_TOP = 2^30, where
+Phi_ell splits into linear factors: once per root of Phi_ell mod p, each
+root giving one ring map Z[zeta][1/d] -> F_p.  Vandermonde interpolation
+over the roots gives the coefficients of each entry mod p, CRT joins the
+primes and Wang's rational reconstruction lifts them to Q (Encarnacion,
+JSC 1995; Monagan, ISSAC 2004); ``matrices._modular`` returns a candidate
+only once its exact certificate holds.  Below 2^30 every residue is one
+CPython digit, so ``(y + f x) % p`` costs about a third of its time at 62
+bits."""
 
 from __future__ import annotations
 
 import math
 
 from . import poly
-from .scalars import cyclotomic_polynomial
+from .scalars import _lowest, cyclotomic_polynomial
 
 PRIME_TOP = 2 ** 30
 _PRIMES = {}  # ell -> [(p, roots of Phi_ell mod p, inverse Vandermonde)], grown on use
@@ -80,3 +90,163 @@ def ratrec(u: int, m: int, bound: int):
     if s1 > bound or math.gcd(r1, s1) != 1:
         return None
     return r1, s1
+
+
+def _rref_mod(rows, ncols, p):
+    """The reduced row echelon form mod the prime p of sparse rows (dicts
+    column -> residue in 1 .. p-1), as ``matrices._rref`` returns it: the
+    pivot rows as (column, {column: residue}) pairs in column order.
+
+    Each row is packed into one int with a W-bit lane per column, so
+    clearing a column in a row is one multiply-add R + (p - f) P on whole
+    rows, P the pivot row (Dumas, Fousse and Salvy, J. Symb. Comput. 2011).
+    Only a pivot row is reduced mod p, when it is chosen, and every pivot
+    row once more at the end.  A pivot row has lanes below p and is zero
+    left of its column, so each update adds at most (p - 1)^2 to a lane of
+    the row it clears and touches no lane left of the pivot; after k <= rows
+    updates a lane is below (p - 1) + k (p - 1)^2 < 2^W, and no lane carries
+    into the next.
+    """
+    width = 2 * p.bit_length() + len(rows).bit_length() + 1
+    mask = (1 << width) - 1
+    packed = [sum(v << (width * j) for j, v in row.items()) for row in rows]
+    used = [False] * len(rows)
+    pivots = []  # (column, index of its row)
+    for c in range(ncols):
+        if len(pivots) == len(rows):
+            break
+        shift = width * c
+        r = next((i for i, R in enumerate(packed)
+                  if not used[i] and (R >> shift & mask) % p), None)
+        if r is None:
+            continue
+        used[r] = True
+        # the pivot row scaled to 1 at c and reduced; left of c it is 0 mod p
+        R, P = packed[r] >> shift, 0
+        s = pow((R & mask) % p, -1, p)
+        for j in range(ncols - c):
+            P |= (R & mask) * s % p << (width * j)
+            R >>= width
+        P <<= shift
+        packed[r] = P
+        for i, R in enumerate(packed):
+            f = (R >> shift & mask) % p
+            if f and i != r:
+                packed[i] = R + (p - f) * P
+        pivots.append((c, r))
+    echelon = []
+    for c, r in pivots:
+        R, row, j = packed[r] >> (width * c), {}, c
+        while R:
+            v = (R & mask) % p
+            if v:
+                row[j] = v
+            R >>= width
+            j += 1
+        echelon.append((c, row))
+    return echelon
+
+
+def _prime_budget(ctx, nrows, ncols, entries) -> int:
+    """How many primes to try before falling back to exact elimination.
+
+    A reduced-echelon entry is a ratio of two r x r minors, r = min(rows,
+    cols).  Rescaled to Z[zeta], each minor has embeddings below
+    (r deg H)^r by Hadamard's bound, H the largest integer coefficient of
+    a row rescaled by its denominators, and its inverse brings in the norm,
+    a product of deg such embeddings.  Twice those bits, for numerator and
+    denominator, bound the modulus rational reconstruction needs; each
+    prime, above PRIME_TOP / 2, brings at least log2(PRIME_TOP) - 1."""
+    deg = ctx._deg
+    r = min(nrows, ncols)
+    dens = {}
+    for i, _, x in entries:
+        dens[i] = dens.get(i, 0) + x.int_den[0].bit_length()
+    top = max((max(map(abs, x.int_num)).bit_length() + dens[i] for i, _, x in entries),
+              default=0)
+    bits = 2 * deg * r * (top + (r * deg).bit_length()) + 2
+    return bits // (PRIME_TOP.bit_length() - 2) + 2
+
+
+def echelons(ctx, entries, nrows, ncols, want_basis: bool):
+    """Candidates (pivot columns, pivot rows (column, {column: QScalar}))
+    for the reduced echelon form of the nrows x ncols matrix over ctx =
+    Q(zeta_ell) with the nonzeros entries (row, column, QScalar), from
+    images mod primes; up to the prime budget or the last prime.
+
+    With want_basis false and rank_p = rows or cols under one ring map, the
+    rank is proved by rank_p <= rank <= min(rows, cols): that image's pivot
+    columns come with None for rows, and nothing follows.  Otherwise every
+    entry of the reduced echelon form right of its pivot (a slot) is
+    interpolated over the roots and joined across primes by CRT, as long as
+    the primes give the same pivot columns; a prime with more pivots, or the
+    same number further left, replaces those before it, since mod p the
+    pivots can only fall behind the exact ones.  A failed reconstruction
+    costs as much as one that succeeds, so a candidate is reconstructed only
+    at 1, 2, 4, ... joined primes and at the last.
+    """
+    deg = ctx._deg
+    # each distinct entry is mapped once per root: a dense operator repeats its values
+    where = {}  # (numerator, denominator) -> the positions holding it
+    for i, j, x in entries:
+        where.setdefault((x.int_num, x.int_den[0]), []).append((i, j))
+    dens = {d for _, d in where}
+    best = None  # (-rank, pivot columns) of the primes joined in modulus
+    modulus, residues, joined = 1, [], 0
+    budget = _prime_budget(ctx, nrows, ncols, entries)
+    for k in range(budget):
+        table = cyclotomic_prime(ctx.ell, k)
+        if table is None:
+            return
+        p, roots, vinv = table
+        if any(d % p == 0 for d in dens):
+            continue  # no ring map to F_p: a denominator vanishes
+        dinv = {d: pow(d, -1, p) for d in dens}
+        images = []  # the echelon form under zeta -> root, one root at a time
+        for root in roots:
+            powers = [pow(root, t, p) for t in range(deg)]
+            rows = [{} for _ in range(nrows)]
+            for (num, d), positions in where.items():
+                v = sum(c * w for c, w in zip(num, powers)) * dinv[d] % p
+                if v:
+                    for i, j in positions:
+                        rows[i][j] = v
+            pivots = _rref_mod(rows, ncols, p)
+            if not want_basis and len(pivots) == min(nrows, ncols):
+                yield [c for c, _ in pivots], None
+                return
+            images.append(pivots)
+            if [c for c, _ in pivots] != [c for c, _ in images[0]]:
+                break  # the embeddings disagree on the pivots
+        else:
+            cols = [c for c, _ in images[0]]
+            pivot_set = set(cols)
+            slots = [(e, f) for e, c in enumerate(cols) for f in range(c + 1, ncols)
+                     if f not in pivot_set]
+            vals = []
+            for e, f in slots:
+                at = [image[e][1].get(f, 0) for image in images]
+                vals.extend(sum(a * b for a, b in zip(row, at)) % p for row in vinv)
+            key = (-len(cols), cols)
+            if best is None or key < best:
+                best, modulus, residues, joined = key, p, vals, 1
+            elif key == best:
+                step = pow(modulus, -1, p)
+                residues = [u + modulus * ((v - u) * step % p) for u, v in zip(residues, vals)]
+                modulus *= p
+                joined += 1
+            else:
+                continue
+            if joined & (joined - 1) and k < budget - 1:
+                continue
+            bound = math.isqrt(modulus // 2)
+            rows = [{} for _ in cols]
+            for s, (e, f) in enumerate(slots):
+                fracs = [ratrec(u, modulus, bound) for u in residues[s * deg:(s + 1) * deg]]
+                if None in fracs:
+                    break
+                if any(a for a, _ in fracs):
+                    den = math.lcm(*(b for _, b in fracs))
+                    rows[e][f] = _lowest(ctx, [a * (den // b) for a, b in fracs], den)
+            else:
+                yield cols, list(zip(cols, rows))

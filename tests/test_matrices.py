@@ -795,42 +795,6 @@ def test_exact_elimination_inverts_each_distinct_pivot_once(monkeypatch):
 
 
 @st.composite
-def packed_inputs(draw):
-    """(sparse rows of residues, ncols, p): up to 12 x 14, sides may be 0,
-    mod a 30-bit prime of the modular path or a small prime; entries
-    random, of rank at most 2, or all p - 1 and near it, where the
-    unreduced lanes of the packed rows grow fastest."""
-    p = draw(st.sampled_from((2, 7, modular.cyclotomic_prime(3, 0)[0])))
-    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 14))
-    kind = draw(st.sampled_from(("random", "low rank", "all p - 1", "near p - 1")))
-    if kind == "low rank":
-        inner = draw(st.integers(0, 2))
-        left = [[draw(st.integers(0, p - 1)) for _ in range(inner)] for _ in range(nrows)]
-        right = [[draw(st.integers(0, p - 1)) for _ in range(ncols)] for _ in range(inner)]
-        grid = [[sum(a * right[k][j] for k, a in enumerate(row)) % p for j in range(ncols)]
-                for row in left]
-    else:
-        values = {"random": st.integers(0, p - 1), "all p - 1": st.just(p - 1),
-                  "near p - 1": st.sampled_from((1, p - 2, p - 1))}[kind]
-        grid = [[draw(values) for _ in range(ncols)] for _ in range(nrows)]
-    return [{j: v for j, v in enumerate(row) if v} for row in grid], ncols, p
-
-
-@given(packed_inputs())
-@settings(max_examples=150, deadline=None)
-def test_packed_elimination_mod_p_matches_sympy(case):
-    rows, ncols, p = case
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-    K = sympy.GF(p)
-    dense = [[K(row.get(j, 0)) for j in range(ncols)] for row in rows]
-    echelon, cols = DomainMatrix(dense, (len(rows), ncols), K).rref()
-    want = [(c, {j: int(x) % p for j, x in enumerate(row) if x})
-            for c, row in zip(cols, echelon.to_list())]
-    assert matrices._rref_mod(rows, ncols, p) == want
-
-
-@st.composite
 def modular_inputs(draw):
     """Matrices up to 6 x 7 (sides may be 0) over Q(zeta_ell): sparse, dense,
     or products through a small inner dimension, with entries of a few bits
@@ -917,6 +881,23 @@ def test_modular_elimination_skips_unlucky_primes(ell, monkeypatch):
             # reconstruction from it reaches the certificate, and the next
             # prime alone certifies
             assert verdicts == [True]
+
+
+def test_one_image_of_full_rank_proves_the_rank(monkeypatch):
+    # rank_p <= rank <= min(rows, cols): an 8 x 9 image of rank 8 proves the
+    # rank alone, with nothing reconstructed and nothing certified
+    ctx = FieldContext.root_of_unity(5)
+    rng = random.Random(1)
+    A = QMatrix(ctx, [[ctx.rational(rng.choice((-2, -1, 1, 2))) * ctx.q() ** rng.randrange(5)
+                       for _ in range(9)] for _ in range(8)])
+    assert matrices._use_modular(A, len(A.nonzeros()))
+    calls = []
+    for module, name in ((modular, "_rref_mod"), (modular, "ratrec"), (matrices, "_certified")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert rank(A) == exact_echelon(A)[0] == 8
+    assert calls == ["_rref_mod"]
 
 
 def test_a_sabotaged_reconstruction_is_rejected_and_falls_back(monkeypatch):

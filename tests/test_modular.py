@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qplane import FieldContext
 from qplane import modular
@@ -66,3 +68,39 @@ def test_ratrec_recovers_each_fraction_within_the_bound():
         u = x.numerator * pow(x.denominator, -1, m) % m
         assert modular.ratrec(u, m, bound) == (x.numerator, x.denominator)
     assert modular.ratrec(pow(2, -1, m) * (bound + 1) % m, m, bound) is None
+
+
+@st.composite
+def packed_inputs(draw):
+    """(sparse rows of residues, ncols, p): up to 12 x 14, sides may be 0,
+    mod a 30-bit prime of the modular path or a small prime; entries
+    random, of rank at most 2, or all p - 1 and near it, where the
+    unreduced lanes of the packed rows grow fastest."""
+    p = draw(st.sampled_from((2, 7, modular.cyclotomic_prime(3, 0)[0])))
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(("random", "low rank", "all p - 1", "near p - 1")))
+    if kind == "low rank":
+        inner = draw(st.integers(0, 2))
+        left = [[draw(st.integers(0, p - 1)) for _ in range(inner)] for _ in range(nrows)]
+        right = [[draw(st.integers(0, p - 1)) for _ in range(ncols)] for _ in range(inner)]
+        grid = [[sum(a * right[k][j] for k, a in enumerate(row)) % p for j in range(ncols)]
+                for row in left]
+    else:
+        values = {"random": st.integers(0, p - 1), "all p - 1": st.just(p - 1),
+                  "near p - 1": st.sampled_from((1, p - 2, p - 1))}[kind]
+        grid = [[draw(values) for _ in range(ncols)] for _ in range(nrows)]
+    return [{j: v for j, v in enumerate(row) if v} for row in grid], ncols, p
+
+
+@given(packed_inputs())
+@settings(max_examples=150, deadline=None)
+def test_packed_elimination_mod_p_matches_sympy(case):
+    rows, ncols, p = case
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    K = sympy.GF(p)
+    dense = [[K(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    echelon, cols = DomainMatrix(dense, (len(rows), ncols), K).rref()
+    want = [(c, {j: int(x) % p for j, x in enumerate(row) if x})
+            for c, row in zip(cols, echelon.to_list())]
+    assert modular._rref_mod(rows, ncols, p) == want
