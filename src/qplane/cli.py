@@ -31,6 +31,10 @@ from .serialize import (ell_from_obj, ell_to_obj, fingerprint_to_obj,
 DEFAULT_SEED = 0
 MAX_LISTED = 100_000  # n = 24 at ell = inf lists 94235 indices (1.4 s, 44 MB)
 MAX_COUNT_WORK = 20_000_000  # table additions; ell = 2, n = 10^7 takes 5 s and 0.5 GB
+# n of a sampled pair; at ell = inf one nilpotent-kind block of size 200,
+# the slowest shape measured, takes 1.25 s and 77 MB (size 300: 3.2 s and
+# 0.2 GB), and the pair is 0.5 MB of JSON (n = 1000: 10 MB)
+MAX_SAMPLE_N = 200
 
 
 def _parse_ell(text: str):
@@ -121,7 +125,7 @@ def _cmd_commutant(args) -> int:
 
 def _cmd_sample(args) -> int:
     ell = _parse_ell(args.ell)
-    idx = index_from_obj(_load_json(args.index), ell)
+    idx = index_from_obj(_load_json(args.index), ell, MAX_SAMPLE_N)
     seed = _seed_from(args)
     pair = sample_point(idx, seed=seed)
     out = pair_to_obj(pair)

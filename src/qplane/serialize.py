@@ -107,14 +107,15 @@ def _counts_to_obj(counts, dense):
 
 
 def _counts_from_obj(value, what, largest):
-    """The count tuple of a dense list or a sparse {size: count} object,
-    whose keys must read as index_to_obj writes them; a size above the
-    largest the order allows is refused before any tuple is built."""
+    """The {size: count} map of a dense list, or of a sparse object whose
+    keys must read as index_to_obj writes them and whose zero counts are
+    dropped (they name no block); a size above the largest the order
+    allows, or a negative count, is refused."""
     if isinstance(value, list):
         if not all(type(c) is int for c in value):
             raise ParseError(f"'{what}' entries must be integers")
-        return tuple(value)
-    if isinstance(value, dict):
+        counts = dict(enumerate(value, 1))
+    elif isinstance(value, dict):
         counts = {}
         for key, c in value.items():
             try:
@@ -128,10 +129,17 @@ def _counts_from_obj(value, what, largest):
             if size > largest:
                 raise ParseError(f"'{what}' has a block size {size} above {largest}, "
                                  "the largest at this order")
-            counts[size] = c
-        top = max(counts, default=0)
-        return tuple(counts.get(i, 0) for i in range(1, top + 1))
-    raise ParseError(f"'{what}' must be a list or a sparse object")
+            if c:
+                counts[size] = c
+    else:
+        raise ParseError(f"'{what}' must be a list or a sparse object")
+    if any(c < 0 for c in counts.values()):
+        raise ParseError(f"'{what}' counts must be nonnegative")
+    return counts
+
+
+def _dense(counts):
+    return tuple(counts.get(i, 0) for i in range(1, max(counts, default=0) + 1))
 
 
 def index_to_obj(idx: ComponentIndex):
@@ -142,15 +150,21 @@ def index_to_obj(idx: ComponentIndex):
     }
 
 
-def index_from_obj(obj, ell) -> ComponentIndex:
+def index_from_obj(obj, ell, largest_n) -> ComponentIndex:
+    """The ComponentIndex of a dense or sparse index document; an index
+    whose blocks have a total size above largest_n is refused
+    (OverflowError) before any count tuple is built."""
     if not isinstance(obj, dict):
         raise ParseError("component index must be a JSON object")
     for key in ("m", "r"):
         if key not in obj:
             raise ParseError(f"component index lacks the '{key}' key")
     ell = _order(ell)  # INFINITE - 1 is INFINITE
-    return ComponentIndex(ell, _counts_from_obj(obj["m"], "m", ell),
-                          _counts_from_obj(obj["r"], "r", ell - 1))
+    m, r = _counts_from_obj(obj["m"], "m", ell), _counts_from_obj(obj["r"], "r", ell - 1)
+    n = sum(size * c for counts in (m, r) for size, c in counts.items())
+    if n > largest_n:
+        raise OverflowError(f"the index names blocks of total size {n}, above {largest_n}")
+    return ComponentIndex(ell, _dense(m), _dense(r))
 
 
 def git_index_to_obj(idx: GitIndex):

@@ -614,6 +614,36 @@ def test_a_sparse_key_above_the_order_is_refused_before_any_counts_are_built(tmp
                            "the largest at this order\n")
 
 
+def test_a_sample_too_large_is_refused_before_any_counts_are_built(tmp_path):
+    # at ell = inf no order bounds a key: {"1000": 1} wrote a 10 MB grid, and
+    # the key 10^9 asked for 10^9 counts before anything else ran; a negative
+    # count is malformed whatever its size, and is refused as such
+    path = tmp_path / "index.json"
+    large = "input too large: the index names blocks of total size {}, above " + str(
+        cli.MAX_SAMPLE_N)
+    for counts, message in (({"1000": 1}, large.format(1000)),
+                            ({"1000000000": 1}, large.format(10 ** 9)),
+                            ({"1000000000": -1}, "'m' counts must be nonnegative")):
+        path.write_text(json.dumps({"m": counts, "r": {}}))
+        done = run_cli_bounded("sample", "--ell", "inf", "--index", str(path), timeout=5)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"error: {message}\n"
+
+
+def test_a_sample_at_the_size_bound_is_written(capsys, tmp_path):
+    # a zero count names no block, however large its size
+    top = cli.MAX_SAMPLE_N
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps({"m": {str(top): 1, "1000000000": 0}, "r": {}}))
+    done = run_cli_bounded("sample", "--ell", "inf", "--index", str(path), timeout=5)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["A"]["rows"] == top
+    path.write_text(json.dumps({"m": [1, 0, 0], "r": [0, top // 2]}))
+    assert_clean_exit_two(capsys, ["sample", "--ell", "3", "--index", str(path)],
+                          f"input too large: the index names blocks of total size {top + 1}, "
+                          f"above {top}")
+
+
 def test_invalid_json_and_a_non_integer_seed_are_refused_with_one_line(
         capsys, tmp_path, monkeypatch):
     path = tmp_path / "doc.json"

@@ -8,6 +8,7 @@ from qplane import (ComponentIndex, DivisionByZero, FieldContext, INFINITE,
                     MatrixPair, ParseError, QMatrix, RelationViolated, format_scalar,
                     jordan_block, parse_scalar, q_layered, sample_point,
                     trace_fingerprint)
+from qplane.cli import MAX_SAMPLE_N
 from qplane.serialize import (ell_from_obj, ell_to_obj, fingerprint_to_obj,
                               git_index_to_obj, index_from_obj, index_to_obj,
                               matrix_from_obj, matrix_to_obj, pair_from_obj,
@@ -78,46 +79,53 @@ def test_index_dense_round_trip():
     idx = ComponentIndex(3, m=(1, 0, 2), r=(0, 1))
     obj = index_to_obj(idx)
     assert obj == {"m": [1, 0, 2], "r": [0, 1]}
-    assert index_from_obj(obj, 3) == idx
+    assert index_from_obj(obj, 3, MAX_SAMPLE_N) == idx
 
 
 def test_index_sparse_round_trip():
     idx = ComponentIndex(INFINITE, m=(0, 1), r=(3,))
     obj = index_to_obj(idx)
     assert obj == {"m": {"2": 1}, "r": {"1": 3}}
-    assert index_from_obj(obj, INFINITE) == idx
+    assert index_from_obj(obj, INFINITE, MAX_SAMPLE_N) == idx
 
 
 def test_index_sparse_accepted_for_finite_order():
-    idx = index_from_obj({"m": {"2": 1}, "r": {}}, 2)
+    idx = index_from_obj({"m": {"2": 1}, "r": {}}, 2, MAX_SAMPLE_N)
     assert idx == ComponentIndex(2, m=(0, 1), r=(0,))
 
 
 def test_index_bad_keys_rejected():
     with pytest.raises(ParseError):
-        index_from_obj({"m": "nope", "r": []}, 2)
+        index_from_obj({"m": "nope", "r": []}, 2, MAX_SAMPLE_N)
     # a key must read as index_to_obj writes it: int() read each of these,
     # so "01" overwrote "1" and "1_0" was size 10
     for key in ("01", "+1", " 2", "1_0", "0", "-1", "zero", 1):
         with pytest.raises(ParseError, match="^'m' keys must be block sizes >= 1 in decimal, got"):
-            index_from_obj({"m": {"1": 1, key: 2}, "r": {}}, INFINITE)
-    assert index_from_obj({"m": {"10": 1}, "r": {}}, INFINITE).m == (0,) * 9 + (1,)
+            index_from_obj({"m": {"1": 1, key: 2}, "r": {}}, INFINITE, MAX_SAMPLE_N)
+    assert index_from_obj({"m": {"10": 1}, "r": {}}, INFINITE, MAX_SAMPLE_N).m == (0,) * 9 + (1,)
     # at a finite order a size above it is refused before any counts are built
     for obj, what, size, largest in (({"m": {"4": 1}, "r": {}}, "m", 4, 3),
                                      ({"m": {}, "r": {"3": 1}}, "r", 3, 2),
                                      ({"m": {str(10 ** 13): 1}, "r": {}}, "m", 10 ** 13, 3)):
         with pytest.raises(ParseError, match=f"^'{what}' has a block size {size} above {largest}, "
                                              "the largest at this order$"):
-            index_from_obj(obj, 3)
-    idx = index_from_obj({"m": {"3": 1}, "r": {"2": 1}}, 3)
+            index_from_obj(obj, 3, MAX_SAMPLE_N)
+    idx = index_from_obj({"m": {"3": 1}, "r": {"2": 1}}, 3, MAX_SAMPLE_N)
     assert idx == ComponentIndex(3, (0, 0, 1), (0, 1))
+
+
+def test_a_negative_count_is_refused_whatever_its_size():
+    for obj, what in (({"m": [1, -1], "r": [0]}, "m"), ({"m": {}, "r": {"2": -1}}, "r"),
+                      ({"m": {"1000000000": -1}, "r": {}}, "m")):
+        with pytest.raises(ParseError, match=f"^'{what}' counts must be nonnegative$"):
+            index_from_obj(obj, INFINITE if isinstance(obj["m"], dict) else 2, MAX_SAMPLE_N)
 
 
 def test_an_index_without_m_or_r_is_refused():
     # both keys were read as empty counts, so {} was the empty index
     for obj, key in (({}, "m"), ({"M": [1, 0, 0], "r": [0, 0]}, "m"), ({"m": [1, 0, 0]}, "r")):
         with pytest.raises(ParseError, match=f"^component index lacks the '{key}' key$"):
-            index_from_obj(obj, 3)
+            index_from_obj(obj, 3, MAX_SAMPLE_N)
 
 
 def test_git_index_to_obj():
@@ -134,9 +142,9 @@ def test_a_boolean_is_not_an_integer():
     with pytest.raises(ParseError, match="^cyclotomic context needs a positive integer 'ell'$"):
         FieldContext.from_obj({"type": "cyclotomic", "ell": True})
     with pytest.raises(ParseError, match="^'m' entries must be integers$"):
-        index_from_obj({"m": [True, 0], "r": [0]}, 2)
+        index_from_obj({"m": [True, 0], "r": [0]}, 2, MAX_SAMPLE_N)
     with pytest.raises(ParseError, match="^'r' must map sizes >= 1 to integer counts$"):
-        index_from_obj({"m": {}, "r": {"1": True}}, INFINITE)
+        index_from_obj({"m": {}, "r": {"1": True}}, INFINITE, MAX_SAMPLE_N)
 
 
 def test_fingerprint_shape():
