@@ -9,10 +9,11 @@ between two q-commuting pairs via an explicit length-2 complex.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (DimensionMismatch, LengthMismatch, MixedContext, NotSquare,
                      RelationViolated)
-from .matrices import QMatrix, kernel_basis, rank
+from .matrices import QMatrix, _check_entry, kernel_basis, rank
 from .scalars import QScalar
 
 
@@ -74,26 +75,61 @@ def q_layered(m: int, n: int, v, ctx=None) -> QMatrix:
     return QMatrix.sparse(ctx, m, n, entries)
 
 
-def sylvester_operator(L: QMatrix, R: QMatrix, c: QScalar) -> QMatrix:
+def sylvester_operator(L: QMatrix, R: QMatrix, c) -> QMatrix:
     """Matrix of X -> L X - c X R on m x n matrices X, flattened row-major.
 
-    L is m x m and R is n x n.  Entry ((i, j), (r, s)) is
-    L[i][r] [j = s] - c R[s][j] [i = r], one (row, column, value) triple
-    per term, without matrix products.
+    L is m x m, R is n x n and c a scalar (an int or Fraction is taken into
+    the field).  Entry ((i, j), (r, s)) is L[i][r] [j = s] - c R[s][j] [i = r],
+    so row (i, j) is L's row i spread over the columns (r, j) and column j of
+    -c R over the columns (i, s).  The two meet only at the column (i, j),
+    the one sum taken, and dropped when it is zero.  Each row is built in
+    column order, without matrix products.
     """
     if not (L.is_square() and R.is_square()):
         raise NotSquare("X -> L X - c X R needs square L and R")
+    ctx = L.ctx
+    if R.ctx is not ctx:
+        raise MixedContext("L and R live in different field contexts")
+    if isinstance(c, (int, Fraction)):
+        c = ctx.rational(c)
+    _check_entry(ctx, c)
     m, n = L.nrows, R.nrows
-    scaled = [(s, j, -(c * b)) for s, j, b in R.nonzeros()]
-    entries = [(i * n + j, r * n + j, a) for i, r, a in L.nonzeros() for j in range(n)]
-    entries += [(i * n + j, i * n + s, b) for s, j, b in scaled for i in range(m)]
-    return QMatrix.sparse(L.ctx, m * n, m * n, entries)
+    neg = -c
+    # column j of -c R: its (s, value) pairs above and below the diagonal, s
+    # ascending, and its diagonal value or None
+    above, on, below = [[] for _ in range(n)], [None] * n, [[] for _ in range(n)]
+    for s, row in enumerate(R._rows):
+        for j, b in row.items():
+            if s < j:
+                above[j].append((s, neg * b))
+            elif s > j:
+                below[j].append((s, neg * b))
+            else:
+                on[j] = neg * b
+    rows = []
+    for i, left in enumerate(L._rows):
+        low = [(r * n, a) for r, a in left.items() if r < i]
+        high = [(r * n, a) for r, a in left.items() if r > i]
+        diag, base = left.get(i), i * n
+        for j, (head, at, tail) in enumerate(zip(above, on, below)):
+            row = {r + j: a for r, a in low}
+            for s, b in head:
+                row[base + s] = b
+            meet = at if diag is None else diag if at is None else diag + at
+            if meet is not None and meet:
+                row[base + j] = meet
+            for s, b in tail:
+                row[base + s] = b
+            for r, a in high:
+                row[r + j] = a
+            rows.append(row)
+    return QMatrix._wrap(ctx, rows, m * n)
 
 
 def _unflatten(ctx, vec, nrows, ncols) -> QMatrix:
     """The nrows x ncols matrix of a row-major vector, from its nonzeros."""
-    return QMatrix.sparse(ctx, nrows, ncols,
-                          [(k // ncols, k % ncols, x) for k, x in enumerate(vec) if x])
+    return QMatrix._wrap(ctx, [{c: x for c, x in enumerate(vec[i * ncols:(i + 1) * ncols]) if x}
+                               for i in range(nrows)], ncols)
 
 
 def qcommutant_basis(A: QMatrix):
@@ -165,12 +201,11 @@ def hom_ext(M1: MatrixPair, M2: MatrixPair) -> HomExtReport:
     # neither changes the kernel of d0 or the rank of d1
     one = ctx.one()
     SA, SB = sylvester_operator(A2, A1, one), sylvester_operator(B2, B1, one)
-    d0 = QMatrix.sparse(ctx, 2 * dim, dim,
-                        SA.nonzeros() + [(dim + r, c, x) for r, c, x in SB.nonzeros()])
+    d0 = QMatrix._wrap(ctx, SA._rows + SB._rows, dim)
     G = sylvester_operator(B2, B1, q.inverse())
     H = sylvester_operator(A2, A1, q)
-    d1 = QMatrix.sparse(ctx, dim, 2 * dim,
-                        G.nonzeros() + [(r, dim + c, x) for r, c, x in H.nonzeros()])
+    d1 = QMatrix._wrap(ctx, [{**g, **{dim + c: x for c, x in h.items()}}
+                             for g, h in zip(G._rows, H._rows)], 2 * dim)
     hom_vectors = kernel_basis(d0)
     rank_d0 = dim - len(hom_vectors)
     rank_d1 = rank(d1)

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
+from itertools import chain
 
 from . import modular, poly
 from .errors import DimensionMismatch, MixedContext, NotSquare, SingularConjugator
-from .scalars import FieldContext, QScalar
+from .scalars import FieldContext, QScalar, cyclotomic_polynomial
 
 
 def _check_entry(ctx: FieldContext, entry):
@@ -53,9 +55,16 @@ class QMatrix:
         """The unchecked constructor, for rows QMatrix assembles itself:
         dicts column -> QScalar of ctx, in any column order; zeros are
         dropped."""
+        return QMatrix._wrap(ctx, [{c: x for c, x in sorted(row.items()) if x}
+                                   for row in rows], ncols)
+
+    @staticmethod
+    def _wrap(ctx: FieldContext, rows, ncols: int) -> "QMatrix":
+        """The matrix of rows already in stored form (dicts column ->
+        nonzero QScalar of ctx, columns ascending), kept as they are."""
         M = object.__new__(QMatrix)
         M.ctx, M.nrows, M.ncols = ctx, len(rows), ncols
-        M._rows = tuple({c: x for c, x in sorted(row.items()) if x} for row in rows)
+        M._rows = tuple(rows)
         return M
 
     def __reduce__(self):
@@ -362,6 +371,21 @@ def _certified(A: QMatrix, pivot_cols, basis) -> bool:
     exact pivot columns are among pivot_cols; a rank mod p never exceeds the
     exact rank, so they are all of pivot_cols, and the kernel vectors with
     that shape are unique, hence the reduced-echelon ones.
+
+    A v = 0 is tested in Z/N, N = Phi_ell(beta) for beta = 2^W, by one
+    evaluation x -> beta (Kronecker substitution: Harvey, J. Symb. Comput.
+    2009).  Each row of A and each v is scaled into Z[zeta] by the lcm of
+    its denominators, which leaves A v = 0 as it is, and x -> beta is a
+    ring map from Z[x]/Phi_ell onto Z/N.  With |.| the largest |coefficient|,
+    the product y = sum_j a_j w_j of a row and a vector has, before
+    reduction, coefficients at most S = deg sum_j |a_j| |w_j|, and its
+    remainder R mod Phi_ell at most B = S (1 + (deg - 1) K), K the largest
+    |coefficient| of x^(deg + k) mod Phi_ell.  With H = |Phi_ell| and
+    beta >= B + H + 1, a nonzero R has 0 < |R(beta)| < Phi_ell(beta) = N, so
+    R(beta) = 0 (mod N) only when R = 0.  Each |a_j| is at most d h, d the
+    lcm of the row's denominators and h the largest |coefficient| of its
+    numerators, and each |w_j| likewise, so S <= deg len(row) d h d' h':
+    W comes from the bits of A and of the vectors, never from a constant.
     """
     pivot_set = set(pivot_cols)
     free = [f for f in range(A.ncols) if f not in pivot_set]
@@ -369,38 +393,47 @@ def _certified(A: QMatrix, pivot_cols, basis) -> bool:
         return False
     ctx = A.ctx
     one = ctx.one()
-    vectors = []  # the nonzeros of each basis vector, as {column: int vector}
+    vectors = []  # the nonzeros of each basis vector, as {column: QScalar}
     for f, vec in zip(free, basis):
         if vec[f] != one:
             return False
-        nonzeros = []
+        nonzeros = {}
         for j, x in enumerate(vec):
             if x:
                 if j != f and (j > f or j not in pivot_set):
                     return False
-                nonzeros.append((j, x))
-        vectors.append(dict(_integral(nonzeros)))
-    # A v = 0 in Z[zeta], each row of A and each v scaled by the lcm of its
-    # denominators: nonzero rationals, which leave A v = 0 as it is
-    mul = ctx._mul
-    for row in A._rows:
-        row = _integral(row.items())
+                nonzeros[j] = x
+        vectors.append(nonzeros)
+    rows = A._rows
+    row_scales = [_scale(row.values()) for row in rows]
+    vec_scales = [_scale(vec.values()) for vec in vectors]
+    row_top = max((len(row) * d * h for row, (d, h) in zip(rows, row_scales)), default=0)
+    vec_top = max((d * h for d, h in vec_scales), default=0)
+    deg, phi = ctx._deg, cyclotomic_polynomial(ctx.ell)
+    K = max((abs(v) for row in ctx._reduction for _, v in row), default=0)
+    width = (deg * row_top * vec_top * (1 + (deg - 1) * K) + max(map(abs, phi))).bit_length()
+    powers = [1 << (width * t) for t in range(deg + 1)]
+    N = sum(map(operator.mul, phi, powers))
+    # each distinct numerator at beta, once: an operator repeats its values
+    nums = {x.int_num for items in (*rows, *vectors) for x in items.values()}
+    image = {num: sum(map(operator.mul, num, powers)) for num in nums}
+    rows = [[(j, image[x.int_num] * (d // x.int_den[0])) for j, x in row.items()]
+            for row, (d, _) in zip(rows, row_scales)]
+    vectors = [{j: image[x.int_num] * (d // x.int_den[0]) for j, x in vec.items()}
+               for vec, (d, _) in zip(vectors, vec_scales)]
+    for row in rows:
         for vec in vectors:
-            acc = [0] * ctx._deg
-            for j, a in row:
-                v = vec.get(j)
-                if v is not None:
-                    acc = [s + t for s, t in zip(acc, mul(a, v))]
-            if any(acc):
+            if sum([a * vec[j] for j, a in row if j in vec]) % N:
                 return False
     return True
 
 
-def _integral(items):
-    """(key, int vector) for the (key, x) of Q(zeta_ell) scalars in items,
-    each x times the lcm of their denominators."""
-    den = math.lcm(*(x.int_den[0] for _, x in items))
-    return [(j, [c * (den // x.int_den[0]) for c in x.int_num]) for j, x in items]
+def _scale(xs):
+    """(d, h) for the Q(zeta_ell) scalars xs: d the lcm of their
+    denominators and h the largest |coefficient| of their numerators, so
+    that each d x is in Z[zeta] with coefficients at most d h."""
+    return (math.lcm(*[x.int_den[0] for x in xs]),
+            max(map(abs, chain.from_iterable([x.int_num for x in xs])), default=0))
 
 
 def _modular(A: QMatrix, entries, want_basis: bool):

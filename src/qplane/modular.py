@@ -10,9 +10,12 @@ root giving one ring map Z[zeta][1/d] -> F_p.  Vandermonde interpolation
 over the roots gives the coefficients of each entry mod p, CRT joins the
 primes and Wang's rational reconstruction lifts them to Q (Encarnacion,
 JSC 1995; Monagan, ISSAC 2004); ``matrices._modular`` returns a candidate
-only once its exact certificate holds.  Below 2^30 every residue is one
-CPython digit, so ``(y + f x) % p`` costs about a third of its time at 62
-bits."""
+only once its exact certificate holds.  That certificate tests A v = 0
+not in Z[zeta] but in Z / Phi_ell(2^W), one evaluation x -> 2^W per
+distinct entry, with W read off the bits of A and v so that only a zero
+product maps to 0 (``matrices._certified``).  Below 2^30 every residue is
+one CPython digit, so ``(y + f x) % p`` costs about a third of its time at
+62 bits."""
 
 from __future__ import annotations
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qplane import (FieldContext, HomExtReport, JordanSpec, LengthMismatch, MatrixPair,
                     MixedContext, NotSquare, QMatrix, RelationViolated,
@@ -256,6 +258,68 @@ def test_sylvester_operator_cancels_a_diagonal_position_exactly():
                                QMatrix.diagonal(ctx, [a, a / q]), q)
         assert S[1, 1] == ctx.zero()
         assert [(r, c) for r, c, _ in S.nonzeros()] == [(0, 0), (2, 2), (3, 3)]
+
+
+def triple_sylvester(L, R, c):
+    """X -> L X - c X R summed from one (row, column, value) triple per
+    term through QMatrix.sparse: the reference for sylvester_operator."""
+    m, n = L.nrows, R.nrows
+    scaled = [(s, j, -(c * b)) for s, j, b in R.nonzeros()]
+    entries = [(i * n + j, r * n + j, a) for i, r, a in L.nonzeros() for j in range(n)]
+    entries += [(i * n + j, i * n + s, b) for s, j, b in scaled for i in range(m)]
+    return QMatrix.sparse(L.ctx, m * n, m * n, entries)
+
+
+C5 = FieldContext.root_of_unity(5)
+
+
+@st.composite
+def sylvester_inputs(draw):
+    """(L, R, c) over Q(zeta_3), Q(zeta_5) or Q(q), sides 0 to 5: entries
+    from a few multiples of powers of q, or zero; c an int, a Fraction or
+    such a scalar, and some diagonal entries of L set to c times one of R,
+    which cancel on the diagonal of the operator."""
+    ctx = draw(st.sampled_from((C3, C5, GEN)))
+    q = ctx.q()
+    values = [ctx.rational(a) * q ** k for a in (-1, 2, Fraction(1, 3)) for k in (0, 1, 2)]
+    c = draw(st.sampled_from((1, -2, Fraction(1, 2), q, -q, q * q, ctx.rational(3) * q)))
+    scalar = ctx.rational(c) if isinstance(c, (int, Fraction)) else c
+
+    def grid(n):
+        return [[draw(st.sampled_from(values)) if draw(st.integers(0, 2)) else ctx.zero()
+                 for _ in range(n)] for _ in range(n)]
+
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    left, right = grid(m), grid(n)
+    for i in range(m):
+        if n and draw(st.booleans()):
+            k = draw(st.integers(0, n - 1))
+            left[i][i] = scalar * right[k][k]
+    return QMatrix(ctx, left), QMatrix(ctx, right), c
+
+
+@given(sylvester_inputs())
+@settings(max_examples=200, deadline=None)
+def test_sylvester_operator_matches_the_triple_built_operator(case):
+    L, R, c = case
+    S = sylvester_operator(L, R, c)
+    assert S == triple_sylvester(L, R, c)
+    assert (S.nrows, S.ncols) == (L.nrows * R.nrows,) * 2
+    for row in S._rows:
+        assert list(row) == sorted(row)
+        assert all(row.values())
+
+
+def test_sylvester_operator_takes_rationals_and_refuses_other_fields():
+    L = QMatrix.from_rational_rows(C3, [[1, 2], [0, 3]])
+    R = QMatrix.from_rational_rows(C3, [[3, 0], [1, 1]])
+    for c in (2, Fraction(-1, 3)):
+        assert sylvester_operator(L, R, c) == sylvester_operator(L, R, C3.rational(c))
+        assert sylvester_operator(L, R, c) == triple_sylvester(L, R, c)
+    with pytest.raises(MixedContext):
+        sylvester_operator(L, R, C5.q())
+    with pytest.raises(MixedContext):
+        sylvester_operator(L, QMatrix.from_rational_rows(C5, [[3, 0], [1, 1]]), 1)
 
 
 def test_sylvester_operator_needs_square_sides():

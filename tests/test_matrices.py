@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -1061,6 +1062,92 @@ def test_the_certificate_scales_away_denominators():
             bent = list(v)
             bent[j] = v[j] * c
             assert not matrices._certified(A, cols, basis[:i] + [tuple(bent)] + basis[i + 1:])
+
+
+@pytest.mark.parametrize("ell", [3, 5, 105])
+def test_the_certificate_width_grows_with_the_entries(ell):
+    # A = [1, q] with pivot 0: v = (-2^w, 1) gives A v = q - 2^w, which
+    # vanishes at q = 2^w, so a width fixed at w would accept it; Phi_105
+    # has a coefficient -2
+    ctx = FieldContext.root_of_unity(ell)
+    one, q = ctx.one(), ctx.q()
+    A = QMatrix(ctx, [[one, q]])
+    assert matrices._certified(A, [0], [(-q, one)])
+    for w in range(1, 201):
+        assert not matrices._certified(A, [0], [(ctx.rational(-2 ** w), one)])
+
+
+def product_certified(A, pivot_cols, basis):
+    """The certificate with A v = 0 tested by products in Z[zeta], each row
+    and vector scaled by the lcm of its denominators: the oracle for
+    ``matrices._certified``."""
+    pivot_set = set(pivot_cols)
+    free = [f for f in range(A.ncols) if f not in pivot_set]
+    if len(free) != len(basis):
+        return False
+    ctx = A.ctx
+
+    def integral(items):
+        den = math.lcm(*(x.int_den[0] for _, x in items))
+        return [(j, [c * (den // x.int_den[0]) for c in x.int_num]) for j, x in items]
+
+    vectors = []
+    for f, vec in zip(free, basis):
+        if vec[f] != ctx.one():
+            return False
+        nonzeros = [(j, x) for j, x in enumerate(vec) if x]
+        if any(j != f and (j > f or j not in pivot_set) for j, _ in nonzeros):
+            return False
+        vectors.append(dict(integral(nonzeros)))
+    for row in A._rows:
+        row = integral(list(row.items()))
+        for vec in vectors:
+            acc = [0] * ctx._deg
+            for j, a in row:
+                if j in vec:
+                    acc = [s + t for s, t in zip(acc, ctx._mul(a, vec[j]))]
+            if any(acc):
+                return False
+    return True
+
+
+@st.composite
+def certificate_inputs(draw):
+    """(A, pivot columns, reduced-echelon kernel basis, the basis with one
+    coefficient of one entry off by one unit of its denominator): A up to
+    5 x 6 over Q(zeta_ell) with fractional entries, small or of 40 bits."""
+    ctx = FieldContext.root_of_unity(draw(st.sampled_from((1, 2, 3, 5, 7, 12))))
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    top = draw(st.sampled_from((3, 2 ** 40)))
+
+    def entry():
+        if draw(st.integers(0, 2)) == 0:
+            return ctx.zero()
+        return QScalar(ctx, [draw(st.integers(-top, top)) for _ in range(ctx._deg)],
+                       draw(st.integers(1, 6)))
+
+    A = QMatrix(ctx, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+    pivots = matrices._rref([dict(row) for row in A._rows], ncols, ctx)
+    basis = matrices._kernel_of(pivots, ncols, ctx)
+    bent = list(basis)
+    if basis:
+        i, j = draw(st.integers(0, len(basis) - 1)), draw(st.integers(0, ncols - 1))
+        x = basis[i][j]
+        unit = ctx.rational(Fraction(draw(st.sampled_from((-1, 1))), x.int_den[0]))
+        vec = list(basis[i])
+        vec[j] = x + unit * ctx.q_power(draw(st.integers(0, ctx._deg - 1)))
+        bent[i] = tuple(vec)
+    return A, [c for c, _ in pivots], basis, bent
+
+
+@given(certificate_inputs())
+@settings(max_examples=150, deadline=None)
+def test_the_certificate_agrees_with_the_product_loop(case):
+    A, cols, basis, bent = case
+    assert matrices._certified(A, cols, basis) and product_certified(A, cols, basis)
+    assert matrices._certified(A, cols, bent) == product_certified(A, cols, bent)
+    if bent != basis:
+        assert not matrices._certified(A, cols, bent)
 
 
 @pytest.mark.parametrize("ell", [1, 3])

@@ -5,8 +5,9 @@ and compares its SHA-256 with a value recorded from an earlier version, so
 a refactor that changes any output byte (a scalar string, a basis order, a
 seeded sample, an error message) fails here.  The inputs are lists built in
 a fixed order; nothing iterates a set or depends on hash values.  When an
-output is meant to change, rerun ``digest(category, ell)`` and record the
-new value with the reason in CHANGES.md.
+output is meant to change, rerun ``digest(category, ell)`` (for the one
+category over several orders, ``sha256(category_commutant_modular())``)
+and record the new value with the reason in CHANGES.md.
 """
 
 import hashlib
@@ -19,7 +20,9 @@ import pytest
 from qplane import (EigenvaluesNotFound, FieldContext, INFINITE, MatrixPair,
                     QMatrix, QScalar, canonical_key, chain_decompose, classify,
                     conjugate, enumerate_ML, format_scalar, hom_ext, jordan_data,
-                    qcommutant_basis, sample_point, semisimplify, trace_fingerprint)
+                    qcommutant_basis, sample_point, semisimplify, sylvester_operator,
+                    trace_fingerprint)
+from qplane import matrices, modular
 from qplane.serialize import (fingerprint_to_obj, index_to_obj, matrix_to_obj,
                               pair_to_obj)
 
@@ -152,6 +155,23 @@ def category_commutant(ell):
     return [basis_record(qcommutant_basis(A)) for A in mats]
 
 
+def category_commutant_modular():
+    """q-commutants of the dense L*U conjugates (entries from -1, 2, 3) of
+    the sample points of size n = 4 and 5 at ell 3 and 5 and of size 3 at
+    ell 7, A = 0 left out: each operator goes through ``matrices._modular``,
+    which the operators of ``category_commutant`` never reach."""
+    out = []
+    for ell, n in ((3, 4), (3, 5), (5, 4), (5, 5), (7, 3)):
+        for pair in dense_pairs(ell, n, (-1, 2, 3)):
+            A = pair.A
+            if pair.size < n or A.is_zero():
+                continue
+            op = sylvester_operator(A, A, A.ctx.q())
+            assert matrices._use_modular(op, len(op.nonzeros()))
+            out.append(basis_record(qcommutant_basis(A)))
+    return out
+
+
 def category_hom_ext(ell):
     small = [pair for _, _, pair in samples(ell, 2)]
     cases = [(M1, M2) for M1 in small for M2 in small]
@@ -197,9 +217,13 @@ CATEGORIES = {
 }
 
 
-def digest(category, ell):
-    text = json.dumps(CATEGORIES[category](ell), sort_keys=True, separators=(",", ":"))
+def sha256(records):
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest(category, ell):
+    return sha256(CATEGORIES[category](ell))
 
 
 DIGESTS = {  # recorded at e42da4d
@@ -249,3 +273,17 @@ DIGESTS = {  # recorded at e42da4d
 @pytest.mark.parametrize("category", list(CATEGORIES))
 def test_output_digest(category, ell):
     assert digest(category, ell) == DIGESTS[category, ell]
+
+
+# recorded at 9718b95
+COMMUTANT_MODULAR = "da88e7d2d5b0c49b0f24a17ba34b54a34b44a146a288308f38f738ab7029027b"
+
+
+def test_commutant_modular_digest(monkeypatch):
+    # 16 of the 101 operators join two primes by CRT
+    primes = set()
+    real = modular.cyclotomic_prime
+    monkeypatch.setattr(modular, "cyclotomic_prime",
+                        lambda ell, k: primes.add(k) or real(ell, k))
+    assert sha256(category_commutant_modular()) == COMMUTANT_MODULAR
+    assert primes == {0, 1}
