@@ -2,8 +2,8 @@
 
 Every subcommand reads JSON files and/or flags and writes one JSON document
 to standard output.  Exit codes: 0 success, 2 invalid input or flags
-(including input too large for the recursion, index, listing or counting
-limits, or for memory),
+(including input too large for the recursion, order, index, listing or
+counting limits, or for memory),
 3 the input pair violates AB = qBA, 4 a spectrum could not be resolved in
 the coefficient field.  A reader that closes standard output early (as
 ``| head`` does) ends the run with 0 and no message.  The default seed is 0,
@@ -23,6 +23,7 @@ from .chains import associated_sequence
 from .errors import (EigenvaluesNotFound, ParseError, QPlaneError,
                      RelationViolated)
 from .git_quotient import count_TPL, dim_git, enumerate_TPL, trace_fingerprint
+from .scalars import INFINITE, MAX_ORDER
 from .serialize import (ell_from_obj, ell_to_obj, fingerprint_to_obj,
                         git_index_to_obj, index_from_obj, index_to_obj,
                         matrix_from_obj, matrix_to_obj, pair_from_obj,
@@ -125,6 +126,8 @@ def _cmd_commutant(args) -> int:
 
 def _cmd_sample(args) -> int:
     ell = _parse_ell(args.ell)
+    if MAX_ORDER < ell < INFINITE:  # before the index pads its counts to ell
+        raise OverflowError(f"the order of q may be at most {MAX_ORDER}, got {ell}")
     idx = index_from_obj(_load_json(args.index), ell, MAX_SAMPLE_N)
     seed = _seed_from(args)
     pair = sample_point(idx, seed=seed)

@@ -10,6 +10,7 @@ constrained by ||m|| + ||r|| = n where ||v|| weights a count by its size.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .commutant import MatrixPair, q_layered, sylvester_operator
 from .errors import BadIndex, DegeneratePoint
@@ -71,18 +72,8 @@ class ComponentIndex:
     def __add__(self, other: "ComponentIndex") -> "ComponentIndex":
         if not isinstance(other, ComponentIndex) or other.ell != self.ell:
             return NotImplemented
-        pad = max(len(self.m), len(other.m))
-        m = tuple(
-            (self.m[i] if i < len(self.m) else 0)
-            + (other.m[i] if i < len(other.m) else 0)
-            for i in range(pad)
-        )
-        pad = max(len(self.r), len(other.r))
-        r = tuple(
-            (self.r[i] if i < len(self.r) else 0)
-            + (other.r[i] if i < len(other.r) else 0)
-            for i in range(pad)
-        )
+        m = tuple(map(sum, zip_longest(self.m, other.m, fillvalue=0)))
+        r = tuple(map(sum, zip_longest(self.r, other.r, fillvalue=0)))
         return ComponentIndex(self.ell, m, r)
 
 

@@ -6,8 +6,9 @@ Rank, kernel and inverse all come from one sparse Gauss-Jordan elimination
 to the reduced row echelon form.  That form is unique, so kernel bases and
 their order do not depend on how the elimination is carried out: which row
 pivots a column, whether the pivots that the nonzero pattern proves were
-peeled off first (``_peel``), or whether the form was computed exactly or
-rebuilt from images modulo primes and then proved exact (``_modular``).
+taken first (``_rref``'s row singleton pass), or whether the form was
+computed exactly or rebuilt from images modulo primes and then proved exact
+(``_modular``).
 """
 
 from __future__ import annotations
@@ -281,11 +282,18 @@ def _rref(rows, ncols, ctx):
     as (column, row) pairs in column order.
 
     A column index (column -> rows with a nonzero there) finds the rows to
-    clear without scanning zeros.  Of the rows that can pivot a column, the
-    one with the fewest nonzeros is taken, which limits fill; the reduced
-    form does not depend on that choice.  Each distinct pivot value is
-    inverted once per call: a Jordan-form operator repeats a few values on
-    many pivots, and over Q(zeta_ell) an inverse costs a norm.
+    clear without scanning zeros.  The row singletons go first, by the
+    pattern alone (the singleton pass of sparse LU: Davis, Direct Methods
+    for Sparse Linear Systems, SIAM 2006, ch. 7): a row with one nonzero
+    left, at column c, puts e_c in the row space, so c is a pivot with
+    reduced row e_c; clearing c from another row subtracts a multiple of
+    e_c, which touches no other column, so c is dropped from the other rows
+    with no scalar operation, and a row that falls to one nonzero joins the
+    queue.  Of the rows that can pivot a
+    column left after that, the one with the fewest nonzeros is taken, which
+    limits fill.  The reduced form depends on neither choice.  Each distinct
+    pivot value is inverted once per call: a Jordan-form operator repeats a
+    few values on many pivots, and over Q(zeta_ell) an inverse costs a norm.
     """
     one = ctx.one()
     inverses = {}  # (int_num, int_den) -> the inverse, for this call only
@@ -293,11 +301,28 @@ def _rref(rows, ncols, ctx):
     for i, row in enumerate(rows):
         for j in row:
             where[j].add(i)
+    peeled = {}  # column c -> its row, now {c: one}; where[c] is then stale
+    queue = [i for i, row in enumerate(rows) if len(row) == 1]
+    while queue:
+        row = rows[queue.pop()]
+        if not row:  # emptied since: a multiple of a peeled singleton
+            continue
+        c, = row
+        for i in where[c]:  # the row itself among them
+            other = rows[i]
+            del other[c]
+            if len(other) == 1:
+                queue.append(i)
+        row[c] = one
+        peeled[c] = row
     used = [False] * len(rows)
     pivots = []
     for c in range(ncols):
         if len(pivots) == len(rows):
             break
+        if c in peeled:
+            pivots.append((c, peeled[c]))
+            continue
         candidates = [i for i in where[c] if not used[i]]
         if not candidates:
             continue
@@ -336,23 +361,18 @@ def _rref(rows, ncols, ctx):
 def _kernel_of(pivots, ncols, ctx):
     """The reduced-echelon kernel basis from pivot rows over QScalars: for
     each free column f in order, 1 at f and -R[i][f] at the pivot column of
-    each pivot row i."""
+    each pivot row i.  A pivot row holds nothing at another pivot column, so
+    one pass over the rows' stored entries fills every vector."""
     pivot_cols = {c for c, _ in pivots}
     zero, one = ctx.zero(), ctx.one()
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        vec = [zero] * ncols
+    basis = {f: [zero] * ncols for f in range(ncols) if f not in pivot_cols}
+    for f, vec in basis.items():
         vec[f] = one
-        for c, row in pivots:
-            if c > f:
-                break
-            x = row.get(f)
-            if x is not None:
-                vec[c] = -x
-        basis.append(tuple(vec))
-    return basis
+    for c, row in pivots:
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = -x
+    return [tuple(vec) for vec in basis.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -480,56 +500,21 @@ def _use_modular(A: QMatrix, nnz: int) -> bool:
     such matrices stay exact.
     Large entries move the break-even up: the primes needed grow with the
     bits of the echelon form, which this rule does not read.  The matrices
-    it takes have no row singletons for ``_peel``: none of the 178 rows of
-    the 10 that go modular in the benchmark's ``commutant_elim`` (seed 3).
+    it takes have no row singletons for ``_rref``'s singleton pass: none of
+    the 178 rows of the 10 that go modular in the benchmark's
+    ``commutant_elim`` (seed 3).
     """
     return (not A.ctx.is_generic and (nnz >= 64 or A.ctx._deg >= 6)
             and nnz >= 4 * max(A.nrows, A.ncols))
 
 
-def _peel(rows):
-    """Empty, in place, each of the sparse rows that has one nonzero left,
-    dropping its column from the other rows, until none has; return those
-    columns.  No scalar operation is done (see ``_echelon``)."""
-    queue = [i for i, row in enumerate(rows) if len(row) == 1]
-    where = {}  # column -> the rows with a nonzero there
-    for i, row in enumerate(rows):
-        for j in row:
-            where.setdefault(j, []).append(i)
-    cols = []
-    while queue:
-        row = rows[queue.pop()]
-        if not row:  # emptied since: a multiple of a peeled singleton
-            continue
-        c, = row
-        cols.append(c)
-        for i in where[c]:  # the row itself among them
-            other = rows[i]
-            del other[c]
-            if len(other) == 1:
-                queue.append(i)
-    return cols
-
-
 def _echelon(A: QMatrix, want_basis: bool):
-    """(rank, reduced-echelon kernel basis or None) of A.
-
-    On the exact path the row singletons are peeled first (``_peel``, the
-    singleton pass of sparse LU: Davis, Direct Methods for Sparse Linear
-    Systems, SIAM 2006, ch. 7).  A row with one nonzero left, at column c,
-    puts e_c in the row space: c is a pivot, its reduced row is e_c and
-    every kernel vector is 0 at c, so the other rows lose column c.  The
-    peeled pivots (c, e_c) and those of ``_rref`` on the rows left, in
-    column order, are then A's unique reduced form.
-    """
+    """(rank, reduced-echelon kernel basis or None) of A."""
     if _use_modular(A, sum(map(len, A._rows))):
         got = _modular(A, A.nonzeros(), want_basis)
         if got is not None:
             return got
-    rows, one = [dict(row) for row in A._rows], A.ctx.one()
-    peeled = [(c, {c: one}) for c in _peel(rows)]
-    # the pivot columns are distinct, so the pairs compare on them alone
-    pivots = sorted(peeled + _rref([row for row in rows if row], A.ncols, A.ctx))
+    pivots = _rref([dict(row) for row in A._rows], A.ncols, A.ctx)
     return len(pivots), _kernel_of(pivots, A.ncols, A.ctx) if want_basis else None
 
 

@@ -13,6 +13,7 @@ from qplane import (FieldContext, JordanSpec, MatrixPair, QMatrix, conjugate,
                     jordan_block, predicted_commutant_dim, q_layered, realize)
 from qplane import cli
 from qplane.cli import main
+from qplane.scalars import MAX_ORDER
 from qplane.serialize import (index_to_obj, matrix_to_obj, pair_from_obj,
                               pair_to_obj)
 from qplane import ComponentIndex, classify, sample_point
@@ -628,6 +629,23 @@ def test_a_sample_too_large_is_refused_before_any_counts_are_built(tmp_path):
         done = run_cli_bounded("sample", "--ell", "inf", "--index", str(path), timeout=5)
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr == f"error: {message}\n"
+
+
+def test_an_order_above_the_bound_is_refused_before_anything_is_built(tmp_path):
+    # sample at ell 10^6 and a 1x1 matrix at ell 10^6 spent over 20 s
+    # building Phi_ell, and at ell 10^9 the index padded its counts to ell
+    # until memory ran out
+    index, matrix = tmp_path / "index.json", tmp_path / "matrix.json"
+    index.write_text(json.dumps({"m": [1], "r": []}))
+    matrix.write_text(json.dumps({"field": {"type": "cyclotomic", "ell": 10 ** 6},
+                                  "rows": 1, "cols": 1, "entries": [["1"]]}))
+    message = "error: input too large: the order of q may be at most {}, got {}\n"
+    for argv, ell in ((("sample", "--ell", "1000000", "--index", str(index)), 10 ** 6),
+                      (("sample", "--ell", "1000000000", "--index", str(index)), 10 ** 9),
+                      (("commutant", "--input", str(matrix)), 10 ** 6)):
+        done = run_cli_bounded(*argv, timeout=5)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == message.format(MAX_ORDER, ell)
 
 
 def test_a_sample_at_the_size_bound_is_written(capsys, tmp_path):

@@ -515,9 +515,11 @@ def test_inverse_round_trip():
 
 
 def test_inverse_of_singular_matrix_raises():
-    A = QMatrix.from_rational_rows(C3, [[1, 1], [1, 1]])
-    with pytest.raises(SingularConjugator):
-        inverse(A)
+    # the zero row of [[1, 2], [0, 0]] leaves the augmented row {3: 1}, a
+    # row singleton that the elimination takes before any other pivot
+    for rows in ([[1, 1], [1, 1]], [[1, 2], [0, 0]]):
+        with pytest.raises(SingularConjugator):
+            inverse(QMatrix.from_rational_rows(C3, rows))
 
 
 def test_conjugation_preserves_trace_and_rank():
@@ -820,9 +822,39 @@ def hidden_structure_inputs(draw):
 @given(hidden_structure_inputs())
 @settings(max_examples=80, deadline=None)
 def test_peeling_row_singletons_keeps_the_rank_and_the_kernel_basis(A):
-    r, basis = exact_echelon(A)
+    r, basis = dense_echelon(A)
     assert rank(A) == r
     assert kernel_basis(A) == basis
+
+
+def dense_echelon(A):
+    """(rank, kernel basis) by a plain dense Gauss-Jordan on A.rows, which
+    takes no row singleton first: the first row with a nonzero in a column
+    pivots it."""
+    rows = [list(row) for row in A.rows]
+    pivots = []
+    for c in range(A.ncols):
+        k = len(pivots)
+        r = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        rows[k], rows[r] = rows[r], rows[k]
+        s = rows[k][c].inverse()
+        rows[k] = [x * s for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[k])]
+        pivots.append(c)
+    zero, one = A.ctx.zero(), A.ctx.one()
+    basis = []
+    for f in range(A.ncols):
+        if f not in pivots:
+            vec = [zero] * A.ncols
+            vec[f] = one
+            for k, c in enumerate(pivots):
+                vec[c] = -rows[k][f]
+            basis.append(tuple(vec))
+    return len(pivots), basis
 
 
 def test_a_hidden_triangular_matrix_takes_no_scalar_operation(monkeypatch):
@@ -863,25 +895,30 @@ def exact_echelon(A):
 
 
 def test_exact_elimination_inverts_each_distinct_pivot_once(monkeypatch):
-    # the q-commutant operator of J_3(7q) + J_2(11) at ell 5 repeats a few
-    # pivot values on many pivots; each is inverted once per elimination.
-    # Every row of it peels, so kernel_basis inverts nothing: _rref is
-    # called on the whole operator, as exact_echelon does
+    # the q-commutant operator of g (J_2(q) + J_1(q) + J_2(1) + J_1(1)) g^-1
+    # at ell 5, g pairing each q coordinate with a 1 coordinate, repeats a
+    # few pivot values on many pivots; each is inverted once per
+    # elimination.  No row of it has one nonzero, so no pivot is taken by
+    # the pattern alone
     ctx = FieldContext.root_of_unity(5)
     q, r = ctx.q(), ctx.rational
-    spec = JordanSpec(ctx, [(r(7) * q, (3,)), (r(11), (2,))])
-    A = realize(spec)
+    spec = JordanSpec(ctx, [(q, (2, 1)), (r(1), (2, 1))])
+    g = QMatrix.from_rational_rows(ctx, [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0],
+                                         [0, 0, 1, 0, 0, 1], [1, 0, 0, -1, 0, 0],
+                                         [0, 1, 0, 0, -1, 0], [0, 0, 1, 0, 0, -1]])
+    A = conjugate(g, realize(spec))
     op = sylvester_operator(A, A, q)
     assert not matrices._use_modular(op, len(op.nonzeros()))
+    assert min(map(len, op._rows)) > 1
     inverted = []
     real = QScalar.inverse
     monkeypatch.setattr(QScalar, "inverse", lambda x: inverted.append(x) or real(x))
-    basis = exact_echelon(op)[1]
-    # 25 pivots take 4 values: 11 - 11q, -4q, 7q - 7q^2 and 11 - 7q^2
-    assert op.ncols - len(basis) == 25
-    assert len(inverted) == len(set(inverted)) == 4
+    basis = kernel_basis(op)
+    # 31 pivots take 10 values
+    assert op.ncols - len(basis) == 31
+    assert len(inverted) == len(set(inverted)) == 10
     # the certified modular path shares no elimination code with the exact one
-    assert matrices._modular(op, op.nonzeros(), True) == (25, basis)
+    assert matrices._modular(op, op.nonzeros(), True) == (31, basis)
     assert len(basis) == predicted_commutant_dim(spec)
 
 

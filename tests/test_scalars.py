@@ -13,7 +13,7 @@ from qplane import (BadIndex, DivisionByZero, FieldContext, INFINITE, MixedConte
                     ParseError, QScalar, ZeroArgument, canonical_key,
                     cyclotomic_polynomial, format_scalar, parse_scalar,
                     q_equivalent, q_orbit, substitute_q_inverse)
-from qplane.scalars import MAX_GENERIC_EXPONENT, _build, _order
+from qplane.scalars import MAX_GENERIC_EXPONENT, MAX_ORDER, _build, _order
 
 C3 = FieldContext.root_of_unity(3)
 C4 = FieldContext.root_of_unity(4)
@@ -170,6 +170,17 @@ def test_a_bool_is_not_an_order(factory, ell):
     # root_of_unity(True) was once the ell = 1 context: bool is an int subclass
     with pytest.raises(ValueError, match="root_of_unity needs a positive integer ell"):
         factory(ell)
+
+
+@pytest.mark.parametrize("factory", [FieldContext.root_of_unity, FieldContext.for_order])
+def test_an_order_above_the_bound_builds_no_context(factory):
+    # building Q(zeta_ell) at ell 10^6 ran past 20 s; the bound is checked
+    # before anything is built
+    with pytest.raises(OverflowError, match=f"the order of q may be at most {MAX_ORDER}, "
+                                            f"got {MAX_ORDER + 1}"):
+        factory(MAX_ORDER + 1)
+    with pytest.raises(OverflowError):
+        factory(10 ** 9)
 
 
 @pytest.mark.parametrize("ell", [True, False, 0, -1, 2.5, 1.0, "3", None])
