@@ -275,6 +275,22 @@ def test_output_digest(category, ell):
     assert digest(category, ell) == DIGESTS[category, ell]
 
 
+# ell 4, where Phi_4 = x^2 + 1: the one order of composite ell that the
+# classify_sweep benchmark runs, and one that ORDERS leaves out; recorded at
+# f7662d4
+COMPOSITE_DIGESTS = {
+    "sample": "565127164c37faa3636b4f916a448d477e2484d0ff44d4e2c78e9f0815bce0d8",
+    "classify": "3888be93e5372744a86c7324a418587e3c146d94c641c33c475230210fe7d26e",
+    "jordan_data": "df1c0c921235a7efad2729aa75e5a21b6c0d94311b6fd260730f91197d1bc298",
+    "fingerprints": "7cbcf225d3b176fa44c4bd995927565760a739d11ac0ca8cd62e85f4f60013d9",
+}
+
+
+@pytest.mark.parametrize("category", list(COMPOSITE_DIGESTS))
+def test_output_digest_at_a_composite_order(category):
+    assert digest(category, 4) == COMPOSITE_DIGESTS[category]
+
+
 # recorded at 9718b95
 COMMUTANT_MODULAR = "da88e7d2d5b0c49b0f24a17ba34b54a34b44a146a288308f38f738ab7029027b"
 
