@@ -13,13 +13,18 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, LengthMismatch, MixedContext, NotSquare,
                      RelationViolated)
-from .matrices import QMatrix, _check_entry, kernel_basis, rank
+from .matrices import QMatrix, _check_entry, _row_sums, kernel_basis, rank
 from .scalars import QScalar
 
 
 @dataclass(frozen=True)
 class MatrixPair:
-    """A pair of n x n matrices with AB = qBA, checked at construction."""
+    """A pair of n x n matrices with AB = qBA, checked at construction.
+
+    Over Q(zeta_ell) the check forms no product: row by row, each entry of
+    AB - qBA is one unreduced sum over one denominator, q a shift by one,
+    reduced mod Phi_ell once and tested for zero.  Over Q(q) it compares AB
+    with qBA, q multiplied into the sparser of A and B."""
 
     A: QMatrix
     B: QMatrix
@@ -34,8 +39,15 @@ class MatrixPair:
             raise DimensionMismatch(
                 f"sizes differ: {A.nrows} vs {B.nrows}"
             )
-        q = A.ctx.q()
-        if A * B != (B * A) * q:
+        ctx = A.ctx
+        if ctx.is_generic:
+            q = ctx.q()
+            sparse_a = len(A.nonzeros()) <= len(B.nonzeros())
+            holds = A * B == (B * (A * q) if sparse_a else (B * q) * A)
+        else:
+            holds = not any(any(ctx._reduce(acc)) for a, b in zip(A._rows, B._rows) for acc, _
+                            in _row_sums(ctx, (a, B._rows, 0, 1), (b, A._rows, 1, -1)).values())
+        if not holds:
             raise RelationViolated("AB = qBA fails for this pair")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)

@@ -14,7 +14,7 @@ from .commutant import MatrixPair
 from .components import ComponentIndex
 from .errors import BadIndex, UnsupportedShape
 from .matrices import QMatrix, diagonal_blocks
-from .scalars import INFINITE, _order
+from .scalars import INFINITE, _lowest, _mul_add, _order
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,17 @@ def _powers(X: QMatrix, top: int):
 
 
 def _trace_of_product(nonzeros, Y: QMatrix):
-    """Tr(XY) from the nonzero entries (r, k, x) of X, without forming XY."""
-    total = None
+    """Tr(XY) from the nonzero entries (r, k, x) of X, without forming XY;
+    over Q(zeta_ell) as one unreduced sum, reduced once."""
+    ctx = Y.ctx
+    if ctx.is_generic:
+        return sum((x * y for r, k, x in nonzeros if (y := Y[k, r])), ctx.zero())
+    acc, den = [0] * (2 * ctx._deg), 1
     for r, k, x in nonzeros:
         y = Y[k, r]
-        if not y.is_zero():
-            total = x * y if total is None else total + x * y
-    return Y.ctx.zero() if total is None else total
+        if y:
+            den = _mul_add(ctx, acc, den, x, y)
+    return _lowest(ctx, ctx._reduce(acc), den)
 
 
 def _block_traces(A: QMatrix, B: QMatrix, N: int, lattice):

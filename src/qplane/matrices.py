@@ -21,7 +21,7 @@ from itertools import chain
 
 from . import modular, poly
 from .errors import DimensionMismatch, MixedContext, NotSquare, SingularConjugator
-from .scalars import FieldContext, QScalar, cyclotomic_polynomial
+from .scalars import FieldContext, QScalar, _lowest, _mul_add, cyclotomic_polynomial
 
 
 def _check_entry(ctx: FieldContext, entry):
@@ -202,7 +202,11 @@ class QMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         # row by row over the stored nonzeros (Gustavson, ACM TOMS 1978):
         # output row i sums A[i][k] * (row k of B) over the A[i][k] stored
-        right = other._rows
+        ctx, right = self.ctx, other._rows
+        if not ctx.is_generic:  # each entry one unreduced sum, reduced once
+            out = [{c: _lowest(ctx, ctx._reduce(acc), den) for c, (acc, den)
+                    in _row_sums(ctx, (row, right, 0, 1)).items()} for row in self._rows]
+            return QMatrix._build(ctx, out, other.ncols)
         out = []
         for row in self._rows:
             acc = {}
@@ -211,7 +215,7 @@ class QMatrix:
                     s = acc.get(c)
                     acc[c] = x * y if s is None else s + x * y
             out.append(acc)
-        return QMatrix._build(self.ctx, out, other.ncols)
+        return QMatrix._build(ctx, out, other.ncols)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QScalar)):
@@ -254,6 +258,21 @@ class QMatrix:
         return QMatrix.sparse(self.ctx, len(rows), len(cols), [
             (a, b, row[j]) for a, row in enumerate(rows)
             for b, j in enumerate(cols) if j in row])
+
+
+def _row_sums(ctx, *products):
+    """One row of the sum of sign * q^shift * X Y over the (row of X, rows of
+    Y, shift, sign) given, in stored rows over Q(zeta_ell): a dict column ->
+    [acc, den] of unreduced ``_mul_add`` sums."""
+    sums, width = {}, 2 * ctx._deg
+    for row, right, shift, sign in products:
+        for k, x in row.items():
+            for c, y in right[k].items():
+                s = sums.get(c)
+                if s is None:
+                    s = sums[c] = [[0] * width, 1]
+                s[1] = _mul_add(ctx, s[0], s[1], x, y, shift, sign)
+    return sums
 
 
 def direct_sum(*matrices: QMatrix) -> QMatrix:

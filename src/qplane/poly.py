@@ -10,6 +10,7 @@ coefficients in the rational root search).  The integer helpers
 ``prem``, ``primitive``, ``primitive_gcd`` and ``div_exact`` work in Z[x]
 without any division that leaves Z.  A polynomial is trimmed when its last
 coefficient is nonzero, and the zero polynomial is ().  Every function here
+but ``mul_into``, which adds a product into a list that it leaves untrimmed,
 takes trimmed polynomials and returns trimmed tuples; ``trim`` is the one
 way in for anything else.
 """
@@ -40,12 +41,19 @@ def mul(a, b):
     if not a or not b:
         return ()
     out = [a[-1] * 0] * (len(a) + len(b) - 1)  # zeros of the coefficient type
-    for i, x in enumerate(a):
+    return tuple(mul_into(out, a, b))  # trimmed: a[-1] * b[-1] != 0, as there are no zero divisors
+
+
+def mul_into(out, a, b, shift=0):
+    """Add a * b * x^shift into the coefficient list out, in place."""
+    for i, x in enumerate(a, shift):
         if x:
-            for j, y in enumerate(b):
+            j = i
+            for y in b:
                 if y:
-                    out[i + j] += x * y
-    return tuple(out)  # trimmed: a[-1] * b[-1] != 0, as there are no zero divisors
+                    out[j] += x * y
+                j += 1
+    return out
 
 
 def div_linear(a, x):

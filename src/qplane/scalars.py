@@ -138,8 +138,8 @@ class FieldContext:
                 if top:
                     row = [v - top * c for v, c in zip(row, low)]
             self._powers = tuple(powers)
-            # x^(deg+k) mod Phi_ell for k = 0 .. deg-2, since x^ell = 1
-            self._reduction = tuple(powers[(deg + k) % ell] for k in range(deg - 1))
+            # x^(deg+k) mod Phi_ell for k = 0 .. deg-1, since x^ell = 1
+            self._reduction = tuple(powers[(deg + k) % ell] for k in range(deg))
             # the nontrivial Galois automorphisms q -> q^k, k a unit mod ell
             self._conjugators = tuple(k for k in range(2, ell) if math.gcd(k, ell) == 1)
         # shared by every caller: scalars are immutable
@@ -187,12 +187,11 @@ class FieldContext:
         deg = self._deg
         if deg == 1:
             return [a[0] * b[0]]
-        acc = [0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        acc[i + j] += x * y
+        return self._reduce(poly.mul_into([0] * (2 * deg), a, b))
+
+    def _reduce(self, acc):
+        """The int list acc, of 2 deg entries, reduced mod Phi_ell in place."""
+        deg = self._deg
         for k, row in enumerate(self._reduction, deg):
             top = acc[k]
             if top:
@@ -345,6 +344,20 @@ def _lowest(ctx, ints, d):
         if d != 1:
             return _build(ctx, tuple(ints), (d,))
     return _build(ctx, tuple(ints), _ONE)
+
+
+def _mul_add(ctx, acc, den, x, y, shift=0, sign=1):
+    """Add sign * x * y * q^shift, for Q(zeta_ell) scalars x and y, into the
+    unreduced sum acc / den (2 deg ints, changed in place) and return its
+    new denominator; the sum is ``_lowest(ctx, ctx._reduce(acc), den)``."""
+    t = x.int_den[0] * y.int_den[0]
+    if den % t:
+        m = t // math.gcd(den, t)
+        acc[:] = [v * m for v in acc]
+        den *= m
+    f = sign * (den // t)
+    poly.mul_into(acc, x.int_num if f == 1 else [v * f for v in x.int_num], y.int_num, shift)
+    return den
 
 
 class QScalar:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+from fractions import Fraction
 import resource
 import subprocess
 import sys
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from qplane import (FieldContext, JordanSpec, MatrixPair, QMatrix, conjugate,
-                    jordan_block, predicted_commutant_dim, q_layered, realize)
+from qplane import (FieldContext, JordanSpec, MatrixPair, QMatrix, RelationViolated,
+                    conjugate, enumerate_ML, jordan_block, predicted_commutant_dim,
+                    q_layered, realize)
 from qplane import cli
 from qplane.cli import main
 from qplane.scalars import MAX_ORDER
@@ -292,6 +294,90 @@ def lu_conjugate(A, seed):
     U = QMatrix(ctx, [[r(1) if i == j else r(rng.choice((-1, 1, 2))) if i < j else r(0)
                        for j in range(n)] for i in range(n)])
     return conjugate(L * U, A)
+
+
+def relation_holds(A, B):
+    """AB = qBA, read off dense products of QScalars: the oracle of the
+    check in MatrixPair, which forms no product."""
+    ctx, a, b, n = A.ctx, A.rows, B.rows, A.nrows
+    return all(sum((a[i][k] * b[k][j] for k in range(n)), ctx.zero())
+               == ctx.q() * sum((b[i][k] * a[k][j] for k in range(n)), ctx.zero())
+               for i in range(n) for j in range(n))
+
+
+def near_misses(ell):
+    """(pair, A, B): each sample point with n <= 4, its L*U conjugate, and
+    that conjugate with one entry of B moved by one unit of its denominator,
+    at a row i where column i of A has a nonzero off the diagonal, at (r, i)
+    say: then AE - qEA, E the move, is nonzero at (r, i), so the moved pair
+    breaks AB = qBA.  A conjugate with no such column is left out."""
+    ctx = FieldContext.root_of_unity(ell)
+    out = []
+    for n in range(1, 5):
+        for k, idx in enumerate(enumerate_ML(ell, n)):
+            M = sample_point(idx, seed=k)
+            D = MatrixPair(lu_conjugate(M.A, k), lu_conjugate(M.B, k))
+            hit = next(((r, i) for r, i, _ in D.A.nonzeros() if r != i), None)
+            if hit is not None:
+                r, i = hit
+                unit = ctx.rational(Fraction(1, D.B[i, i].int_den[0]))
+                out.append((D, D.A, D.B + QMatrix.sparse(ctx, n, n, [(i, i, unit)])))
+    return out
+
+
+RELATION_ORDERS = (1, 2, 3, 4, 5, 8, 12)
+
+
+@pytest.mark.parametrize("ell", RELATION_ORDERS)
+def test_the_relation_check_accepts_sample_points_and_refuses_near_misses(ell):
+    ctx = FieldContext.root_of_unity(ell)
+    swapped = 0
+    for n in range(1, 5):
+        for k, idx in enumerate(enumerate_ML(ell, n)):
+            M = sample_point(idx, seed=k)  # the check runs on construction
+            D = MatrixPair(lu_conjugate(M.A, k), lu_conjugate(M.B, k))
+            assert relation_holds(M.A, M.B) and relation_holds(D.A, D.B)
+            # the pair with the roles swapped has BA = qAB; it breaks AB = qBA
+            # unless q^2 = 1 or BA = 0
+            if relation_holds(D.B, D.A):
+                MatrixPair(D.B, D.A)
+            else:
+                swapped += 1
+                with pytest.raises(RelationViolated, match="^AB = qBA fails for this pair$"):
+                    MatrixPair(D.B, D.A)
+    assert swapped >= 15 or ell <= 2
+    misses = near_misses(ell)
+    assert len(misses) >= 3 * sum(len(enumerate_ML(ell, n)) for n in range(1, 5)) // 4
+    for _, A, B in misses:
+        assert not relation_holds(A, B)
+        with pytest.raises(RelationViolated, match="^AB = qBA fails for this pair$"):
+            MatrixPair(A, B)
+    for n in (1, 2, 4):
+        identity = QMatrix.identity(ctx, n)
+        if ell == 1:
+            MatrixPair(identity, identity)
+        else:
+            with pytest.raises(RelationViolated, match="^AB = qBA fails for this pair$"):
+                MatrixPair(identity, identity)
+    if ell >= 3:  # BA = qAB with BA != 0, and a conjugate of it
+        A = QMatrix.diagonal(ctx, [ctx.one(), ctx.q()])
+        B = QMatrix.sparse(ctx, 2, 2, [(0, 1, ctx.one())])
+        assert B * A == (A * B).scale(ctx.q()) and not relation_holds(A, B)
+        for X, Y in ((A, B), (lu_conjugate(A, 1), lu_conjugate(B, 1))):
+            with pytest.raises(RelationViolated, match="^AB = qBA fails for this pair$"):
+                MatrixPair(X, Y)
+
+
+@pytest.mark.parametrize("ell", RELATION_ORDERS)
+def test_classify_of_a_near_miss_exits_three(ell, capsys, tmp_path):
+    D, A, B = near_misses(ell)[-1]
+    obj = pair_to_obj(D)
+    obj["B"] = matrix_to_obj(B)
+    path = tmp_path / "near_miss.json"
+    path.write_text(json.dumps(obj))
+    assert main(["classify", "--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: AB = qBA fails for this pair\n"
 
 
 def test_commutant_of_a_dense_ten_by_ten_conjugate_stays_fast(tmp_path):

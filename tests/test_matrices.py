@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qplane import (DimensionMismatch, FieldContext, MixedContext, NotSquare, QMatrix,
                     QScalar, SingularConjugator, char_poly, conjugate, direct_sum,
                     inverse, kernel_basis, rank, substitute_q_inverse)
-from qplane import matrices, modular
+from qplane import git_quotient, matrices, modular
 from qplane.commutant import predicted_commutant_dim, sylvester_operator
 from qplane.jordan import JordanSpec, realize
 
@@ -394,6 +394,72 @@ def test_transpose_involution_and_shapes():
     assert A.transpose().nrows == 5
     empty = QMatrix.zero(C3, 0, 4)
     assert empty.transpose().ncols == 0
+
+
+def scalar_gustavson(X, Y):
+    """The nonzeros (r, c, x) of X Y, columns ascending, as QMatrix.__mul__
+    summed them before each entry became one reduction: Gustavson over the
+    stored nonzeros, every product and partial sum a reduced QScalar."""
+    right = [{} for _ in range(Y.nrows)]
+    for k, c, y in Y.nonzeros():
+        right[k][c] = y
+    rows = [{} for _ in range(X.nrows)]
+    for r, k, x in X.nonzeros():
+        acc = rows[r]
+        for c, y in right[k].items():
+            s = acc.get(c)
+            acc[c] = x * y if s is None else s + x * y
+    return [(r, c, acc[c]) for r, acc in enumerate(rows) for c in sorted(acc) if acc[c]]
+
+
+@st.composite
+def product_cases(draw):
+    """(X, Y, W): X is m x N, Y N x p and W N x m, over Q(zeta_ell) or Q(q),
+    sides from 0, entries with denominators 1 to 12.  X = [X0 | c X0 | X1]
+    and Y = [Y0; -Y0 / c; Y1], so the terms of every entry of X Y outside the
+    rows of X1 cancel to exactly zero, over denominators that differ."""
+    ell = draw(st.sampled_from((1, 2, 3, 4, 5, 7, 8, 12, math.inf)))
+    ctx = FieldContext.for_order(ell)
+
+    def entry():
+        d, top = draw(st.integers(1, 12)), draw(st.sampled_from((1, 3, 2 ** 70)))
+        if ctx.is_generic:
+            return (ctx.rational(Fraction(draw(st.integers(-top, top)), d))
+                    * ctx.q_power(draw(st.integers(-2, 2))) / (ctx.q() + draw(st.integers(1, 3))))
+        return QScalar(ctx, [draw(st.integers(-top, top)) for _ in range(ctx._deg)], d)
+
+    def grid(nrows, ncols, rows=None):
+        return [(i, j, entry()) for i in range(nrows) for j in range(ncols)
+                if (rows is None or i in rows) and draw(st.booleans())]
+
+    m, n, k, p = (draw(st.integers(0, 3)) for _ in range(4))
+    c = entry() or ctx.one()
+    x0, y0 = grid(m, n), grid(n, p)
+    x1, y1 = grid(m, k, draw(st.sets(st.integers(0, max(m - 1, 0))))), grid(k, p)
+    N = 2 * n + k
+    X = QMatrix.sparse(ctx, m, N, x0 + [(i, n + j, c * x) for i, j, x in x0]
+                       + [(i, 2 * n + j, x) for i, j, x in x1])
+    Y = QMatrix.sparse(ctx, N, p, y0 + [(n + i, j, -y / c) for i, j, y in y0]
+                       + [(2 * n + i, j, y) for i, j, y in y1])
+    return X, Y, QMatrix.sparse(ctx, N, m, grid(N, m))
+
+
+def pairs_of(nonzeros):
+    return [(r, c, x.int_num, x.int_den) for r, c, x in nonzeros]
+
+
+@given(product_cases())
+@settings(max_examples=150, deadline=None)
+def test_products_and_traces_match_the_scalar_gustavson_loop(case):
+    X, Y, W = case
+    for P, Q in ((X, Y), (X, W)):
+        got = (P * Q).nonzeros()
+        assert pairs_of(got) == pairs_of(scalar_gustavson(P, Q))
+        assert all(x for _, _, x in got)
+        assert [(r, c) for r, c, _ in got] == sorted((r, c) for r, c, _ in got)
+    diagonal = [x for r, c, x in scalar_gustavson(X, W) if r == c]
+    trace = git_quotient._trace_of_product(X.nonzeros(), W)
+    assert trace == (X * W).trace() == sum(diagonal, X.ctx.zero())
 
 
 def test_trace_of_product_is_symmetric():
