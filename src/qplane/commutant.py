@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import (DimensionMismatch, LengthMismatch, MixedContext, NotSquare,
                      RelationViolated)
 from .matrices import QMatrix, _check_entry, _row_sums, kernel_basis, rank
-from .scalars import QScalar
+from .scalars import QScalar, _q_times
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class MatrixPair:
     Over Q(zeta_ell) the check forms no product: row by row, each entry of
     AB - qBA is one unreduced sum over one denominator, q a shift by one,
     reduced mod Phi_ell once and tested for zero.  Over Q(q) it compares AB
-    with qBA, q multiplied into the sparser of A and B."""
+    with qBA, each entry of BA multiplied by q as a shift, with no gcd."""
 
     A: QMatrix
     B: QMatrix
@@ -41,9 +41,8 @@ class MatrixPair:
             )
         ctx = A.ctx
         if ctx.is_generic:
-            q = ctx.q()
-            sparse_a = len(A.nonzeros()) <= len(B.nonzeros())
-            holds = A * B == (B * (A * q) if sparse_a else (B * q) * A)
+            qBA = tuple({c: _q_times(x) for c, x in row.items()} for row in (B * A)._rows)
+            holds = (A * B)._rows == qBA
         else:
             holds = not any(any(ctx._reduce(acc)) for a, b in zip(A._rows, B._rows) for acc, _
                             in _row_sums(ctx, (a, B._rows, 0, 1), (b, A._rows, 1, -1)).values())

@@ -346,6 +346,13 @@ def _lowest(ctx, ints, d):
     return _build(ctx, tuple(ints), _ONE)
 
 
+def _q_times(a):
+    """q a, for a nonzero Q(q) scalar a = n / d: n / (d / q) when q divides
+    d, else q n / d, each a canonical pair already, so no gcd is taken."""
+    n, d = a.int_num, a.int_den
+    return _build(a.ctx, n, d[1:]) if not d[0] else _build(a.ctx, (0,) + n, d)
+
+
 def _mul_add(ctx, acc, den, x, y, shift=0, sign=1):
     """Add sign * x * y * q^shift, for Q(zeta_ell) scalars x and y, into the
     unreduced sum acc / den (2 deg ints, changed in place) and return its

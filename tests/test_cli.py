@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from qplane import (FieldContext, JordanSpec, MatrixPair, QMatrix, RelationViolated,
-                    conjugate, enumerate_ML, jordan_block, predicted_commutant_dim,
-                    q_layered, realize)
+from qplane import (INFINITE, FieldContext, JordanSpec, MatrixPair, QMatrix,
+                    RelationViolated, conjugate, enumerate_ML, jordan_block,
+                    predicted_commutant_dim, q_layered, realize)
 from qplane import cli
 from qplane.cli import main
 from qplane.scalars import MAX_ORDER
@@ -311,7 +311,7 @@ def near_misses(ell):
     at a row i where column i of A has a nonzero off the diagonal, at (r, i)
     say: then AE - qEA, E the move, is nonzero at (r, i), so the moved pair
     breaks AB = qBA.  A conjugate with no such column is left out."""
-    ctx = FieldContext.root_of_unity(ell)
+    ctx = FieldContext.for_order(ell)
     out = []
     for n in range(1, 5):
         for k, idx in enumerate(enumerate_ML(ell, n)):
@@ -325,12 +325,12 @@ def near_misses(ell):
     return out
 
 
-RELATION_ORDERS = (1, 2, 3, 4, 5, 8, 12)
+RELATION_ORDERS = (1, 2, 3, 4, 5, 8, 12, INFINITE)
 
 
 @pytest.mark.parametrize("ell", RELATION_ORDERS)
 def test_the_relation_check_accepts_sample_points_and_refuses_near_misses(ell):
-    ctx = FieldContext.root_of_unity(ell)
+    ctx = FieldContext.for_order(ell)
     swapped = 0
     for n in range(1, 5):
         for k, idx in enumerate(enumerate_ML(ell, n)):

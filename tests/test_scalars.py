@@ -13,7 +13,7 @@ from qplane import (BadIndex, DivisionByZero, FieldContext, INFINITE, MixedConte
                     ParseError, QScalar, ZeroArgument, canonical_key,
                     cyclotomic_polynomial, format_scalar, parse_scalar,
                     q_equivalent, q_orbit, substitute_q_inverse)
-from qplane.scalars import MAX_GENERIC_EXPONENT, MAX_ORDER, _build, _order
+from qplane.scalars import MAX_GENERIC_EXPONENT, MAX_ORDER, _build, _order, _q_times
 
 C3 = FieldContext.root_of_unity(3)
 C4 = FieldContext.root_of_unity(4)
@@ -813,6 +813,16 @@ def test_generic_results_are_canonical(a, b, k):
     assert parse_scalar(format_scalar(a), GEN) == a
     assert a - b == a + (-b)
     assert -(-a) == a
+
+
+@settings(max_examples=120, deadline=None)
+@given(generic_values(), st.integers(0, 3))
+def test_q_times_is_the_product_by_q(a, k):
+    a = a * GEN.q_power(-k)  # a denominator that q may divide
+    if a:
+        got = _q_times(a)
+        assert_canonical(got)
+        assert (got.int_num, got.int_den) == ((a * GEN.q()).int_num, (a * GEN.q()).int_den)
 
 
 NON_MONIC = [
