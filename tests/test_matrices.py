@@ -397,9 +397,9 @@ def test_transpose_involution_and_shapes():
 
 
 def scalar_gustavson(X, Y):
-    """The nonzeros (r, c, x) of X Y, columns ascending, as QMatrix.__mul__
-    summed them before each entry became one reduction: Gustavson over the
-    stored nonzeros, every product and partial sum a reduced QScalar."""
+    """The nonzeros (r, c, x) of X Y, columns ascending, by Gustavson over
+    the stored nonzeros with every product and partial sum a reduced
+    QScalar: the oracle of the one-reduction sums in QMatrix.__mul__."""
     right = [{} for _ in range(Y.nrows)]
     for k, c, y in Y.nonzeros():
         right[k][c] = y
