@@ -24,7 +24,7 @@ class MatrixPair:
     Over Q(zeta_ell) the check forms no product: row by row, each entry of
     AB - qBA is one unreduced sum over one denominator, q a shift by one,
     reduced mod Phi_ell once and tested for zero.  Over Q(q) it compares AB
-    with qBA, each entry of BA multiplied by q as a shift, with no gcd."""
+    with qBA entry by entry, q times an entry of BA a shift, with no gcd."""
 
     A: QMatrix
     B: QMatrix
@@ -41,8 +41,8 @@ class MatrixPair:
             )
         ctx = A.ctx
         if ctx.is_generic:
-            qBA = tuple({c: _q_times(x) for c, x in row.items()} for row in (B * A)._rows)
-            holds = (A * B)._rows == qBA
+            holds = all(r.keys() == s.keys() and all(x == _q_times(s[c]) for c, x in r.items())
+                        for r, s in zip((A * B)._rows, (B * A)._rows))
         else:
             holds = not any(any(ctx._reduce(acc)) for a, b in zip(A._rows, B._rows) for acc, _
                             in _row_sums(ctx, (a, B._rows, 0, 1), (b, A._rows, 1, -1)).values())
