@@ -12,6 +12,7 @@ overridden by the QPLANE_SEED environment variable, overridden in turn by
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -171,7 +172,9 @@ def _cmd_chains(args) -> int:
     return _emit({"m": list(m)})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once, on first use rather than at import."""
     parser = argparse.ArgumentParser(
         prog="qplane",
         description="Exact computations on q-commuting matrix pairs.",
@@ -182,54 +185,46 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--ell", required=True, help="order of q, or 'inf'")
     enum.add_argument("--n", type=int, required=True)
     enum.add_argument("--git", action="store_true", help="enumerate closed-orbit types instead")
-    enum.set_defaults(func=_cmd_enumerate)
 
     count = sub.add_parser("count", help="closed-form component count")
     count.add_argument("--ell", required=True)
     count.add_argument("--n", type=int, required=True)
-    count.set_defaults(func=_cmd_count)
 
     cls = sub.add_parser("classify", help="component index of a pair file")
     cls.add_argument("--input", required=True, help="pair JSON path")
-    cls.set_defaults(func=_cmd_classify)
 
     comm = sub.add_parser("commutant", help="basis of {B : AB = qBA} for a matrix file")
     comm.add_argument("--input", required=True, help="matrix JSON path")
-    comm.set_defaults(func=_cmd_commutant)
 
     smp = sub.add_parser("sample", help="sample a generic point of a component")
     smp.add_argument("--ell", required=True)
     smp.add_argument("--index", required=True, help="component index JSON path")
     smp.add_argument("--seed", type=int, default=None)
-    smp.set_defaults(func=_cmd_sample)
 
     inv = sub.add_parser("invariants", help="trace fingerprint of a pair file")
     inv.add_argument("--input", required=True)
     inv.add_argument("--max-degree", type=int, default=None)
-    inv.set_defaults(func=_cmd_invariants)
 
     hx = sub.add_parser("homext", help="Hom/Ext dimensions between two pair files")
     hx.add_argument("--m1", required=True)
     hx.add_argument("--m2", required=True)
-    hx.set_defaults(func=_cmd_homext)
 
     ch = sub.add_parser("chains", help="per-length chain counts of a multiplicity vector")
     ch.add_argument("--ell", required=True)
     ch.add_argument("--counts", required=True, help="comma-separated multiplicities")
-    ch.set_defaults(func=_cmd_chains)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exit_err:
         # argparse exits with 2 on bad flags already; normalize other codes
         return 2 if exit_err.code else 0
     try:
-        return args.func(args)
+        # the handler is found by name at call time; the cached parser holds none
+        return globals()[f"_cmd_{args.command}"](args)
     except BrokenPipeError:
         # the reader stopped reading (`| head`): not an error.  Point stdout
         # at the null device so that the interpreter's exit flush of what is

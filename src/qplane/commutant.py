@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, LengthMismatch, MixedContext, NotSquare,
                      RelationViolated)
-from .matrices import QMatrix, _check_entry, _row_sums, kernel_basis, rank
+from .matrices import QMatrix, _check_entry, _echelon, _row_sums, rank
 from .scalars import QScalar, _q_times
 
 
@@ -138,9 +138,13 @@ def sylvester_operator(L: QMatrix, R: QMatrix, c) -> QMatrix:
 
 
 def _unflatten(ctx, vec, nrows, ncols) -> QMatrix:
-    """The nrows x ncols matrix of a row-major vector, from its nonzeros."""
-    return QMatrix._wrap(ctx, [{c: x for c, x in enumerate(vec[i * ncols:(i + 1) * ncols]) if x}
-                               for i in range(nrows)], ncols)
+    """The nrows x ncols matrix of a sparse row-major vector, as from
+    ``matrices._kernel_of``: entry j goes to divmod(j, ncols)."""
+    rows = [{} for _ in range(nrows)]
+    for j, x in vec.items():
+        i, c = divmod(j, ncols)
+        rows[i][c] = x
+    return QMatrix._wrap(ctx, rows, ncols)
 
 
 def qcommutant_basis(A: QMatrix):
@@ -156,7 +160,7 @@ def qcommutant_basis(A: QMatrix):
     if n == 0:
         return []
     op = sylvester_operator(A, A, A.ctx.q())
-    return [_unflatten(A.ctx, vec, n, n) for vec in kernel_basis(op)]
+    return [_unflatten(A.ctx, vec, n, n) for vec in _echelon(op, True)[1]]
 
 
 def predicted_commutant_dim(spec) -> int:
@@ -217,7 +221,7 @@ def hom_ext(M1: MatrixPair, M2: MatrixPair) -> HomExtReport:
     H = sylvester_operator(A2, A1, q)
     d1 = QMatrix._wrap(ctx, [{**g, **{dim + c: x for c, x in h.items()}}
                              for g, h in zip(G._rows, H._rows)], 2 * dim)
-    hom_vectors = kernel_basis(d0)
+    hom_vectors = _echelon(d0, True)[1]
     rank_d0 = dim - len(hom_vectors)
     rank_d1 = rank(d1)
     ext1 = (2 * dim - rank_d1) - rank_d0

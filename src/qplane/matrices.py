@@ -378,20 +378,21 @@ def _rref(rows, ncols, ctx):
 
 
 def _kernel_of(pivots, ncols, ctx):
-    """The reduced-echelon kernel basis from pivot rows over QScalars: for
-    each free column f in order, 1 at f and -R[i][f] at the pivot column of
-    each pivot row i.  A pivot row holds nothing at another pivot column, so
-    one pass over the rows' stored entries fills every vector."""
+    """The reduced-echelon kernel basis from pivot rows over QScalars: per
+    free column f in order, a dict column -> nonzero QScalar holding -R[i][f]
+    at the pivot column of each pivot row i that stores f, then 1 at f.  A
+    pivot row stores nothing at another pivot column or left of its own, so
+    one pass over the rows fills each vector with its columns ascending."""
     pivot_cols = {c for c, _ in pivots}
-    zero, one = ctx.zero(), ctx.one()
-    basis = {f: [zero] * ncols for f in range(ncols) if f not in pivot_cols}
-    for f, vec in basis.items():
-        vec[f] = one
+    basis = {f: {} for f in range(ncols) if f not in pivot_cols}
     for c, row in pivots:
         for f, x in row.items():
             if f != c:
                 basis[f][c] = -x
-    return [tuple(vec) for vec in basis.values()]
+    one = ctx.one()
+    for f, vec in basis.items():
+        vec[f] = one
+    return list(basis.values())
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +400,13 @@ def _kernel_of(pivots, ncols, ctx):
 # ---------------------------------------------------------------------------
 
 def _certified(A: QMatrix, pivot_cols, basis) -> bool:
-    """Whether basis is provably the reduced-echelon kernel basis of A and
-    pivot_cols the pivot columns of A, given that they came from images of
-    A under ring maps to F_p (defined: no denominator divisible by p) that
-    all gave the pivot columns pivot_cols.
+    """Whether basis, sparse vectors as from ``_kernel_of``, is provably the
+    reduced-echelon kernel basis of A and pivot_cols the pivot columns of A,
+    given that they came from images of A under ring maps to F_p (defined:
+    no denominator divisible by p) that all gave the pivot columns pivot_cols.
 
-    The vector of free column f must hold 1 at f, 0 at every other free
-    column and nothing right of f off it, and A v = 0 must hold exactly.
+    The vector of free column f must hold 1 at f and otherwise only pivot
+    columns left of f, and A v = 0 must hold exactly.
     Then column f lies in the span of the pivot columns left of it, so the
     exact pivot columns are among pivot_cols; a rank mod p never exceeds the
     exact rank, so they are all of pivot_cols, and the kernel vectors with
@@ -432,20 +433,12 @@ def _certified(A: QMatrix, pivot_cols, basis) -> bool:
         return False
     ctx = A.ctx
     one = ctx.one()
-    vectors = []  # the nonzeros of each basis vector, as {column: QScalar}
     for f, vec in zip(free, basis):
-        if vec[f] != one:
+        if vec.get(f) != one or any(j != f and (j > f or j not in pivot_set) for j in vec):
             return False
-        nonzeros = {}
-        for j, x in enumerate(vec):
-            if x:
-                if j != f and (j > f or j not in pivot_set):
-                    return False
-                nonzeros[j] = x
-        vectors.append(nonzeros)
     rows = A._rows
     row_scales = [_scale(row.values()) for row in rows]
-    vec_scales = [_scale(vec.values()) for vec in vectors]
+    vec_scales = [_scale(vec.values()) for vec in basis]
     row_top = max((len(row) * d * h for row, (d, h) in zip(rows, row_scales)), default=0)
     vec_top = max((d * h for d, h in vec_scales), default=0)
     deg, phi = ctx._deg, cyclotomic_polynomial(ctx.ell)
@@ -454,12 +447,12 @@ def _certified(A: QMatrix, pivot_cols, basis) -> bool:
     powers = [1 << (width * t) for t in range(deg + 1)]
     N = sum(map(operator.mul, phi, powers))
     # each distinct numerator at beta, once: an operator repeats its values
-    nums = {x.int_num for items in (*rows, *vectors) for x in items.values()}
+    nums = {x.int_num for items in (*rows, *basis) for x in items.values()}
     image = {num: sum(map(operator.mul, num, powers)) for num in nums}
     rows = [[(j, image[x.int_num] * (d // x.int_den[0])) for j, x in row.items()]
             for row, (d, _) in zip(rows, row_scales)]
     vectors = [{j: image[x.int_num] * (d // x.int_den[0]) for j, x in vec.items()}
-               for vec, (d, _) in zip(vectors, vec_scales)]
+               for vec, (d, _) in zip(basis, vec_scales)]
     for row in rows:
         for vec in vectors:
             if sum([a * vec[j] for j, a in row if j in vec]) % N:
@@ -528,7 +521,7 @@ def _use_modular(A: QMatrix, nnz: int) -> bool:
 
 
 def _echelon(A: QMatrix, want_basis: bool):
-    """(rank, reduced-echelon kernel basis or None) of A."""
+    """(rank, reduced-echelon kernel basis or None) of A, sparse as from ``_kernel_of``."""
     if _use_modular(A, sum(map(len, A._rows))):
         got = _modular(A, A.nonzeros(), want_basis)
         if got is not None:
@@ -545,11 +538,12 @@ def rank(A: QMatrix) -> int:
 def kernel_basis(A: QMatrix):
     """Deterministic basis of the right kernel {x : Ax = 0}.
 
-    Returns cols - rank vectors (tuples of QScalar), one per free column in
-    ascending column order, each with a 1 in its free position and 0 in the
-    other free positions.
+    Returns cols - rank vectors (tuples of QScalar, made dense only here),
+    one per free column in ascending column order, each with a 1 in its free
+    position and 0 in the other free positions.
     """
-    return _echelon(A, True)[1]
+    zero, cols = A.ctx.zero(), range(A.ncols)
+    return [tuple(vec.get(j, zero) for j in cols) for vec in _echelon(A, True)[1]]
 
 
 def inverse(A: QMatrix) -> QMatrix:

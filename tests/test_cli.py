@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -208,6 +209,58 @@ def test_seed_env_override(capsys, tmp_path, monkeypatch):
     # explicit flag beats the environment
     _, flag_out = run(capsys, *(argv + ["--seed", "4"]))
     assert json.loads(flag_out)["seed"] == 4
+
+
+def test_a_seed_does_not_outlive_its_call(capsys, tmp_path, monkeypatch):
+    # main parses with one parser for the whole process: --seed 4 in one call
+    # leaves the next call without --seed at the default or QPLANE_SEED
+    idx = ComponentIndex(2, m=(1, 0), r=(1,))
+    path = tmp_path / "idx.json"
+    path.write_text(json.dumps(index_to_obj(idx)))
+    argv = ["sample", "--ell", "2", "--index", str(path)]
+    monkeypatch.delenv("QPLANE_SEED", raising=False)
+    _, flag_out = run(capsys, *(argv + ["--seed", "4"]))
+    assert json.loads(flag_out)["seed"] == 4
+    _, default_out = run(capsys, *argv)
+    assert json.loads(default_out)["seed"] == 0
+    monkeypatch.setenv("QPLANE_SEED", "17")
+    _, env_out = run(capsys, *argv)
+    assert json.loads(env_out)["seed"] == 17
+
+
+# ---------------------------------------------------------------------------
+# the parser
+# ---------------------------------------------------------------------------
+
+def test_a_call_after_the_first_leaves_no_cyclic_garbage(capsys):
+    # a parser built per call left 302 objects that only the cyclic
+    # collector frees
+    argv = ["count", "--ell", "3", "--n", "2"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out == '{"count": 5}\n' * 2
+
+
+def test_help_from_the_shared_parser_twice(capsys):
+    # split on whitespace: argparse wraps the usage line to the terminal width
+    for argv, usage in ((["--help"], ["usage:", "qplane", "[-h]"]),
+                        (["sample", "--help"], ["usage:", "qplane", "sample", "[-h]"])):
+        for _ in range(2):
+            assert main(argv) == 0
+            assert capsys.readouterr().out.split()[:len(usage)] == usage
+
+
+def test_import_builds_no_parser():
+    probe = "import qplane.cli; print(qplane.cli.build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], env=src_env(), check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -960,6 +960,13 @@ def exact_echelon(A):
     return len(pivots), matrices._kernel_of(pivots, A.ncols, ctx)
 
 
+def densified(A, basis):
+    """Sparse kernel vectors {column: QScalar} as the dense tuples that
+    ``kernel_basis`` returns."""
+    zero = A.ctx.zero()
+    return [tuple(v.get(j, zero) for j in range(A.ncols)) for v in basis]
+
+
 def test_exact_elimination_inverts_each_distinct_pivot_once(monkeypatch):
     # the q-commutant operator of g (J_2(q) + J_1(q) + J_2(1) + J_1(1)) g^-1
     # at ell 5, g pairing each q coordinate with a 1 coordinate, repeats a
@@ -984,7 +991,8 @@ def test_exact_elimination_inverts_each_distinct_pivot_once(monkeypatch):
     assert op.ncols - len(basis) == 31
     assert len(inverted) == len(set(inverted)) == 10
     # the certified modular path shares no elimination code with the exact one
-    assert matrices._modular(op, op.nonzeros(), True) == (31, basis)
+    r, vectors = matrices._modular(op, op.nonzeros(), True)
+    assert (r, densified(op, vectors)) == (31, basis)
     assert len(basis) == predicted_commutant_dim(spec)
 
 
@@ -1029,7 +1037,32 @@ def test_modular_elimination_matches_exact_elimination(A):
     entries = A.nonzeros()
     assert matrices._modular(A, entries, True) == (r, basis)
     assert matrices._modular(A, entries, False)[0] == r
-    assert rank(A) == r and kernel_basis(A) == basis
+    assert rank(A) == r and kernel_basis(A) == densified(A, basis)
+
+
+def low_rank_matrix(ell, n, inner, seed):
+    """A dense n x n product through an inner dimension: the rank is at
+    most inner, and with 64 nonzeros or more ``_modular`` takes it."""
+    ctx, rng = FieldContext.root_of_unity(ell), random.Random(seed)
+    return random_field_matrix(ctx, n, inner, rng, 1.0) * random_field_matrix(ctx, inner, n, rng, 1.0)
+
+
+@given(st.one_of(elimination_inputs(), modular_inputs()))
+@example(low_rank_matrix(3, 8, 3, 17))
+@example(low_rank_matrix(5, 9, 4, 2))
+@example(low_rank_matrix(7, 5, 2, 3))
+@settings(max_examples=60, deadline=None)
+def test_kernel_vectors_are_sparse_inside_the_library(A):
+    # each vector is {column: QScalar}, no zero stored, columns ascending,
+    # ending at its free column with 1 there; kernel_basis only densifies.
+    # The examples take the certified modular path, at degrees 2, 4 and 6
+    basis = matrices._echelon(A, True)[1]
+    free = [list(v)[-1] for v in basis]
+    assert free == sorted(set(free)) and len(free) == A.ncols - rank(A)
+    for v, f in zip(basis, free):
+        assert list(v) == sorted(v) and all(v.values())
+        assert v[f] == A.ctx.one() and not set(v) & set(free) - {f}
+    assert densified(A, basis) == kernel_basis(A)
 
 
 @pytest.mark.parametrize("ell", [1, 3, 5])
@@ -1109,7 +1142,7 @@ def test_a_sabotaged_reconstruction_is_rejected_and_falls_back(monkeypatch):
 
     monkeypatch.setattr(modular, "ratrec", off_by_one)
     assert matrices._modular(A, A.nonzeros(), True) is None
-    assert kernel_basis(A) == basis
+    assert kernel_basis(A) == densified(A, basis)
     assert rank(A) == r == 3
 
 
@@ -1117,24 +1150,24 @@ def test_the_certificate_rejects_each_broken_condition():
     ctx = FieldContext.root_of_unity(3)
     one, zero, q = ctx.one(), ctx.zero(), ctx.q()
     A = QMatrix(ctx, [[one, -one, zero], [zero, zero, one]])  # pivots 0, 2; free 1
-    assert matrices._certified(A, [0, 2], [(one, one, zero)])
+    assert matrices._certified(A, [0, 2], [{0: one, 1: one}])
     broken = [
-        ([0, 2], [(one + one, one + one, zero)]),  # 2 at its free column
-        ([0, 2], [(q, one, zero)]),           # A v != 0
+        ([0, 2], [{0: one + one, 1: one + one}]),  # 2 at its free column
+        ([0, 2], [{0: q, 1: one}]),           # A v != 0
         ([0, 2], []),                         # a free column without a vector
         # pivots 0, 1 claimed: column 1 is then not in the span left of it
-        ([0, 1], [(zero, zero, one)]),
+        ([0, 1], [{2: one}]),
         # pivot 1 claimed: the vector of free column 0 reaches right of it,
         # though A v = 0 holds
-        ([1, 2], [(one, one, zero)]),
+        ([1, 2], [{0: one, 1: one}]),
     ]
     for pivot_cols, basis in broken:
         assert not matrices._certified(A, pivot_cols, basis)
     # a vector that is 1 at another free column is not reduced-echelon
     B = QMatrix(ctx, [[one, one, one]])  # pivot 0; free 1, 2
-    good = [(-one, one, zero), (-one, zero, one)]
+    good = [{0: -one, 1: one}, {0: -one, 2: one}]
     assert matrices._certified(B, [0], good)
-    assert not matrices._certified(B, [0], [good[0], (-one - one, one, one)])
+    assert not matrices._certified(B, [0], [good[0], {0: -one - one, 1: one, 2: one}])
 
 
 def test_the_certificate_scales_away_denominators():
@@ -1149,7 +1182,7 @@ def test_the_certificate_scales_away_denominators():
     pivots = matrices._rref([dict(row) for row in A._rows], A.ncols, ctx)
     cols = [c for c, _ in pivots]
     basis = matrices._kernel_of(pivots, A.ncols, ctx)
-    assert len(basis) == 3 and any(x.int_den != (1,) for v in basis for x in v)
+    assert len(basis) == 3 and any(x.int_den != (1,) for v in basis for x in v.values())
     assert matrices._certified(A, cols, basis)
     # rows scaled by rationals have the same kernel
     scaled_rows = QMatrix(ctx, [[x * frac(4, 3) for x in A.rows[0]],
@@ -1158,13 +1191,13 @@ def test_the_certificate_scales_away_denominators():
     for c in (frac(2, 3), frac(-5, 7)):
         for i, v in enumerate(basis):
             # the whole vector off by c: its 1 at the free column is c
-            off = basis[:i] + [tuple(x * c for x in v)] + basis[i + 1:]
+            off = basis[:i] + [{j: x * c for j, x in v.items()}] + basis[i + 1:]
             assert not matrices._certified(A, cols, off)
             # one pivot entry off by c: the shape holds, A v = 0 does not
-            j = next(j for j in cols if v[j])
-            bent = list(v)
+            j = next(j for j in cols if j in v)
+            bent = dict(v)
             bent[j] = v[j] * c
-            assert not matrices._certified(A, cols, basis[:i] + [tuple(bent)] + basis[i + 1:])
+            assert not matrices._certified(A, cols, basis[:i] + [bent] + basis[i + 1:])
 
 
 @pytest.mark.parametrize("ell", [3, 5, 105])
@@ -1175,9 +1208,9 @@ def test_the_certificate_width_grows_with_the_entries(ell):
     ctx = FieldContext.root_of_unity(ell)
     one, q = ctx.one(), ctx.q()
     A = QMatrix(ctx, [[one, q]])
-    assert matrices._certified(A, [0], [(-q, one)])
+    assert matrices._certified(A, [0], [{0: -q, 1: one}])
     for w in range(1, 201):
-        assert not matrices._certified(A, [0], [(ctx.rational(-2 ** w), one)])
+        assert not matrices._certified(A, [0], [{0: ctx.rational(-2 ** w), 1: one}])
 
 
 def product_certified(A, pivot_cols, basis):
@@ -1196,12 +1229,11 @@ def product_certified(A, pivot_cols, basis):
 
     vectors = []
     for f, vec in zip(free, basis):
-        if vec[f] != ctx.one():
+        if vec.get(f) != ctx.one():
             return False
-        nonzeros = [(j, x) for j, x in enumerate(vec) if x]
-        if any(j != f and (j > f or j not in pivot_set) for j, _ in nonzeros):
+        if any(j != f and (j > f or j not in pivot_set) for j in vec):
             return False
-        vectors.append(dict(integral(nonzeros)))
+        vectors.append(dict(integral(list(vec.items()))))
     for row in A._rows:
         row = integral(list(row.items()))
         for vec in vectors:
@@ -1235,11 +1267,12 @@ def certificate_inputs(draw):
     bent = list(basis)
     if basis:
         i, j = draw(st.integers(0, len(basis) - 1)), draw(st.integers(0, ncols - 1))
-        x = basis[i][j]
+        x = basis[i].get(j, ctx.zero())
         unit = ctx.rational(Fraction(draw(st.sampled_from((-1, 1))), x.int_den[0]))
-        vec = list(basis[i])
+        vec = dict(basis[i])
         vec[j] = x + unit * ctx.q_power(draw(st.integers(0, ctx._deg - 1)))
-        bent[i] = tuple(vec)
+        # a sum that is zero is dropped, not stored
+        bent[i] = {k: y for k, y in sorted(vec.items()) if y}
     return A, [c for c, _ in pivots], basis, bent
 
 
@@ -1272,7 +1305,7 @@ def test_an_echelon_form_too_large_for_one_prime_joins_several(ell, monkeypatch)
         A = QMatrix(ctx, [[pivot] + [QScalar(ctx, [big() for _ in range(ctx._deg)],
                                              rng.randint(1, 9)) for _ in range(ncols - 1)]])
         r, basis = exact_echelon(A)
-        height = max(max(abs(f.numerator), f.denominator) for v in basis for x in v
+        height = max(max(abs(f.numerator), f.denominator) for v in basis for x in v.values()
                      for f in (Fraction(c, x.int_den[0]) for c in x.int_num))
         assert 2 ** 15 < height < 2 ** 30
         used.clear()
