@@ -471,10 +471,11 @@ def _scale(xs):
 def _modular(A: QMatrix, entries, want_basis: bool):
     """(rank, kernel basis or None) of A over Q(zeta_ell): the first candidate
     from images mod primes that ``_certified`` proves exact, or the rank of
-    an image of full rank; None to fall back to the exact path."""
+    an image of full rank, with the empty kernel when that rank is ncols;
+    None to fall back to the exact path."""
     for cols, pivots in modular.echelons(A.ctx, entries, A.nrows, A.ncols, want_basis):
         if pivots is None:
-            return len(cols), None
+            return len(cols), [] if want_basis else None
         basis = _kernel_of(pivots, A.ncols, A.ctx)
         if _certified(A, cols, basis):
             return len(cols), basis

@@ -20,6 +20,8 @@ one CPython digit, so ``(y + f x) % p`` costs about a third of its time at
 from __future__ import annotations
 
 import math
+from itertools import count
+from operator import mul
 
 from . import poly
 from .scalars import _lowest, cyclotomic_polynomial
@@ -103,55 +105,46 @@ def _rref_mod(rows, ncols, p):
     Each row is packed into one int with a W-bit lane per column, so
     clearing a column in a row is one multiply-add R + (p - f) P on whole
     rows, P the pivot row (Dumas, Fousse and Salvy, J. Symb. Comput. 2011).
-    Only a pivot row is reduced mod p, when it is chosen, and every pivot
-    row once more at the end.  A pivot row has lanes below p and is zero
-    left of its column, so each update adds at most (p - 1)^2 to a lane of
-    the row it clears and touches no lane left of the pivot; after k <= rows
-    updates a lane is below (p - 1) + k (p - 1)^2 < 2^W, and no lane carries
-    into the next.
+    The current column is always the lowest lane, read as (R & mask) % p:
+    once it is done, each pivot row records its residue there if the column
+    is free, and every row drops that lane by one shift.  Only a pivot row
+    is reduced mod p, when it is chosen.  A pivot row has lanes below p, so
+    each update adds at most (p - 1)^2 to a lane of the row it clears; after
+    k <= rows updates a lane is below (p - 1) + k (p - 1)^2 < 2^W, and no
+    lane carries into the next.  A cleared lane is a multiple of p, possibly
+    nonzero, and is dropped with its column.
     """
     width = 2 * p.bit_length() + len(rows).bit_length() + 1
     mask = (1 << width) - 1
     packed = [sum(v << (width * j) for j, v in row.items()) for row in rows]
-    used = [False] * len(rows)
-    pivots = []  # (column, index of its row)
+    unused = list(range(len(rows)))
+    echelon = []  # (column, index of its row, {column: residue})
     for c in range(ncols):
-        if len(pivots) == len(rows):
-            break
-        shift = width * c
-        r = next((i for i, R in enumerate(packed)
-                  if not used[i] and (R >> shift & mask) % p), None)
+        r = next((i for i in unused if (packed[i] & mask) % p), None)
         if r is None:
+            for _, i, row in echelon:
+                if v := (packed[i] & mask) % p:
+                    row[c] = v
+            packed = [R >> width for R in packed]
             continue
-        used[r] = True
-        # the pivot row scaled to 1 at c and reduced; left of c it is 0 mod p
-        R, P = packed[r] >> shift, 0
+        unused.remove(r)
+        # the pivot row scaled to 1 at c and reduced mod p
+        R, P, j = packed[r], 0, 0
         s = pow((R & mask) % p, -1, p)
-        for j in range(ncols - c):
-            P |= (R & mask) * s % p << (width * j)
-            R >>= width
-        P <<= shift
-        packed[r] = P
-        for i, R in enumerate(packed):
-            f = (R >> shift & mask) % p
-            if f and i != r:
-                packed[i] = R + (p - f) * P
-        pivots.append((c, r))
-    echelon = []
-    for c, r in pivots:
-        R, row, j = packed[r] >> (width * c), {}, c
         while R:
-            v = (R & mask) % p
-            if v:
-                row[j] = v
+            P |= (R & mask) * s % p << j
             R >>= width
-            j += 1
-        echelon.append((c, row))
-    return echelon
+            j += width
+        packed[r] = 0
+        packed = [(R + (p - f) * P if (f := (R & mask) % p) else R) >> width for R in packed]
+        packed[r] = P >> width
+        echelon.append((c, r, {c: 1}))
+    return [(c, row) for c, _, row in echelon]
 
 
 def _prime_budget(ctx, nrows, ncols, entries) -> int:
-    """How many primes to try before falling back to exact elimination.
+    """How many primes to try before falling back to exact elimination,
+    computed before the second prime only (most eliminations need one).
 
     A reduced-echelon entry is a ratio of two r x r minors, r = min(rows,
     cols).  Rescaled to Z[zeta], each minor has embeddings below
@@ -177,45 +170,52 @@ def echelons(ctx, entries, nrows, ncols, want_basis: bool):
     Q(zeta_ell) with the nonzeros entries (row, column, QScalar), from
     images mod primes; up to the prime budget or the last prime.
 
-    With want_basis false and rank_p = rows or cols under one ring map, the
-    rank is proved by rank_p <= rank <= min(rows, cols): that image's pivot
-    columns come with None for rows, and nothing follows.  Otherwise every
-    entry of the reduced echelon form right of its pivot (a slot) is
-    interpolated over the roots and joined across primes by CRT, as long as
-    the primes give the same pivot columns; a prime with more pivots, or the
-    same number further left, replaces those before it, since mod p the
-    pivots can only fall behind the exact ones.  A failed reconstruction
-    costs as much as one that succeeds, so a candidate is reconstructed only
-    at 1, 2, 4, ... joined primes and at the last.
+    An image of full rank under one ring map proves the rank, since rank_p
+    <= rank <= min(rows, cols): with want_basis false, rank_p = rows or
+    cols; with want_basis, rank_p = cols, which also proves the kernel {0}.
+    That image's pivot columns come with None for rows, and nothing
+    follows.  Otherwise every entry of the reduced echelon form right of its
+    pivot (a slot) is interpolated over the roots and joined across primes
+    by CRT, as long as the primes give the same pivot columns; a prime with
+    more pivots, or the same number further left, replaces those before it,
+    since mod p the pivots can only fall behind the exact ones.  At every
+    joined prime the last slot is reconstructed first: right of every pivot,
+    it is a ratio of minors of the full rank, so while the modulus is too
+    small it is the one likely to fail, at the cost of deg ``ratrec`` calls
+    (early termination: Monagan, ISSAC 2004); once it succeeds the other
+    slots follow, up to the first that fails.
     """
     deg = ctx._deg
-    # each distinct entry is mapped once per root: a dense operator repeats its values
+    full = ncols if want_basis else min(nrows, ncols)
+    # each distinct entry is mapped once to all roots: a dense operator repeats its values
     where = {}  # (numerator, denominator) -> the positions holding it
     for i, j, x in entries:
         where.setdefault((x.int_num, x.int_den[0]), []).append((i, j))
     dens = {d for _, d in where}
     best = None  # (-rank, pivot columns) of the primes joined in modulus
-    modulus, residues, joined = 1, [], 0
-    budget = _prime_budget(ctx, nrows, ncols, entries)
-    for k in range(budget):
-        table = cyclotomic_prime(ctx.ell, k)
-        if table is None:
-            return
+    modulus, residues = 1, []
+    budget = math.inf  # computed before the second prime: most eliminations stop at the first
+    for k in count():
+        if k == 1:
+            budget = _prime_budget(ctx, nrows, ncols, entries)
+        table = k < budget and cyclotomic_prime(ctx.ell, k)
+        if not table:
+            return  # past the budget, or no prime left
         p, roots, vinv = table
         if any(d % p == 0 for d in dens):
             continue  # no ring map to F_p: a denominator vanishes
         dinv = {d: pow(d, -1, p) for d in dens}
-        images = []  # the echelon form under zeta -> root, one root at a time
-        for root in roots:
-            powers = [pow(root, t, p) for t in range(deg)]
-            rows = [{} for _ in range(nrows)]
-            for (num, d), positions in where.items():
-                v = sum(c * w for c, w in zip(num, powers)) * dinv[d] % p
+        powers = [[pow(root, t, p) for t in range(deg)] for root in roots]
+        mapped = [[{} for _ in range(nrows)] for _ in roots]
+        for (num, d), positions in where.items():
+            for rows, v in zip(mapped, [sum(map(mul, num, pw)) * dinv[d] % p for pw in powers]):
                 if v:
                     for i, j in positions:
                         rows[i][j] = v
+        images = []  # the echelon form under zeta -> root, one root at a time
+        for rows in mapped:
             pivots = _rref_mod(rows, ncols, p)
-            if not want_basis and len(pivots) == min(nrows, ncols):
+            if len(pivots) == full:
                 yield [c for c, _ in pivots], None
                 return
             images.append(pivots)
@@ -229,26 +229,25 @@ def echelons(ctx, entries, nrows, ncols, want_basis: bool):
             vals = []
             for e, f in slots:
                 at = [image[e][1].get(f, 0) for image in images]
-                vals.extend(sum(a * b for a, b in zip(row, at)) % p for row in vinv)
+                vals.extend(sum(map(mul, row, at)) % p for row in vinv)
             key = (-len(cols), cols)
             if best is None or key < best:
-                best, modulus, residues, joined = key, p, vals, 1
+                best, modulus, residues = key, p, vals
             elif key == best:
                 step = pow(modulus, -1, p)
                 residues = [u + modulus * ((v - u) * step % p) for u, v in zip(residues, vals)]
                 modulus *= p
-                joined += 1
             else:
-                continue
-            if joined & (joined - 1) and k < budget - 1:
                 continue
             bound = math.isqrt(modulus // 2)
             rows = [{} for _ in cols]
-            for s, (e, f) in enumerate(slots):
+            for s in range(-1, len(slots) - 1):  # the last slot first
+                s %= len(slots)
                 fracs = [ratrec(u, modulus, bound) for u in residues[s * deg:(s + 1) * deg]]
                 if None in fracs:
                     break
                 if any(a for a, _ in fracs):
+                    e, f = slots[s]
                     den = math.lcm(*(b for _, b in fracs))
                     rows[e][f] = _lowest(ctx, [a * (den // b) for a, b in fracs], den)
             else:

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qplane import (DimensionMismatch, FieldContext, MixedContext, NotSquare, QMatrix,
-                    QScalar, SingularConjugator, char_poly, conjugate, direct_sum,
-                    inverse, kernel_basis, rank, substitute_q_inverse)
+from qplane import (ComponentIndex, DimensionMismatch, FieldContext, MixedContext, NotSquare,
+                    QMatrix, QScalar, SingularConjugator, char_poly, conjugate, direct_sum,
+                    inverse, kernel_basis, rank, sample_point, substitute_q_inverse)
 from qplane import git_quotient, matrices, modular
 from qplane.commutant import predicted_commutant_dim, sylvester_operator
 from qplane.jordan import JordanSpec, realize
+from test_cli import lu_conjugate
 
 C3 = FieldContext.root_of_unity(3)
 GEN = FieldContext.generic()
@@ -1089,10 +1090,13 @@ def test_modular_elimination_skips_unlucky_primes(ell, monkeypatch):
     vanishing = ctx.rational(p) if ctx._deg == 1 else ctx.q() - ctx.rational(roots[0])
     # a denominator that the first prime divides
     tiny = ctx.rational(Fraction(1, p))
-    verdicts = []
+    verdicts, ranks = [], []
     real = matrices._certified
     monkeypatch.setattr(matrices, "_certified",
                         lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+    real_rref = modular._rref_mod
+    monkeypatch.setattr(modular, "_rref_mod",
+                        lambda *args: ranks.append(len(got := real_rref(*args))) or got)
     # (rows, whether the reduced echelon form has small entries)
     for rows, small in (([[vanishing, vanishing]], True),
                         ([[vanishing, vanishing], [one, one + one]], True),
@@ -1101,13 +1105,30 @@ def test_modular_elimination_skips_unlucky_primes(ell, monkeypatch):
                         ([[vanishing, tiny, one], [one, one, ctx.zero()]], False)):
         A = QMatrix(ctx, rows)
         verdicts.clear()
+        ranks.clear()
         assert matrices._modular(A, A.nonzeros(), True) == exact_echelon(A)
         assert matrices._modular(A, A.nonzeros(), False)[0] == exact_echelon(A)[0]
+        if A.nrows == A.ncols:
+            # full column rank: an image where the pivot vanishes (rank 1)
+            # proves nothing, and the next image, of rank 2 (the next root,
+            # or over Q the next prime), proves it in each call
+            assert ranks == [1, 2, 1, 2]
         if small and ctx._deg > 1:
             # embeddings that disagree on the pivots drop the prime before a
             # reconstruction from it reaches the certificate, and the next
-            # prime alone certifies
-            assert verdicts == [True]
+            # prime alone certifies; an image of full column rank needs no
+            # certificate
+            assert verdicts == ([] if A.nrows == A.ncols else [True])
+
+
+def counted(monkeypatch, *names):
+    """The list that each listed (module, name) appends its name to when called."""
+    calls = []
+    for module, name in names:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    return calls
 
 
 def test_one_image_of_full_rank_proves_the_rank(monkeypatch):
@@ -1118,13 +1139,42 @@ def test_one_image_of_full_rank_proves_the_rank(monkeypatch):
     A = QMatrix(ctx, [[ctx.rational(rng.choice((-2, -1, 1, 2))) * ctx.q() ** rng.randrange(5)
                        for _ in range(9)] for _ in range(8)])
     assert matrices._use_modular(A, len(A.nonzeros()))
-    calls = []
-    for module, name in ((modular, "_rref_mod"), (modular, "ratrec"), (matrices, "_certified")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    calls = counted(monkeypatch, (modular, "_rref_mod"), (modular, "ratrec"),
+                    (matrices, "_certified"))
     assert rank(A) == exact_echelon(A)[0] == 8
     assert calls == ["_rref_mod"]
+
+
+def test_one_image_of_full_column_rank_proves_an_empty_kernel(monkeypatch):
+    # rank_p <= rank <= ncols: the 16 x 16 q-commutant operator of a dense
+    # conjugate at ell 5 has rank 16 under its first image, which proves the
+    # empty kernel with nothing reconstructed, certified or budgeted
+    A = lu_conjugate(sample_point(ComponentIndex(5, (4,), ()), seed=0).A, 5)
+    op = sylvester_operator(A, A, A.ctx.q())
+    assert len(op.nonzeros()) == 112 and matrices._use_modular(op, 112)
+    calls = counted(monkeypatch, (modular, "_rref_mod"), (modular, "ratrec"),
+                    (modular, "_prime_budget"), (matrices, "_certified"))
+    assert matrices._echelon(op, True) == (16, [])
+    assert calls == ["_rref_mod"]
+    assert kernel_basis(op) == exact_echelon(op)[1] == []
+
+
+def test_the_prime_budget_is_computed_only_for_a_second_prime(monkeypatch):
+    used = set()
+    real = modular.cyclotomic_prime
+    monkeypatch.setattr(modular, "cyclotomic_prime", lambda ell, k: used.add(k) or real(ell, k))
+    calls = counted(monkeypatch, (modular, "_prime_budget"))
+    # certified at the first prime: no budget
+    A = low_rank_matrix(3, 8, 3, 17)
+    assert matrices._modular(A, A.nonzeros(), True) == exact_echelon(A)
+    assert used == {0} and calls == []
+    # 110-bit entries join several primes: one budget
+    for ell in (1, 3, 5):
+        A = large_entry_matrix(ell, 2, 3, ell)
+        used.clear()
+        calls.clear()
+        assert matrices._modular(A, A.nonzeros(), True) == exact_echelon(A)
+        assert len(used) > 1 and calls == ["_prime_budget"]
 
 
 def test_a_sabotaged_reconstruction_is_rejected_and_falls_back(monkeypatch):

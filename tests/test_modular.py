@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qplane import FieldContext
@@ -93,6 +93,11 @@ def packed_inputs(draw):
 
 
 @given(packed_inputs())
+# both rows pivot before the last column, so the free columns 2-4 are read
+# after every row is a pivot row
+@example(([{0: 3, 1: 1, 2: 4, 3: 1, 4: 5}, {0: 2, 1: 6, 2: 5, 4: 3}], 5, 7))
+# zero rows, never a pivot, at both ends and between the pivot rows
+@example(([{}, {0: 5, 1: 2}, {}, {1: 1}, {0: 3}, {}], 2, modular.cyclotomic_prime(3, 0)[0]))
 @settings(max_examples=150, deadline=None)
 def test_packed_elimination_mod_p_matches_sympy(case):
     rows, ncols, p = case
