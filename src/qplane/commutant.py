@@ -13,18 +13,14 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatch, LengthMismatch, MixedContext, NotSquare,
                      RelationViolated)
-from .matrices import QMatrix, _check_entry, _echelon, _row_sums, rank
-from .scalars import QScalar, _q_times
+from .matrices import QMatrix, _check_entry, _echelon, _q_commutes, rank
+from .scalars import QScalar
 
 
 @dataclass(frozen=True)
 class MatrixPair:
-    """A pair of n x n matrices with AB = qBA, checked at construction.
-
-    Over Q(zeta_ell) the check forms no product: row by row, each entry of
-    AB - qBA is one unreduced sum over one denominator, q a shift by one,
-    reduced mod Phi_ell once and tested for zero.  Over Q(q) it compares AB
-    with qBA entry by entry, q times an entry of BA a shift, with no gcd."""
+    """A pair of n x n matrices with AB = qBA, checked at construction by
+    ``matrices._q_commutes``."""
 
     A: QMatrix
     B: QMatrix
@@ -39,14 +35,7 @@ class MatrixPair:
             raise DimensionMismatch(
                 f"sizes differ: {A.nrows} vs {B.nrows}"
             )
-        ctx = A.ctx
-        if ctx.is_generic:
-            holds = all(r.keys() == s.keys() and all(x == _q_times(s[c]) for c, x in r.items())
-                        for r, s in zip((A * B)._rows, (B * A)._rows))
-        else:
-            holds = not any(any(ctx._reduce(acc)) for a, b in zip(A._rows, B._rows) for acc, _
-                            in _row_sums(ctx, (a, B._rows, 0, 1), (b, A._rows, 1, -1)).values())
-        if not holds:
+        if not _q_commutes(A, B):
             raise RelationViolated("AB = qBA fails for this pair")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -157,8 +146,6 @@ def qcommutant_basis(A: QMatrix):
     if A.nrows != A.ncols:
         raise NotSquare("the q-commutant is defined for square matrices")
     n = A.nrows
-    if n == 0:
-        return []
     op = sylvester_operator(A, A, A.ctx.q())
     return [_unflatten(A.ctx, vec, n, n) for vec in _echelon(op, True)[1]]
 
@@ -208,8 +195,6 @@ def hom_ext(M1: MatrixPair, M2: MatrixPair) -> HomExtReport:
     A2, B2 = M2.A, M2.B
     n1, n2 = M1.size, M2.size
     dim = n1 * n2
-    if dim == 0:
-        return HomExtReport(0, 0, 0, ())
 
     # d0 is built as (A2 F - F A1, B2 F - F B1), the negative of each block,
     # and the G block of d1 as B2 G - q^-1 G B1, the one above times -1/q:

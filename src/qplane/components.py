@@ -296,7 +296,6 @@ def _jacobian_rank_once(kind, size, ctx, rng) -> int:
     # GL_n-equivariant: its differential at (g, theta) is the one at
     # (1, theta) followed by the invertible X -> g X g^-1, so the rank does
     # not depend on g and is taken at g = 1.
-    zero = ctx.zero()
     one = ctx.one()
     dim = size * size
     # conjugation directions: d/dt of exp(tY) X exp(-tY) = [Y, X]; row Y is
@@ -315,11 +314,10 @@ def _jacobian_rank_once(kind, size, ctx, rng) -> int:
                     for k, (rr, cc) in enumerate(positions)]
         nrows = dim + 1 + len(positions)
     else:
-        for k in range(size):
-            e = [zero] * size
-            e[k] = one
-            Lk = q_layered(size, size, e, ctx=ctx)
-            entries += [(dim + k, dim + r * size + c, x) for r, c, x in Lk.nonzeros()]
+        # direction k: the q-layered matrix of the unit vector e_k, which is
+        # q^i at (i, i + k) for i < size - k
+        entries += [(dim + k, dim + i * size + i + k, ctx.q_power(i))
+                    for k in range(size) for i in range(size - k)]
         nrows = dim + size
     return rank(QMatrix.sparse(ctx, nrows, 2 * dim, entries))
 

@@ -11,10 +11,10 @@ that two pairs map to the same quotient point.
 from dataclasses import dataclass
 
 from .commutant import MatrixPair
-from .components import ComponentIndex
+from .components import ComponentIndex, _norm
 from .errors import BadIndex, UnsupportedShape
-from .matrices import QMatrix, diagonal_blocks
-from .scalars import INFINITE, _lowest, _mul_add, _order
+from .matrices import QMatrix, _trace_of_product, diagonal_blocks
+from .scalars import INFINITE, _order
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,8 @@ def git_index_of_stratum(idx: ComponentIndex) -> GitIndex:
     into i one-dimensional (a, 0) pieces and every nilpotent-kind summand of
     size j into j pieces (0, b).
     """
-    ell = idx.ell
-    p = idx.m_top
-    if ell is INFINITE:
-        m = sum((i + 1) * c for i, c in enumerate(idx.m))
-    else:
-        m = sum((i + 1) * c for i, c in enumerate(idx.m[:ell - 1]))
-    r = sum((j + 1) * c for j, c in enumerate(idx.r))
-    return GitIndex(p, m, r)
+    m = idx.m if idx.ell is INFINITE else idx.m[:idx.ell - 1]
+    return GitIndex(idx.m_top, _norm(m), _norm(idx.r))
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +112,6 @@ def _powers(X: QMatrix, top: int):
     while len(pows) <= top:
         pows.append(pows[-1] * X)
     return pows
-
-
-def _trace_of_product(nonzeros, Y: QMatrix):
-    """Tr(XY) from the nonzero entries (r, k, x) of X, without forming XY;
-    over Q(zeta_ell) as one unreduced sum, reduced once."""
-    ctx = Y.ctx
-    if ctx.is_generic:
-        return sum((x * y for r, k, x in nonzeros if (y := Y[k, r])), ctx.zero())
-    acc, den = [0] * (2 * ctx._deg), 1
-    for r, k, x in nonzeros:
-        y = Y[k, r]
-        if y:
-            den = _mul_add(ctx, acc, den, x, y)
-    return _lowest(ctx, ctx._reduce(acc), den)
 
 
 def _block_traces(A: QMatrix, B: QMatrix, N: int, lattice):

@@ -21,7 +21,7 @@ from itertools import chain
 
 from . import modular, poly
 from .errors import DimensionMismatch, MixedContext, NotSquare, SingularConjugator
-from .scalars import FieldContext, QScalar, _lowest, _mul_add, cyclotomic_polynomial
+from .scalars import FieldContext, QScalar, _lowest, _mul_add, _q_times, cyclotomic_polynomial
 
 
 def _check_entry(ctx: FieldContext, entry):
@@ -134,9 +134,9 @@ class QMatrix:
 
     def __repr__(self):
         from .scalars import format_scalar
-        body = "; ".join(
-            ", ".join(format_scalar(x) for x in row) for row in self.rows
-        )
+        zero = format_scalar(self.ctx.zero())
+        body = "; ".join(", ".join(format_scalar(row[c]) if c in row else zero
+                                   for c in range(self.ncols)) for row in self._rows)
         return f"QMatrix({self.nrows}x{self.ncols}: {body})"
 
     def nonzeros(self):
@@ -249,8 +249,9 @@ class QMatrix:
     def map_entries(self, fn) -> "QMatrix":
         """Apply a scalar function to every entry, zeros included (e.g. a
         field automorphism); it must return QScalars of the same context."""
+        zero, cols = self.ctx.zero(), range(self.ncols)
         return QMatrix.sparse(self.ctx, self.nrows, self.ncols, [
-            (r, c, fn(x)) for r, row in enumerate(self.rows) for c, x in enumerate(row)])
+            (r, c, fn(row.get(c, zero))) for r, row in enumerate(self._rows) for c in cols])
 
     def submatrix(self, row_range, col_range) -> "QMatrix":
         rows = [self._rows[i] for i in row_range]
@@ -273,6 +274,33 @@ def _row_sums(ctx, *products):
                     s = sums[c] = [[0] * width, 1]
                 s[1] = _mul_add(ctx, s[0], s[1], x, y, shift, sign)
     return sums
+
+
+def _q_commutes(A: QMatrix, B: QMatrix) -> bool:
+    """Whether AB = qBA, for square A and B of one size and context.
+
+    Over Q(zeta_ell) no product is formed: row by row, each entry of
+    AB - qBA is one unreduced sum over one denominator, q a shift by one,
+    reduced mod Phi_ell once and tested for zero.  Over Q(q) AB is compared
+    with qBA entry by entry, q times an entry of BA a shift, with no gcd."""
+    ctx = A.ctx
+    if ctx.is_generic:
+        return all(r.keys() == s.keys() and all(x == _q_times(s[c]) for c, x in r.items())
+                   for r, s in zip((A * B)._rows, (B * A)._rows))
+    return not any(any(ctx._reduce(acc)) for a, b in zip(A._rows, B._rows) for acc, _
+                   in _row_sums(ctx, (a, B._rows, 0, 1), (b, A._rows, 1, -1)).values())
+
+
+def _trace_of_product(nonzeros, Y: QMatrix):
+    """Tr(XY) over Q(zeta_ell) from the nonzero entries (r, k, x) of X,
+    without forming XY: one unreduced sum, reduced once."""
+    ctx = Y.ctx
+    acc, den = [0] * (2 * ctx._deg), 1
+    for r, k, x in nonzeros:
+        y = Y[k, r]
+        if y:
+            den = _mul_add(ctx, acc, den, x, y)
+    return _lowest(ctx, ctx._reduce(acc), den)
 
 
 def direct_sum(*matrices: QMatrix) -> QMatrix:

@@ -157,9 +157,10 @@ def test_zero_pair_is_always_valid():
 # ---------------------------------------------------------------------------
 
 def test_commutant_of_zero_matrix_is_everything():
-    assert qcommutant_basis(QMatrix.zero(GEN, 0, 0)) == []
-    for n in (1, 2, 3):
-        assert len(qcommutant_basis(QMatrix.zero(GEN, n, n))) == n * n
+    for ctx in (GEN, C3):
+        assert qcommutant_basis(QMatrix.zero(ctx, 0, 0)) == []
+        for n in (1, 2, 3):
+            assert len(qcommutant_basis(QMatrix.zero(ctx, n, n))) == n * n
 
 
 def test_commutant_of_nilpotent_block_is_layered():
@@ -361,9 +362,10 @@ def test_hom_and_ext_vanish_between_strata():
     assert (report.hom_dim, report.ext1_dim, report.ext2_dim) == (0, 0, 0)
     report = hom_ext(n_type_pair(GEN, 3), d_type_pair(GEN, 2))
     assert (report.hom_dim, report.ext1_dim, report.ext2_dim) == (0, 0, 0)
-    empty = MatrixPair(QMatrix.zero(GEN, 0, 0), QMatrix.zero(GEN, 0, 0))
-    for pair in (empty, d_type_pair(GEN, 2)):
-        assert hom_ext(empty, pair) == hom_ext(pair, empty) == HomExtReport(0, 0, 0, ())
+    for ctx in (GEN, C3):
+        empty = MatrixPair(QMatrix.zero(ctx, 0, 0), QMatrix.zero(ctx, 0, 0))
+        for pair in (empty, d_type_pair(ctx, 2)):
+            assert hom_ext(empty, pair) == hom_ext(pair, empty) == HomExtReport(0, 0, 0, ())
 
 
 def test_self_ext_of_generic_strata_points():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qplane import (ComponentIndex, DimensionMismatch, FieldContext, MixedContext, NotSquare,
                     QMatrix, QScalar, SingularConjugator, char_poly, conjugate, direct_sum,
                     inverse, kernel_basis, rank, sample_point, substitute_q_inverse)
-from qplane import git_quotient, matrices, modular
+from qplane import matrices, modular
 from qplane.commutant import predicted_commutant_dim, sylvester_operator
 from qplane.jordan import JordanSpec, realize
 from test_cli import lu_conjugate
@@ -459,8 +459,9 @@ def test_products_and_traces_match_the_scalar_gustavson_loop(case):
         assert all(x for _, _, x in got)
         assert [(r, c) for r, c, _ in got] == sorted((r, c) for r, c, _ in got)
     diagonal = [x for r, c, x in scalar_gustavson(X, W) if r == c]
-    trace = git_quotient._trace_of_product(X.nonzeros(), W)
-    assert trace == (X * W).trace() == sum(diagonal, X.ctx.zero())
+    assert (X * W).trace() == sum(diagonal, X.ctx.zero())
+    if not X.ctx.is_generic:  # the lattice traces it serves exist only at finite ell
+        assert matrices._trace_of_product(X.nonzeros(), W) == (X * W).trace()
 
 
 def test_trace_of_product_is_symmetric():
