@@ -31,7 +31,10 @@ from .serialize import (ell_from_obj, ell_to_obj, fingerprint_to_obj,
                         pair_to_obj)
 
 DEFAULT_SEED = 0
-MAX_LISTED = 100_000  # n = 24 at ell = inf lists 94235 indices (1.4 s, 44 MB)
+MAX_LISTED = 100_000  # n = 24 at ell = inf lists 94235 indices (1.8 s, 139 MB)
+# the counts enumerate writes at a finite ell, ell + ell - 1 per index: n = 24
+# writes 4.4e6 at ell = 24 (2.1 s, 169 MB) and 5.0e6 at ell = 27 (2.7 s, 182 MB)
+MAX_WRITTEN = 5_000_000
 MAX_COUNT_WORK = 20_000_000  # table additions; ell = 2, n = 10^7 takes 5 s and 0.5 GB
 # n of a sampled pair; at ell = inf one nilpotent-kind block of size 200,
 # the slowest shape measured, takes 1.25 s and 77 MB (size 300: 3.2 s and
@@ -88,8 +91,11 @@ def _cmd_enumerate(args) -> int:
         return _emit({"ell": ell_to_obj(ell), "n": args.n, "types": body})
     # count_ML never falls as n grows, and at every ell >= 2 it is past
     # MAX_LISTED by n = 1000, so counting at min(n, 1000) is enough
-    if count_ML(ell, min(args.n, 1000)) > MAX_LISTED:
+    listed = count_ML(ell, min(args.n, 1000))
+    if listed > MAX_LISTED:
         raise OverflowError(f"more than {MAX_LISTED} component indices at n = {args.n}")
+    if ell < INFINITE and listed * (2 * ell - 1) > MAX_WRITTEN:
+        raise OverflowError(f"more than {MAX_WRITTEN} index counts at ell = {ell}, n = {args.n}")
     indices = sorted(enumerate_ML(ell, args.n), key=lambda i: (i.m, i.r))
     body = []
     for idx in indices:

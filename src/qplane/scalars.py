@@ -118,7 +118,7 @@ class FieldContext:
     __slots__ = ("ell", "is_generic", "_deg", "_powers", "_reduction", "_conjugators",
                  "_zero", "_one")
 
-    def __init__(self, ell):
+    def _setup(self, ell):
         self.ell = ell
         self.is_generic = ell is INFINITE
         self._deg = 0
@@ -150,7 +150,11 @@ class FieldContext:
     @staticmethod
     def _intern(ell) -> "FieldContext":
         ctx = _CONTEXTS.get(ell)
-        return ctx if ctx is not None else _CONTEXTS.setdefault(ell, FieldContext(ell))
+        if ctx is None:  # entered once built, so a failed build leaves no entry
+            ctx = object.__new__(FieldContext)
+            ctx._setup(ell)
+            ctx = _CONTEXTS.setdefault(ell, ctx)
+        return ctx
 
     @staticmethod
     def root_of_unity(ell: int) -> "FieldContext":
@@ -374,31 +378,11 @@ class QScalar:
     tuples (see the module docstring), so equality is tuple equality.
     Root-of-unity regime: int_num is the reduced coefficient vector of
     length deg(Phi_ell) and int_den is (d,).  Generic regime: two coprime
-    integer polynomials in q.  The constructor takes an int vector ``ints``
-    over ``d`` (Q(zeta_ell)) or ``num``/``den`` as tuples of ints or
-    Fractions (Q(q)) and reduces them.  Values are immutable; all
-    arithmetic returns fresh scalars.
+    integer polynomials in q.  Scalars are built only by ``_build``.
+    Values are immutable; all arithmetic returns fresh scalars.
     """
 
     __slots__ = ("ctx", "int_num", "int_den")
-
-    def __init__(self, ctx, ints=None, d=1, num=None, den=None):
-        self.ctx = ctx
-        if ctx.is_generic:
-            num, den = poly.trim(num), poly.trim(den)
-            if not den:
-                raise DivisionByZero("zero denominator")
-            # clear the denominators of the coefficients: ints have denominator 1
-            m = math.lcm(*(c.denominator for c in num), *(c.denominator for c in den))
-            self.int_num, self.int_den = _canonical(
-                tuple(c.numerator * (m // c.denominator) for c in num),
-                tuple(c.numerator * (m // c.denominator) for c in den))
-        else:
-            assert len(ints) == ctx._deg
-            if not d:
-                raise DivisionByZero("zero denominator")
-            reduced = _lowest(ctx, ints, d)
-            self.int_num, self.int_den = reduced.int_num, reduced.int_den
 
     def __reduce__(self):
         # __slots__ without __getstate__ does not pickle at protocols 0 and 1

@@ -491,3 +491,13 @@ def test_associated_sequence_at_ell_8009_answers_in_time(counts, expected):
             resource.RLIMIT_AS, (2 ** 30, 2 ** 30)))
     assert done.returncode == 0, done.stderr
     assert tuple(map(int, done.stdout.split(","))) == expected
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: chain_decompose([1]), TypeError, "chain_decompose expects QScalar elements"),
+    (lambda: chain_decompose([GEN.q(), "q"]), TypeError,
+     "chain_decompose expects QScalar elements"),
+])
+def test_chain_calls_raise_their_documented_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

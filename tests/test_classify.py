@@ -318,3 +318,13 @@ def test_classify_reads_sample_points_off_their_diagonal_blocks(monkeypatch):
     dense = QMatrix.from_rational_rows(C3, [[0, 2], [1, 3]])
     with pytest.raises(AssertionError, match="2x2 block"):
         classify(MatrixPair(dense, QMatrix.zero(C3, 2, 2)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: classify(QMatrix.zero(C3, 1, 1)), TypeError,
+     "classify expects a MatrixPair or a JordanSpec"),
+    (lambda: classify(None), TypeError, "classify expects a MatrixPair or a JordanSpec"),
+])
+def test_classify_calls_raise_their_documented_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -501,16 +501,27 @@ def test_classify_of_a_large_integer_spectrum_answers_in_time(tmp_path):
 
 def test_enumerate_bounds_its_output_before_building_it():
     # at ell = inf the index count grows about 4x per +4 in n: n = 100
-    # would list more than memory holds
-    for ell, n in (("inf", 100), ("2", 10 ** 12)):
-        done = run_cli_bounded("enumerate", "--ell", ell, "--n", str(n))
+    # would list more than memory holds.  At a finite ell each index holds
+    # ell + ell - 1 counts: ell = 10^4, n = 24 lists 94235 indices, under
+    # MAX_LISTED, but about 1.9 * 10^9 counts, and ran out of memory
+    for ell, n in (("inf", 100), ("2", 10 ** 12), ("10000", 24)):
+        done = run_cli_bounded("enumerate", "--ell", ell, "--n", str(n), timeout=10)
         assert done.returncode == 2
         assert done.stdout == ""
         lines = done.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: input too large: ")
+        assert "out of memory" not in lines[0]
+    assert lines[0] == ("error: input too large: more than 5000000 index counts"
+                        " at ell = 10000, n = 24")
     done = run_cli_bounded("enumerate", "--ell", "inf", "--n", "16")
     assert done.returncode == 0
     assert len(json.loads(done.stdout)["components"]) == 5822
+    # 94235 indices of 27 + 26 counts each, just under the bound
+    done = run_cli_bounded("enumerate", "--ell", "27", "--n", "24")
+    assert done.returncode == 0, done.stderr
+    components = json.loads(done.stdout)["components"]
+    assert len(components) == 94235
+    assert sum(len(c["m"]) + len(c["r"]) for c in components) == 94235 * 53 < cli.MAX_WRITTEN
 
 
 def test_enumerate_git_bounds_its_output_before_building_it():

@@ -453,3 +453,22 @@ def test_hom_dims_conjugation_invariant():
         after = hom_ext(M1c, M2c)
         assert (before.hom_dim, before.ext1_dim, before.ext2_dim) == (
             after.hom_dim, after.ext1_dim, after.ext2_dim)
+
+
+ZERO_PAIRS = [MatrixPair(QMatrix.zero(ctx, 1, 1), QMatrix.zero(ctx, 1, 1)) for ctx in (C3, GEN)]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: q_layered(-1, 2, []), ValueError, "matrix sides must be nonnegative"),
+    (lambda: q_layered(0, 3, []), ValueError, "cannot infer the context from an empty vector"),
+    (lambda: q_layered(2, 2, [C3.one(), 1]), MixedContext,
+     "layer vector entries must share one context"),
+    (lambda: q_layered(1, 1, [C3.one()], GEN), MixedContext,
+     "layer vector entries must share one context"),
+    (lambda: qcommutant_basis(QMatrix.zero(C3, 2, 3)), NotSquare,
+     "the q-commutant is defined for square matrices"),
+    (lambda: hom_ext(*ZERO_PAIRS), MixedContext, "pairs live in different field contexts"),
+])
+def test_commutant_calls_raise_their_documented_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

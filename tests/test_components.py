@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from qplane import (BadIndex, ComponentIndex, FieldContext, INFINITE,
+from qplane import (BadIndex, ComponentIndex, DegeneratePoint, FieldContext, INFINITE,
                     classify, count_ML, dim_component, dim_component_via_CBS,
                     direct_sum, enumerate_ML, jordan_data, MatrixPair,
                     parametrization_jacobian_rank, partition_count,
                     q_equivalent, rank, restricted_partition_count,
                     sample_point, theta_index, theta_point)
+from qplane import components
 from qplane.commutant import q_layered, sylvester_operator
 from qplane.components import _RationalPool, _jacobian_rank_once, _u_block, _v_block
 from qplane.matrices import QMatrix, inverse
@@ -427,3 +428,22 @@ def test_direct_sum_additivity():
             collision = any(q_equivalent(x, y) is not None
                             for x in diag1 for y in diag2)
             assert collision, (idx1, idx2, got)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda mp: ComponentIndex(3, m=(1, 1, 1, 1)), BadIndex,
+     "count vectors too long for order 3"),
+    (lambda mp: enumerate_ML(3, -1), BadIndex, "n must be nonnegative"),
+    (lambda mp: count_ML(3, -1), BadIndex, "n must be nonnegative"),
+    (lambda mp: parametrization_jacobian_rank("X", 1, 3), ValueError,
+     "kind must be 'D' or 'N'"),
+    (lambda mp: parametrization_jacobian_rank("D", 0, 3), BadIndex,
+     "block size must be at least 1"),
+    # every resampled point underperforms: the rank of D_2 at ell 3 is 4
+    (lambda mp: mp.setattr(components, "_jacobian_rank_once", lambda *args: 0)
+     or parametrization_jacobian_rank("D", 2, 3), DegeneratePoint,
+     "rank stayed at 0, expected 4; try another seed"),
+])
+def test_component_calls_raise_their_documented_errors(call, error, message, monkeypatch):
+    with pytest.raises(error, match=message):
+        call(monkeypatch)

@@ -447,3 +447,17 @@ def test_git_index_consistent_with_semisimplify():
         # nonzero diagonal entries of B on the nilpotent part give r
         assert rank(out.A) == ell * git_idx.p + git_idx.m
         assert rank(out.B) >= git_idx.r
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GitIndex(1, 0, 0).size(INFINITE), BadIndex,
+     "full-cycle summands need a root of unity"),
+    (lambda: enumerate_TPL(3, -1), BadIndex, "n must be nonnegative"),
+    (lambda: count_TPL(3, -1), BadIndex, "n must be nonnegative"),
+    (lambda: dim_git(GitIndex(0, 1, 0), 3, 2), BadIndex, "does not have size 2"),
+    (lambda: trace_fingerprint(MatrixPair(QMatrix.zero(C3, 1, 1), QMatrix.zero(C3, 1, 1)), -1),
+     BadIndex, "the degree bound must be nonnegative"),
+])
+def test_git_calls_raise_their_documented_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, MixedContext,
+from qplane import (EigenvaluesNotFound, FieldContext, JordanSpec, MixedContext, NotSquare,
                     QMatrix, QScalar, block_jordan, char_poly, check_partition, conjugate,
                     direct_sum, jordan_block, jordan_data, q_orbit, rank, realize,
                     transpose_partition)
@@ -613,3 +613,15 @@ def test_round_trip_random_specs():
             continue
         spec = JordanSpec(ctx, blocks)
         assert jordan_data(realize(spec)) == spec
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: jordan.rational_roots(()), ValueError, "rational_roots needs a nonzero polynomial"),
+    (lambda: jordan.rational_roots((0, 0)), ValueError,
+     "rational_roots needs a nonzero polynomial"),
+    (lambda: jordan_data(QMatrix.zero(C3, 2, 3)), NotSquare,
+     "jordan_data needs a square matrix"),
+])
+def test_jordan_calls_raise_their_documented_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -14,6 +14,7 @@ from qplane import (ComponentIndex, DimensionMismatch, FieldContext, MixedContex
 from qplane import matrices, modular
 from qplane.commutant import predicted_commutant_dim, sylvester_operator
 from qplane.jordan import JordanSpec, realize
+from qplane.scalars import _lowest
 from test_cli import lu_conjugate
 
 C3 = FieldContext.root_of_unity(3)
@@ -427,7 +428,7 @@ def product_cases(draw):
         if ctx.is_generic:
             return (ctx.rational(Fraction(draw(st.integers(-top, top)), d))
                     * ctx.q_power(draw(st.integers(-2, 2))) / (ctx.q() + draw(st.integers(1, 3))))
-        return QScalar(ctx, [draw(st.integers(-top, top)) for _ in range(ctx._deg)], d)
+        return _lowest(ctx, [draw(st.integers(-top, top)) for _ in range(ctx._deg)], d)
 
     def grid(nrows, ncols, rows=None):
         return [(i, j, entry()) for i in range(nrows) for j in range(ncols)
@@ -1010,7 +1011,7 @@ def modular_inputs(draw):
 
     def entry():
         ints = [draw(st.integers(-top, top)) for _ in range(ctx._deg)]
-        return QScalar(ctx, ints, draw(st.integers(1, 6)))
+        return _lowest(ctx, ints, draw(st.integers(1, 6)))
 
     def grid(r, c, density):
         return QMatrix.sparse(ctx, r, c, [(i, j, entry()) for i in range(r) for j in range(c)
@@ -1026,7 +1027,7 @@ def large_entry_matrix(ell, nrows, ncols, seed):
     """Entries with 110-bit coefficients over small denominators."""
     ctx = FieldContext.root_of_unity(ell)
     rng = random.Random(seed)
-    return QMatrix(ctx, [[QScalar(ctx, [rng.randint(-2 ** 110, 2 ** 110) for _ in range(ctx._deg)],
+    return QMatrix(ctx, [[_lowest(ctx, [rng.randint(-2 ** 110, 2 ** 110) for _ in range(ctx._deg)],
                                   rng.randint(1, 9)) for _ in range(ncols)]
                          for _ in range(nrows)])
 
@@ -1079,6 +1080,32 @@ def test_modular_elimination_joins_several_primes_for_large_entries(ell, monkeyp
         used.clear()
         assert matrices._modular(A, A.nonzeros(), True) == exact_echelon(A)
         assert len(used) > 1
+
+
+@pytest.mark.parametrize("ell", [1, 3, 5])
+@pytest.mark.parametrize("k", [0, 1])
+def test_modular_elimination_keeps_the_primes_of_most_pivots(ell, k, monkeypatch):
+    # the second row times the k-th prime vanishes under every embedding mod
+    # that prime, whose image has rank 1 where every other has rank 2.  The
+    # 110-bit entries need several primes joined by CRT: with k = 1 the
+    # second prime falls behind the first and is skipped; with k = 0 it has
+    # more pivots and replaces the first
+    ctx = FieldContext.root_of_unity(ell)
+    p, first = (modular.cyclotomic_prime(ell, i)[0] for i in (k, 0))
+    A = large_entry_matrix(ell, 2, 3, 0)
+    A = QMatrix(ctx, [A.rows[0], [x * p for x in A.rows[1]]])
+    ranks, moduli = {}, []
+    real_rref, real_ratrec = modular._rref_mod, modular.ratrec
+    monkeypatch.setattr(modular, "_rref_mod", lambda rows, ncols, prime: ranks.setdefault(
+        prime, set()).add(len(got := real_rref(rows, ncols, prime))) or got)
+    monkeypatch.setattr(modular, "ratrec", lambda u, m, bound: moduli.append(m)
+                        or real_ratrec(u, m, bound))
+    assert matrices._modular(A, A.nonzeros(), True) == exact_echelon(A)
+    assert ranks.pop(p) == {1} and set(map(frozenset, ranks.values())) == {frozenset({2})}
+    # the first prime is tried alone, then more than one prime is joined,
+    # and never the one of rank 1 with another
+    assert moduli[0] == first and max(moduli) > modular.PRIME_TOP
+    assert all(m % p for m in moduli if m != first)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 5])
@@ -1309,7 +1336,7 @@ def certificate_inputs(draw):
     def entry():
         if draw(st.integers(0, 2)) == 0:
             return ctx.zero()
-        return QScalar(ctx, [draw(st.integers(-top, top)) for _ in range(ctx._deg)],
+        return _lowest(ctx, [draw(st.integers(-top, top)) for _ in range(ctx._deg)],
                        draw(st.integers(1, 6)))
 
     A = QMatrix(ctx, [[entry() for _ in range(ncols)] for _ in range(nrows)])
@@ -1353,7 +1380,7 @@ def test_an_echelon_form_too_large_for_one_prime_joins_several(ell, monkeypatch)
 
     for ncols in (2, 3, 4):
         pivot = ctx.rational(Fraction(big(), rng.randint(1, 9)))
-        A = QMatrix(ctx, [[pivot] + [QScalar(ctx, [big() for _ in range(ctx._deg)],
+        A = QMatrix(ctx, [[pivot] + [_lowest(ctx, [big() for _ in range(ctx._deg)],
                                              rng.randint(1, 9)) for _ in range(ncols - 1)]])
         r, basis = exact_echelon(A)
         height = max(max(abs(f.numerator), f.denominator) for v in basis for x in v.values()
@@ -1362,3 +1389,25 @@ def test_an_echelon_form_too_large_for_one_prime_joins_several(ell, monkeypatch)
         used.clear()
         assert matrices._modular(A, A.nonzeros(), True) == (r, basis)
         assert len(used) > 1
+
+
+RECT = QMatrix.zero(C3, 2, 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: QMatrix(C3, [[1]]), TypeError, "matrix entries must be QScalar"),
+    (lambda: QMatrix.identity(C3, 2) * QMatrix.identity(C3, 3), DimensionMismatch,
+     "cannot multiply 2x2 by 3x3"),
+    (lambda: RECT ** 2, NotSquare, "matrix power needs a square matrix"),
+    (lambda: QMatrix.identity(C3, 2) ** -1, ValueError, "negative matrix powers"),
+    (lambda: RECT.trace(), NotSquare, "trace needs a square matrix"),
+    (lambda: direct_sum(), DimensionMismatch, "direct_sum needs at least one matrix"),
+    (lambda: inverse(RECT), NotSquare, "inverse needs a square matrix"),
+    (lambda: conjugate(RECT, QMatrix.identity(C3, 2)), NotSquare,
+     "conjugation needs square matrices"),
+    (lambda: conjugate(QMatrix.identity(C3, 2), QMatrix.identity(C3, 3)), DimensionMismatch,
+     "conjugator size does not match matrix size"),
+])
+def test_matrix_operations_raise_their_documented_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -18,13 +18,14 @@ from fractions import Fraction
 import pytest
 
 from qplane import (EigenvaluesNotFound, FieldContext, INFINITE, MatrixPair,
-                    QMatrix, QScalar, canonical_key, chain_decompose, classify,
+                    QMatrix, canonical_key, chain_decompose, classify,
                     conjugate, enumerate_ML, format_scalar, hom_ext, jordan_data,
                     qcommutant_basis, sample_point, semisimplify, sylvester_operator,
                     trace_fingerprint)
 from qplane import matrices, modular
 from qplane.serialize import (fingerprint_to_obj, index_to_obj, matrix_to_obj,
                               pair_to_obj)
+from test_scalars import generic_scalar
 
 ORDERS = (2, 3, 5, INFINITE)
 
@@ -83,7 +84,7 @@ def random_scalar(ctx, rng):
         den = [coeff() for _ in range(rng.randint(1, 4))]
         if not any(den):
             den[-1] = Fraction(rng.randint(2, 5))
-        return QScalar(ctx, num=num, den=den)
+        return generic_scalar(num, den)
     out = ctx.zero()
     for _ in range(rng.randint(0, 4)):
         out = out + ctx.rational(coeff()) * ctx.q_power(rng.randint(-6, 6))

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qplane import (DivisionByZero, FieldContext, QScalar, format_scalar,
-                    substitute_q_inverse)
+from qplane import DivisionByZero, FieldContext, format_scalar, substitute_q_inverse
 from qplane import poly
+from test_scalars import generic_scalar
 
 GEN = FieldContext.generic()
 
@@ -194,7 +194,7 @@ def test_synthetic_division_matches_long_division(case):
 def generic_scalars(draw):
     num = draw(fraction_polys)
     den = draw(nonzero_fraction_polys)
-    return QScalar(GEN, num=num, den=den)
+    return generic_scalar(num, den)
 
 
 def generic_to_sympy(sympy, a):

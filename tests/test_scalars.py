@@ -13,7 +13,9 @@ from qplane import (BadIndex, DivisionByZero, FieldContext, INFINITE, MixedConte
                     ParseError, QScalar, ZeroArgument, canonical_key,
                     cyclotomic_polynomial, format_scalar, parse_scalar,
                     q_equivalent, q_orbit, substitute_q_inverse)
-from qplane.scalars import MAX_GENERIC_EXPONENT, MAX_ORDER, _build, _order, _q_times
+from qplane import poly
+from qplane.scalars import (MAX_GENERIC_EXPONENT, MAX_ORDER, _build, _canonical, _order,
+                            _q_times)
 
 C3 = FieldContext.root_of_unity(3)
 C4 = FieldContext.root_of_unity(4)
@@ -21,6 +23,15 @@ GEN = FieldContext.generic()
 F1 = Fraction(1)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+
+
+def generic_scalar(num, den):
+    """The Q(q) scalar num/den, for coefficient sequences of ints or
+    Fractions with den not all zero, built without the arithmetic under test:
+    the Fraction denominators are cleared, then the pair is made canonical."""
+    m = math.lcm(*(c.denominator for c in (*num, *den)))
+    n, d = (poly.trim([c.numerator * (m // c.denominator) for c in cs]) for cs in (num, den))
+    return _build(GEN, *_canonical(n, d))
 
 
 def random_scalar(ctx, rng):
@@ -127,11 +138,22 @@ def test_zero_division_raises():
 def test_zero_denominator_is_rejected_in_both_fields(ell):
     ctx = FieldContext.root_of_unity(ell)
     with pytest.raises(DivisionByZero, match="zero denominator"):
-        QScalar(ctx, [1] + [0] * (ctx._deg - 1), 0)
+        parse_scalar("1/0", ctx)
     with pytest.raises(DivisionByZero, match="zero denominator"):
-        QScalar(ctx, [0] * ctx._deg, 0)
+        parse_scalar("0/0", ctx)
     with pytest.raises(DivisionByZero, match="zero denominator"):
-        QScalar(GEN, num=(F1,), den=())
+        parse_scalar("(1)/(0)", GEN)
+
+
+def test_scalars_and_contexts_come_only_from_their_factories():
+    # a direct call built an unchecked scalar or a second context of one order
+    with pytest.raises(TypeError):
+        QScalar(C3, [1], 1)
+    with pytest.raises(TypeError):
+        QScalar(GEN, num=(1,), den=(1,))
+    with pytest.raises(TypeError):
+        FieldContext(5)
+    assert FieldContext.for_order(5) is FieldContext.root_of_unity(5)
 
 
 def test_mixed_context_rejected():
@@ -747,11 +769,11 @@ small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 @st.composite
 def generic_values(draw):
-    """A Q(q) scalar built through the public constructor from Fraction
-    tuples with non-monic, non-integral denominators."""
+    """A Q(q) scalar built by ``generic_scalar`` from Fraction tuples with
+    non-monic, non-integral denominators."""
     num = draw(st.lists(small_fractions, max_size=4))
     den = draw(st.lists(small_fractions, min_size=1, max_size=4).filter(any))
-    return QScalar(GEN, num=num, den=den)
+    return generic_scalar(num, den)
 
 
 def monic_view(n, d):
@@ -835,7 +857,7 @@ NON_MONIC = [
 
 @pytest.mark.parametrize("num, den", NON_MONIC)
 def test_generic_pickle_and_copy_round_trip(num, den):
-    a = QScalar(GEN, num=num, den=den)
+    a = generic_scalar(num, den)
     assert a.int_den[-1] != 1  # a denominator that is not monic over Z
     copies = [copy.copy(a), copy.deepcopy(a)]
     copies += [pickle.loads(pickle.dumps(a, proto))
@@ -849,7 +871,7 @@ def test_generic_pickle_and_copy_round_trip(num, den):
 def test_generic_hash_is_the_pair_hash():
     # a rational scalar hashes as its Fraction, any other as its pair
     for num, den in NON_MONIC + [((1, 2), (3, 1)), ((0, 5), (1,)), ((3,), (4,)), ((-6,), (1,))]:
-        a = QScalar(GEN, num=num, den=den)
+        a = generic_scalar(num, den)
         r = a.as_rational()
         assert hash(a) == (hash(r) if r is not None else hash((a.int_num, a.int_den)))
 
@@ -894,7 +916,7 @@ def key_scalars(draw, ctx):
     if ctx.is_generic:
         num = draw(st.lists(key_fractions, max_size=3))
         den = draw(st.lists(key_fractions, min_size=1, max_size=3).filter(any))
-        return QScalar(ctx, num=num, den=den)
+        return generic_scalar(num, den)
     out = ctx.zero()
     for c, k in draw(st.lists(st.tuples(key_fractions, st.integers(-13, 13)), max_size=3)):
         out = out + ctx.rational(c) * ctx.q_power(k)
@@ -912,3 +934,12 @@ def test_canonical_key_orders_as_the_fraction_view_key(data):
     reference = sorted(xs, key=reference_key)
     assert [(x.int_num, x.int_den) for x in ours] == [
         (x.int_num, x.int_den) for x in reference]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: cyclotomic_polynomial(0), ValueError, "ell must be a positive integer"),
+    (lambda: cyclotomic_polynomial(-3), ValueError, "ell must be a positive integer"),
+])
+def test_scalar_calls_raise_their_documented_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
